@@ -5,7 +5,9 @@ Usage: ``python3 perfbench/child.py '<json spec>'`` with ``src`` on
 directory, whether to trace, and the ``time.monotonic()`` reading taken
 just before the process was spawned, so ``setup_s`` covers interpreter
 start, ``import repro.cli`` and opening the store.  Only the standard
-library is imported before the clock is read back.
+library is imported before the clock is read back.  :func:`speed_probe`
+runs before the first lap and after each lap of the workload; ``probe_s``
+is the mean of those times.
 
 ``"mode": "warm"`` compiles the sweep into the store instead (spool-replay's
 untimed preparation) and records the cold blob digests.
@@ -39,6 +41,31 @@ def blas_threads() -> int | None:
     return None
 
 
+def speed_probe() -> float:
+    """Seconds a fixed routine takes now: the machine's current speed.
+
+    Half interpreter work (dict updates, string sorting), as in compiling,
+    and half NumPy work (seeded draws, a sort and element-wise arithmetic
+    on 1.6 MB arrays), as in shot sampling, so it slows as the workloads
+    do when other tenants take the host's cores, caches and memory
+    bandwidth.  It calls no BLAS and nothing in ``repro``, so no change to
+    the program can move it.
+    """
+    import numpy
+
+    start = time.perf_counter()
+    counts: dict[int, int] = {}
+    for i in range(120_000):
+        counts[i % 977] = counts.get(i % 977, 0) + i * 3 // 7
+    sorted(str(count) for count in counts.values())
+    rng = numpy.random.default_rng(1)
+    for _ in range(6):
+        values = rng.random(200_000)
+        values.sort()
+        (values * 3.0 + 1.0).sum()
+    return time.perf_counter() - start
+
+
 def main() -> int:
     spec = json.loads(sys.argv[1])
     import repro.cli  # noqa: F401  (what every CLI call imports)
@@ -64,15 +91,18 @@ def main() -> int:
         from tracer import Tracer
 
         tracer = Tracer(spec["run_id"])
+    probes = [speed_probe()]
     origin = time.perf_counter()
     outcome = workloads.run(spec["workload"], spec["seed"], store, work, tracer, cold,
-                            verify=spec.get("verify", True))
+                            verify=spec.get("verify", True),
+                            after_lap=lambda: probes.append(speed_probe()))
 
     import numpy
     import scipy
 
     result = {
         "setup_s": setup_s,
+        "probe_s": sum(probes) / len(probes),
         "run_s": outcome.wall_s,
         "laps": outcome.laps,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

@@ -10,8 +10,9 @@ One invocation repeats the workload in fresh child processes
 (``child.py``) for ``--seconds``, one run per child and at least
 :data:`MIN_RUNS`, one after another, so no run reads a memo an earlier run
 warmed.  With ``--trace 0`` it reports the end-to-end metrics as medians
-over the children; with ``--trace 1`` it alternates untraced and traced
-children and reports the per-layer metrics of the traced ones (medians),
+over the children, the times scaled to a reference machine speed (see
+:data:`PROBE_REFERENCE_S`); with ``--trace 1`` it alternates untraced and
+traced children and reports the per-layer metrics of the traced ones (medians),
 the tracing overhead, and the import-time split of ``repro.cli``.  Every
 run's outputs are checked; traced and untraced digests must agree, and at
 the default seed they must equal the committed ``digests.json``.
@@ -33,6 +34,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,6 +53,17 @@ DEFAULT_SEED = 0
 MIN_RUNS = 3
 #: Seconds one child may take before it is killed and counted as failed.
 CHILD_TIMEOUT_S = 150.0
+
+#: ``child.speed_probe`` time that defines the reference machine speed.
+#: The host's speed drifts by a third or more over minutes as other
+#: tenants come and go, and every time a workload takes drifts with it;
+#: ``setup_s`` and ``run_s`` are the measured medians times this over the
+#: median of the children's mean probe times, i.e. seconds at the
+#: reference speed.
+#: On the 2-vCPU Intel Xeon VM the benchmark was built on, the probe's
+#: invocation medians ran from 0.034 to 0.066 s (median 0.047 s) over
+#: forty invocations as its speed drifted.
+PROBE_REFERENCE_S = 0.05
 
 #: End-to-end metrics and their units, in report order.
 END_TO_END = {
@@ -207,9 +220,9 @@ def run_time(runs: list[dict]) -> float:
     """One run's time: the sum over its laps of each lap's median over runs.
 
     A workload that is one call has one lap, and this is the median run
-    time.  compile-sweep has one lap per point, so a burst of machine
-    noise during one run moves only the laps it overlapped, which the
-    per-lap medians then discard.
+    time.  compile-sweep has one lap per point and spool-replay one per
+    resubmission, so a burst of machine noise during one run moves only
+    the laps it overlapped, which the per-lap medians then discard.
     """
     if not runs:
         return float("nan")
@@ -234,15 +247,19 @@ def _aggregate(workload: str, seed: int, trace: bool, runs: list[dict], layers: 
             run["failures"].append(f"digest {run['digest'][:12]} != committed {expected[:12]}")
     plain = [r for r in finished if not r["traced"]]
     traced = [r for r in finished if r["traced"]]
-    metrics: dict[str, dict] = {}
+    metrics: dict[str, float] = {}
+    #: Medians as measured, before scaling to the reference speed.
+    measured: dict[str, float] = {}
     if trace:
         for name in traced[0]["layers"] if traced else []:
             metrics[name] = _median([r["layers"][name] for r in traced])
         metrics.update(layers)
         metrics["trace.overhead_s"] = run_time(traced) - run_time(plain)
     else:
-        metrics["setup_s"] = _median([r["setup_s"] for r in plain])
-        metrics["run_s"] = run_time(plain)
+        measured = {"setup_s": _median([r["setup_s"] for r in plain]), "run_s": run_time(plain),
+                    "probe_s": _median([r["probe_s"] for r in plain])}
+        for name in ("setup_s", "run_s"):
+            metrics[name] = measured[name] * PROBE_REFERENCE_S / measured["probe_s"]
         metrics["peak_rss_mb"] = _median([r["peak_rss_mb"] for r in plain])
         for name in ("eps_nlog10", "comm_ops", "makespan_us"):
             metrics[name] = reference["quality"][name] if reference else float("nan")
@@ -253,6 +270,7 @@ def _aggregate(workload: str, seed: int, trace: bool, runs: list[dict], layers: 
         "attempted": len(runs),
         "failed": failed,
         "metrics": metrics,
+        "measured": measured,
         "machine": machine_record(seed, reference),
         "runs": runs,
     }
@@ -308,7 +326,13 @@ def print_table(summaries: list[dict], trace: bool) -> None:
         print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    """Unwind on SIGTERM, so ``subprocess.run`` kills the running child."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS,
                         help="run one workload and print the JSON result line")

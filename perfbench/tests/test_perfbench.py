@@ -58,23 +58,27 @@ def test_replay_check_trips_on_each_corruption(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     cold = workloads.warm_store(3, store, plan=SMALL_PLAN)
     outcome = workloads.run_spool_replay(
-        3, store, tmp_path / "spool", cold, plan=SMALL_PLAN,
+        3, store, tmp_path / "spool", cold, plan=SMALL_PLAN, resubmissions=2,
     )
-    assert outcome.failures == []
+    assert outcome.failures == [] and len(outcome.laps) == 2
     results = workloads.spool.job_results(store, store.manifest_ids()[0])
     status = {"state": "done", "executed": 0, "cache_hits": len(SMALL_PLAN)}
     check = workloads.check_replay
-    assert check([status], results, cold, store, len(SMALL_PLAN)) == []
-    assert check([{**status, "executed": 1}], results, cold, store, len(SMALL_PLAN))
-    assert check([{**status, "cache_hits": 1}], results, cold, store, len(SMALL_PLAN))
-    assert check([status], results[::-1], cold, store, len(SMALL_PLAN))
+    assert check([status], results, cold, len(SMALL_PLAN)) == []
+    assert check([{**status, "executed": 1}], results, cold, len(SMALL_PLAN))
+    assert check([{**status, "cache_hits": 1}], results, cold, len(SMALL_PLAN))
+    assert check([status], results[::-1], cold, len(SMALL_PLAN))
     blob = store.blob_path(cold["blobs"][0])
     blob.write_bytes(blob.read_bytes()[:-1])
-    assert check([status], results, cold, store, len(SMALL_PLAN))
+    rerun = workloads.run_spool_replay(
+        3, store, tmp_path / "again", cold, plan=SMALL_PLAN, resubmissions=1,
+    )
+    assert rerun.failures
 
 
 def _fake_run(**changes) -> dict:
     run = {"digest": "b" * 64, "setup_s": 1.0, "laps": [0.5, 1.5], "peak_rss_mb": 1.0,
+           "probe_s": bench.PROBE_REFERENCE_S,
            "quality": {"eps_nlog10": 1.0, "comm_ops": 1, "makespan_us": 1.0}}
     return {**run, **changes}
 

@@ -19,6 +19,7 @@ import json
 import math
 import pickle
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,12 +40,21 @@ SWEEP_STRATEGIES = ("qubit_only", "fq", "eqm", "rb", "awe")
 #: Shots per cell on the state-tracking validation run.
 TRACKED_SHOTS = 1000
 
+#: Times one spool-replay run submits, serves and redeems the sweep.  One
+#: pass is about 0.3 s, too short to time steadily on a shared host.
+REPLAY_RESUBMISSIONS = 5
+
 
 class Clock:
-    """Wall times of a run's laps, in order."""
+    """Wall times of a run's laps, in order.
 
-    def __init__(self) -> None:
+    ``after_lap`` is called after each lap, outside its time; the child
+    process times the machine-speed probe there.
+    """
+
+    def __init__(self, after_lap: Callable[[], None] | None = None) -> None:
         self.laps: list[float] = []
+        self.after_lap = after_lap
 
     @contextmanager
     def lap(self):
@@ -54,15 +64,17 @@ class Clock:
             yield
         finally:
             self.laps.append(time.perf_counter() - start)
+            if self.after_lap is not None:
+                self.after_lap()
 
 
 @contextmanager
-def clocked(tracer):
+def clocked(tracer, after_lap: Callable[[], None] | None = None):
     """A :class:`Clock`; a tracer records spans only while it is open."""
     if tracer is not None:
         tracer.install()
     try:
-        yield Clock()
+        yield Clock(after_lap)
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -144,13 +156,13 @@ def stored_compiles(store: ArtifactStore) -> list[StrategyResult]:
 
 
 def run_validate(seed: int, store: ArtifactStore, tracer=None, tracked: bool = False,
-                 **overrides) -> Outcome:
+                 after_lap: Callable[[], None] | None = None, **overrides) -> Outcome:
     """``validate_eps`` at its defaults (event-only, or state-tracked at
     :data:`TRACKED_SHOTS`) into the fresh ``store``."""
     kwargs = {"shots": TRACKED_SHOTS, "track_state": True} if tracked else {}
     kwargs.update(overrides)
     cache = CompileCache.from_store(store)
-    with clocked(tracer) as clock, clock.lap():
+    with clocked(tracer, after_lap) as clock, clock.lap():
         rows = validate.validate_eps(seed=seed, workers=1, cache=cache, **kwargs)
     compiles = stored_compiles(store)
     return Outcome(
@@ -195,7 +207,8 @@ def check_validation(rows, expected_cells: int) -> list[str]:
 
 
 def run_compile_sweep(seed: int, store: ArtifactStore, tracer=None,
-                      plan: SweepPlan | None = None, verify: bool = True) -> Outcome:
+                      plan: SweepPlan | None = None, verify: bool = True,
+                      after_lap: Callable[[], None] | None = None) -> Outcome:
     """Compile the sweep plan once, cold, into the fresh ``store``.
 
     Points go through the executor one at a time, so each point's compile
@@ -204,7 +217,7 @@ def run_compile_sweep(seed: int, store: ArtifactStore, tracer=None,
     plan = sweep_plan(seed) if plan is None else plan
     cache = CompileCache.from_store(store)
     results: list[StrategyResult] = []
-    with clocked(tracer) as clock:
+    with clocked(tracer, after_lap) as clock:
         for point in plan:
             with clock.lap():
                 results.extend(runner.execute_plan([point], workers=1, cache=cache))
@@ -250,25 +263,48 @@ def warm_store(seed: int, store: ArtifactStore, plan: SweepPlan | None = None) -
 
 
 def run_spool_replay(seed: int, store: ArtifactStore, spool_dir: Path, cold: dict,
-                     tracer=None, plan: SweepPlan | None = None) -> Outcome:
-    """Submit the sweep to a fresh spool, serve it once, redeem the results."""
+                     tracer=None, plan: SweepPlan | None = None,
+                     resubmissions: int = REPLAY_RESUBMISSIONS,
+                     after_lap: Callable[[], None] | None = None) -> Outcome:
+    """Submit the sweep to a fresh spool, serve it once, redeem the results.
+
+    Repeated ``resubmissions`` times, each on a spool directory of its own
+    and timed as a lap of its own; the first lap is the cold user call.
+    Each lap's results are checked between laps and then dropped, so no
+    lap carries the heap of the ones before it.
+    """
     plan = sweep_plan(seed) if plan is None else plan
-    with clocked(tracer) as clock, clock.lap():
-        spool.submit_job(spool_dir, plan)
-        statuses = spool.serve_once(spool_dir, store, workers=1)
-        results = spool.job_results(store, statuses[0]["manifest"])
+    failures: list[str] = []
+    with clocked(tracer, after_lap) as clock:
+        for index in range(resubmissions):
+            with clock.lap():
+                lap_dir = spool_dir / f"lap-{index}"
+                spool.submit_job(lap_dir, plan)
+                statuses = spool.serve_once(lap_dir, store, workers=1)
+                results = spool.job_results(store, statuses[0]["manifest"])
+            if tracer is not None:
+                tracer.uninstall()
+            failures += [f"lap {index}: {failure}"
+                         for failure in check_replay(statuses, results, cold, len(plan))]
+            if index == 0:
+                digest, figures = compile_digest(results), quality(results)
+            del results
+            if tracer is not None:
+                tracer.install()
+    audit = store.verify()
+    if not audit.ok:
+        failures.append(f"store verify found {len(audit.issues)} issues: {audit.issues[:2]}")
     return Outcome(
         cells=len(plan),
-        digest=compile_digest(results),
-        quality=quality(results),
-        failures=check_replay(statuses, results, cold, store, len(plan)),
+        digest=digest,
+        quality=figures,
+        failures=failures,
         laps=clock.laps,
     )
 
 
-def check_replay(statuses: list[dict], results: list, cold: dict,
-                 store: ArtifactStore, points: int) -> list[str]:
-    """Zero executed, all hits, byte-equal results, and a clean store."""
+def check_replay(statuses: list[dict], results: list, cold: dict, points: int) -> list[str]:
+    """Zero executed, all hits, and results byte-equal to the cold ones."""
     failures = []
     status = statuses[0] if len(statuses) == 1 else {}
     if status.get("state") != "done":
@@ -283,21 +319,19 @@ def check_replay(statuses: list[dict], results: list, cold: dict,
     ]
     if redeemed != cold["blobs"]:
         failures.append("redeemed results are not byte-equal to the cold results")
-    audit = store.verify()
-    if not audit.ok:
-        failures.append(f"store verify found {len(audit.issues)} issues: {audit.issues[:2]}")
     return failures
 
 
 def run(name: str, seed: int, store: ArtifactStore, work: Path, tracer=None,
-        cold: dict | None = None, verify: bool = True) -> Outcome:
+        cold: dict | None = None, verify: bool = True,
+        after_lap: Callable[[], None] | None = None) -> Outcome:
     """Run workload ``name`` once; ``cold`` is spool-replay's warm record."""
     if name == "validate-eps":
-        return run_validate(seed, store, tracer)
+        return run_validate(seed, store, tracer, after_lap=after_lap)
     if name == "validate-eps-tracked":
-        return run_validate(seed, store, tracer, tracked=True)
+        return run_validate(seed, store, tracer, tracked=True, after_lap=after_lap)
     if name == "compile-sweep":
-        return run_compile_sweep(seed, store, tracer, verify=verify)
+        return run_compile_sweep(seed, store, tracer, verify=verify, after_lap=after_lap)
     if name == "spool-replay":
-        return run_spool_replay(seed, store, work / "spool", cold, tracer)
+        return run_spool_replay(seed, store, work / "spool", cold, tracer, after_lap=after_lap)
     raise KeyError(f"unknown workload {name!r}")
