@@ -37,8 +37,11 @@ class CostModel:
     def __init__(self, device: Device, ququart_units: frozenset[int] | set[int]) -> None:
         self.device = device
         self.ququart_units = frozenset(ququart_units)
-        self._distance_cache: dict[tuple[Slot, Slot], float] = {}
-        self._sssp_cache: dict[Slot, dict[Slot, float]] = {}
+        #: ``slot -> [(neighbour, swap_cost)]``, filled as searches reach
+        #: each slot: the modes are fixed, so every SWAP edge is static.
+        self._adjacency: dict[Slot, list[tuple[Slot, float]]] = {}
+        #: ``source -> (distances, previous)`` of completed searches.
+        self._searches: dict[Slot, tuple[dict[Slot, float], dict[Slot, Slot]]] = {}
 
     # ------------------------------------------------------------------
     # unit / slot structure
@@ -136,13 +139,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def swap_distance(self, source: Slot, destination: Slot) -> float:
         """Minimum total SWAP cost to move a qubit from ``source`` to ``destination``."""
-        key = (source, destination)
-        if key in self._distance_cache:
-            return self._distance_cache[key]
-        distances = self._dijkstra(source)
-        for slot, value in distances.items():
-            self._distance_cache[(source, slot)] = value
-        return distances.get(destination, float("inf"))
+        return self._search(source)[0].get(destination, float("inf"))
 
     def interaction_distance(self, slot_a: Slot, slot_b: Slot) -> float:
         """Eq. 4 path cost for making two qubits interact (SWAPs + final CX).
@@ -155,7 +152,7 @@ class CostModel:
             return 0.0
         best = float("inf")
         candidates = [slot_b] + self.slot_neighbors(slot_b)
-        distances = self._dijkstra(slot_a)
+        distances = self._search(slot_a)[0]
         for landing in candidates:
             if landing == slot_b:
                 travel = distances.get(slot_b, float("inf"))
@@ -172,32 +169,40 @@ class CostModel:
             best = min(best, cost)
         return best
 
-    def _dijkstra(self, source: Slot) -> dict[Slot, float]:
-        """Single-source SWAP-cost shortest paths over enabled slots (cached)."""
-        cached = self._sssp_cache.get(source)
-        if cached is not None:
-            return cached
-        distances: dict[Slot, float] = {source: 0.0}
-        queue: list[tuple[float, Slot]] = [(0.0, source)]
-        visited: set[Slot] = set()
-        while queue:
-            cost, slot = heapq.heappop(queue)
-            if slot in visited:
-                continue
-            visited.add(slot)
-            for neighbor in self.slot_neighbors(slot):
-                step = self.swap_cost(slot, neighbor)
-                new_cost = cost + step
-                if new_cost < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = new_cost
-                    heapq.heappush(queue, (new_cost, neighbor))
-        self._sssp_cache[source] = distances
-        return distances
-
     def shortest_slot_path(self, source: Slot, destination: Slot) -> list[Slot]:
         """Cheapest SWAP path between two enabled slots, inclusive of endpoints."""
         if source == destination:
             return [source]
+        distances, previous = self._search(source)
+        if destination not in distances:
+            raise RuntimeError(f"no route from {source} to {destination}")
+        path = [destination]
+        while path[-1] != source:
+            path.append(previous[path[-1]])
+        path.reverse()
+        return path
+
+    def _edges(self, slot: Slot) -> list[tuple[Slot, float]]:
+        """SWAP edges ``(neighbour, cost)`` leaving ``slot``, computed once.
+
+        ``slot`` may be disabled: PP estimates from hypothetical slots.
+        """
+        edges = self._adjacency.get(slot)
+        if edges is None:
+            edges = [(n, self.swap_cost(slot, n)) for n in self.slot_neighbors(slot)]
+            self._adjacency[slot] = edges
+        return edges
+
+    def _search(self, source: Slot) -> tuple[dict[Slot, float], dict[Slot, Slot]]:
+        """Single-source SWAP-cost Dijkstra: ``(distances, previous)``, cached.
+
+        Pops in ``(cost, slot)`` order and relaxes only on a strictly lower
+        cost, so each path (and its float cost, summed edge by edge along
+        the path) is the one an early-exit search to that slot would find.
+        """
+        cached = self._searches.get(source)
+        if cached is not None:
+            return cached
         distances: dict[Slot, float] = {source: 0.0}
         previous: dict[Slot, Slot] = {}
         queue: list[tuple[float, Slot]] = [(0.0, source)]
@@ -206,23 +211,15 @@ class CostModel:
             cost, slot = heapq.heappop(queue)
             if slot in visited:
                 continue
-            if slot == destination:
-                break
             visited.add(slot)
-            for neighbor in self.slot_neighbors(slot):
-                step = self.swap_cost(slot, neighbor)
+            for neighbor, step in self._edges(slot):
                 new_cost = cost + step
                 if new_cost < distances.get(neighbor, float("inf")):
                     distances[neighbor] = new_cost
                     previous[neighbor] = slot
                     heapq.heappush(queue, (new_cost, neighbor))
-        if destination not in distances:
-            raise RuntimeError(f"no route from {source} to {destination}")
-        path = [destination]
-        while path[-1] != source:
-            path.append(previous[path[-1]])
-        path.reverse()
-        return path
+        self._searches[source] = (distances, previous)
+        return distances, previous
 
 
 @lru_cache(maxsize=None)

@@ -217,21 +217,18 @@ class Router:
         keep the layout branch-free.
         """
         free = [
-            slot for slot in self._enabled_slots()
+            slot for slot in self.costs.enabled_slots()
             if slot not in self.occupant and slot[0] != unit
         ]
         best: tuple[float, list[Slot]] | None = None
         for start in self._adjacent_slots(unit):
             for hole in free:
-                try:
-                    path = self.costs.shortest_slot_path(start, hole)
-                except RuntimeError:
+                cost = self.costs.swap_distance(start, hole)
+                if cost == float("inf"):
                     continue
+                path = self.costs.shortest_slot_path(start, hole)
                 if any(step[0] == unit for step in path):
                     continue
-                cost = sum(
-                    self.costs.swap_cost(a, b) for a, b in zip(path, path[1:])
-                )
                 if best is None or cost < best[0]:
                     best = (cost, path)
         if best is None:
@@ -243,13 +240,6 @@ class Router:
         for slot_a, slot_b in zip(reversed(path[:-1]), reversed(path[1:])):
             self._apply_swap(slot_a, slot_b, source_gate)
         return path[0]
-
-    def _enabled_slots(self):
-        for unit in range(self.device.num_units):
-            for position in (0, 1):
-                slot = (unit, position)
-                if self.costs.is_enabled(slot):
-                    yield slot
 
     def _route_single(
         self,
@@ -336,17 +326,14 @@ class Router:
             # Never displace the anchor itself while trying to reach it.
             if self.occupant.get(landing) == anchor:
                 continue
-            try:
-                path = self.costs.shortest_slot_path(source, landing)
-            except RuntimeError:
+            travel = self.costs.swap_distance(source, landing)
+            if travel == float("inf"):
                 continue
+            path = self.costs.shortest_slot_path(source, landing)
             if any(self.occupant.get(slot) == anchor for slot in path[1:]):
                 # The path would move the anchor around; skip it.
                 continue
-            swap_cost = sum(
-                self.costs.swap_cost(a, b) for a, b in zip(path, path[1:])
-            )
-            total = swap_cost + self.costs.cx_cost(landing, anchor_slot)
+            total = travel + self.costs.cx_cost(landing, anchor_slot)
             if best is None or total < best[1]:
                 best = (path, total)
         return best

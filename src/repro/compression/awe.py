@@ -45,6 +45,22 @@ def _contracted(graph: nx.Graph, a, b) -> nx.Graph:
     return merged
 
 
+def _contracted_average(graph: nx.Graph, a, b, edges: int, total: float) -> float:
+    """``_average_edge_weight(_contracted(graph, a, b))`` in O(deg a + deg b).
+
+    ``edges`` and ``total`` describe ``graph``.  Contraction keeps every
+    weight but ``w(a, b)``, summed onto one edge per merged neighbour.
+    """
+    neighbors_a = graph.adj[a]
+    neighbors_b = graph.adj[b]
+    joined = b in neighbors_a
+    merged = len((neighbors_a.keys() | neighbors_b.keys()) - {a, b})
+    new_edges = edges - len(neighbors_a) - len(neighbors_b) + joined + merged
+    if new_edges == 0:
+        return 0.0
+    return (total - (neighbors_a[b]["weight"] if joined else 0.0)) / new_edges
+
+
 class AverageWeightPerEdge(CompressionStrategy):
     """Merge pairs that maximise the contracted graph's average edge weight."""
 
@@ -62,15 +78,16 @@ class AverageWeightPerEdge(CompressionStrategy):
 
         while len(pairs) < limit:
             current = _average_edge_weight(graph)
+            edges = graph.number_of_edges()
+            total = sum(weight for _a, _b, weight in graph.edges(data="weight"))
             best_gain = 0.0
             best_pair: tuple[int, int] | None = None
             candidates = [node for node in graph.nodes if isinstance(node, int)]
             for i, a in enumerate(candidates):
                 for b in candidates[i + 1 :]:
-                    if not (graph.has_edge(a, b) or set(graph.neighbors(a)) & set(graph.neighbors(b))):
+                    if not (graph.has_edge(a, b) or graph.adj[a].keys() & graph.adj[b].keys()):
                         continue
-                    contracted = _contracted(graph, a, b)
-                    gain = _average_edge_weight(contracted) - current
+                    gain = _contracted_average(graph, a, b, edges, total) - current
                     if gain > best_gain + 1e-12:
                         best_gain = gain
                         best_pair = (a, b)

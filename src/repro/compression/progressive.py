@@ -123,14 +123,9 @@ class ProgressivePairing(CompressionStrategy):
         hypothetical[move] = (keep_slot[0], 1 - keep_slot[1])
         total = 0.0
         for (a, b), weight in weights.items():
-            slot_a = hypothetical[a]
-            slot_b = hypothetical[b]
-            if a == move or b == move or a == keep or b == keep:
-                if {a, b} == {keep, move}:
-                    # Internal interaction: essentially free compared to
-                    # routed interactions.
-                    continue
-                total += weight * costs.interaction_distance(slot_a, slot_b)
-            else:
-                total += weight * costs.interaction_distance(slot_a, slot_b)
+            if {a, b} == {keep, move}:
+                # Internal interaction: essentially free compared to
+                # routed interactions.
+                continue
+            total += weight * costs.interaction_distance(hypothetical[a], hypothetical[b])
         return total

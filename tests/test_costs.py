@@ -1,11 +1,29 @@
 """Tests for the Eq. 4 success-probability cost model."""
 
+import heapq
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.arch import Device, grid_topology, linear_topology
+from repro.arch import (
+    Device,
+    grid_topology,
+    heavy_hex_topology,
+    linear_topology,
+    ring_topology,
+)
 from repro.compiler import CostModel
+from repro.compression.awe import (
+    AverageWeightPerEdge,
+    _average_edge_weight,
+    _contracted,
+    _contracted_average,
+)
+from repro.compression.base import circuit_interaction_graph
+from tests.conftest import make_random_circuit
 
 
 @pytest.fixture
@@ -137,3 +155,164 @@ class TestDistances:
         # With no ququarts every link uses the same swap2 cost.
         step = costs.swap_cost((0, 0), (1, 0))
         assert costs.swap_distance((0, 0), (3, 0)) == pytest.approx(2 * step)
+
+
+# ----------------------------------------------------------------------
+# tie-break properties: the cached search against the searches it replaced
+# ----------------------------------------------------------------------
+_PROPERTY_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_SMALL_TOPOLOGIES = {
+    "linear": lambda: linear_topology(5),
+    "grid": lambda: grid_topology(2, 3),
+    "ring": lambda: ring_topology(6),
+    "heavy_hex": lambda: heavy_hex_topology(2, 5),
+}
+
+
+@st.composite
+def cost_models(draw):
+    topology = _SMALL_TOPOLOGIES[draw(st.sampled_from(sorted(_SMALL_TOPOLOGIES)))]()
+    ququarts = draw(st.sets(st.integers(0, topology.num_units - 1)))
+    return CostModel(Device(topology=topology), frozenset(ququarts))
+
+
+def reference_slot_path(costs, source, destination):
+    """Early-exit Dijkstra over ``slot_neighbors``/``swap_cost``, uncached."""
+    if source == destination:
+        return [source]
+    distances = {source: 0.0}
+    previous = {}
+    queue = [(0.0, source)]
+    visited = set()
+    while queue:
+        cost, slot = heapq.heappop(queue)
+        if slot in visited:
+            continue
+        if slot == destination:
+            break
+        visited.add(slot)
+        for neighbor in costs.slot_neighbors(slot):
+            step = costs.swap_cost(slot, neighbor)
+            new_cost = cost + step
+            if new_cost < distances.get(neighbor, float("inf")):
+                distances[neighbor] = new_cost
+                previous[neighbor] = slot
+                heapq.heappush(queue, (new_cost, neighbor))
+    if destination not in distances:
+        raise RuntimeError(f"no route from {source} to {destination}")
+    path = [destination]
+    while path[-1] != source:
+        path.append(previous[path[-1]])
+    path.reverse()
+    return path
+
+
+class TestSearchTieBreaks:
+    @given(costs=cost_models())
+    @_PROPERTY_SETTINGS
+    def test_paths_match_early_exit_search(self, costs):
+        slots = costs.enabled_slots()
+        for source in slots:
+            for destination in slots:
+                assert costs.shortest_slot_path(source, destination) == reference_slot_path(
+                    costs, source, destination
+                )
+
+    @given(costs=cost_models())
+    @_PROPERTY_SETTINGS
+    def test_disabled_sources_expand_like_enabled_ones(self, costs):
+        # PP estimates distances from hypothetical slots that may be disabled.
+        disabled = [
+            (unit, 1) for unit in range(costs.device.num_units)
+            if not costs.is_enabled((unit, 1))
+        ]
+        for source in disabled:
+            for destination in costs.enabled_slots():
+                path = costs.shortest_slot_path(source, destination)
+                assert path == reference_slot_path(costs, source, destination)
+                assert costs.swap_distance(source, destination) == sum(
+                    costs.swap_cost(a, b) for a, b in zip(path, path[1:])
+                )
+
+    @given(costs=cost_models())
+    @_PROPERTY_SETTINGS
+    def test_distance_is_path_cost_bit_for_bit(self, costs):
+        slots = costs.enabled_slots()
+        for source in slots:
+            for destination in slots:
+                path = costs.shortest_slot_path(source, destination)
+                assert costs.swap_distance(source, destination) == sum(
+                    costs.swap_cost(a, b) for a, b in zip(path, path[1:])
+                )
+
+
+@st.composite
+def weighted_graphs(draw):
+    num_nodes = draw(st.integers(2, 8))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_nodes))
+    pairs = [(a, b) for a in range(num_nodes) for b in range(a + 1, num_nodes)]
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        graph.add_edge(a, b, weight=draw(st.floats(0.01, 10.0)))
+    if draw(st.booleans()) and graph.number_of_edges():
+        # Score on a graph that already holds a merged (tuple) node.
+        a, b = draw(st.sampled_from(sorted(graph.edges)))
+        graph = _contracted(graph, a, b)
+    return graph
+
+
+def reference_awe_plan(circuit):
+    """AWE's greedy loop scoring every candidate on a contracted copy."""
+    graph = circuit_interaction_graph(circuit)
+    graph.remove_nodes_from([node for node in list(graph.nodes) if graph.degree(node) == 0])
+    pairs = []
+    while len(pairs) < circuit.num_qubits // 2:
+        current = _average_edge_weight(graph)
+        best_gain = 0.0
+        best_pair = None
+        candidates = [node for node in graph.nodes if isinstance(node, int)]
+        for i, a in enumerate(candidates):
+            for b in candidates[i + 1 :]:
+                if not (graph.has_edge(a, b) or set(graph.neighbors(a)) & set(graph.neighbors(b))):
+                    continue
+                gain = _average_edge_weight(_contracted(graph, a, b)) - current
+                if gain > best_gain + 1e-12:
+                    best_gain = gain
+                    best_pair = (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        pairs.append((a, b) if a < b else (b, a))
+        graph = _contracted(graph, a, b)
+    return tuple(sorted(pairs))
+
+
+class TestAweScoring:
+    @given(graph=weighted_graphs())
+    @_PROPERTY_SETTINGS
+    def test_degree_score_matches_contracted_copy(self, graph):
+        edges = graph.number_of_edges()
+        total = sum(weight for _a, _b, weight in graph.edges(data="weight"))
+        nodes = [node for node in graph.nodes if isinstance(node, int)]
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                expected = _average_edge_weight(_contracted(graph, a, b))
+                score = _contracted_average(graph, a, b, edges, total)
+                assert score == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @given(
+        num_qubits=st.integers(2, 10),
+        num_gates=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @_PROPERTY_SETTINGS
+    def test_plan_matches_copy_based_reference(self, num_qubits, num_gates, seed):
+        circuit = make_random_circuit(num_qubits, num_gates, seed=seed)
+        device = Device(topology=grid_topology(2, 5))
+        plan = AverageWeightPerEdge().plan(circuit, device)
+        assert plan.pairs == reference_awe_plan(circuit)
