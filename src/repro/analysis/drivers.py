@@ -159,6 +159,11 @@ def lint_store(store) -> tuple[AnalysisReport, dict]:
                 continue
             try:
                 obj = pickle.loads(data)
+                compiled = getattr(obj, "compiled", None)
+                if compiled is not None:
+                    # decode the packed fields here, so a corrupt payload
+                    # is this finding rather than a crash in the verifier
+                    compiled.ops, compiled.lowered_circuit
             except Exception as error:  # noqa: BLE001 - corrupt blob is a finding
                 findings.append(
                     Finding(
@@ -167,7 +172,6 @@ def lint_store(store) -> tuple[AnalysisReport, dict]:
                     )
                 )
                 continue
-            compiled = getattr(obj, "compiled", None)
             if compiled is None:
                 skipped += 1  # shot-chunk results carry no program
                 continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -10,6 +11,15 @@ import numpy as np
 from repro.arch.device import Device
 from repro.gates.library import gate_spec
 from repro.gates.styles import GateStyle
+
+#: The bulky fields a pickled :class:`CompiledCircuit` carries as nested
+#: pickles, in this order, each decoded on first read.
+PACKED_FIELDS = ("ops", "lowered_circuit")
+
+#: Memos derived from the op stream; rebuilt on demand, never pickled.
+DERIVED_CACHES = ("_residency_cache", "_error_site_cache", "_schedule_memo")
+
+_UNPICKLED = frozenset(PACKED_FIELDS + DERIVED_CACHES + ("_packed",))
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,15 @@ class PhysicalOp:
 
 @dataclass
 class CompiledCircuit:
-    """The output of the Qompress pipeline for one circuit on one device."""
+    """The output of the Qompress pipeline for one circuit on one device.
+
+    Pickling packs ``ops`` and ``lowered_circuit`` — most of a stored
+    result's bytes — as nested pickles that are decoded on first attribute
+    access, so a reader that only needs the placement or the report never
+    pays for the op stream.  Re-pickling passes a field that was never read
+    through as its stored bytes, so a redeemed result reproduces its blob
+    byte for byte.
+    """
 
     #: Name of the source circuit.
     circuit_name: str
@@ -121,8 +139,38 @@ class CompiledCircuit:
     #: Number of logical qubits in the source circuit.
     num_logical_qubits: int
     #: The lowered (1q/2q only) circuit the ops were generated from; used by
-    #: the simulation-based equivalence checker.  May be ``None``.
-    lowered_circuit: object | None = None
+    #: the simulation-based equivalence checker.  May be ``None``.  (A
+    #: factory, not ``= None``: a class-level default would shadow
+    #: :meth:`__getattr__`, which decodes the packed value.)
+    lowered_circuit: object | None = field(default_factory=lambda: None)
+
+    # ------------------------------------------------------------------
+    # pickling: packed fields decode on first read
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """The instance dict minus derived caches, bulky fields packed.
+
+        A packed field that was decoded or set is pickled afresh; one that
+        was never read passes through as the bytes it was loaded with.
+        There is deliberately no ``__setstate__``: pickle's default restore
+        interns the attribute names, which keeps re-pickling byte-stable.
+        """
+        attrs = self.__dict__
+        state = {name: value for name, value in attrs.items() if name not in _UNPICKLED}
+        stored = attrs.get("_packed", {})
+        state["_packed"] = {
+            name: pickle.dumps(attrs[name], protocol=pickle.HIGHEST_PROTOCOL)
+            if name in attrs else stored[name]
+            for name in PACKED_FIELDS
+        }
+        return state
+
+    def __getattr__(self, name: str):
+        # only reached when normal lookup fails: decode a packed field once
+        packed = self.__dict__.get("_packed")
+        if packed is None or name not in PACKED_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, pickle.loads(packed[name]))
 
     # ------------------------------------------------------------------
     # aggregate queries

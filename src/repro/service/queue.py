@@ -277,9 +277,13 @@ class SweepService:
         entries = []
         for index, key in enumerate(keys):
             ref = self.store.get_ref(key)
+            if ref is None:
+                # the point was published or found above, so its ref went
+                # missing mid-job: fail the job rather than record no blob
+                raise LookupError(f"no stored ref for point key {key}")
             entry = {
                 "key": key,
-                "blob": ref["blob"] if ref else "0" * 64,
+                "blob": ref["blob"],
                 "cached": index not in owned_set and index not in borrowed,
             }
             if index in borrowed:

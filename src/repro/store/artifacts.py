@@ -252,8 +252,11 @@ class ArtifactStore:
     def get_object(self, key: str):
         """Load the object stored under ``key``, or None on any failure.
 
-        Corrupt blobs and dangling or unparseable refs are removed so the
-        next publisher repairs the entry; nothing here raises on bad data.
+        The envelope is decoded here, eagerly; a stored
+        :class:`~repro.compiler.result.CompiledCircuit` decodes its packed
+        ``ops`` and ``lowered_circuit`` on first read instead.  Corrupt
+        blobs and dangling or unparseable refs are removed so the next
+        publisher repairs the entry; nothing here raises on bad data.
         """
         ref = self.get_ref(key)
         if ref is None:

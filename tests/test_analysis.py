@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import types
 from pathlib import Path
 
@@ -308,18 +309,24 @@ class TestCli:
         assert "statically verified" in out
         assert out.index("statically verified") < out.index("agree")
 
-    def test_store_verify_lint_flags_corrupt_artifact(self, tmp_path, capsys):
+    @staticmethod
+    def _store_holding(root, artifact):
+        """A store whose one manifest references ``artifact``'s blob."""
         from repro.store import ArtifactStore
         from repro.store.manifest import build_manifest
 
-        store = ArtifactStore(tmp_path / "store")
-        artifact = types.SimpleNamespace(compiled=stray_enc_artifact())
+        store = ArtifactStore(root)
         digest = store.put_object("0" * 64, artifact)
         store.write_manifest(build_manifest(
             kind="sweep", plan_fp="1" * 64, code_fp="2" * 64,
             points=[{"key": "0" * 64, "blob": digest, "cached": False}],
             total_seconds=0.0, executed=1, cache_hits=0, deduped=0,
         ))
+        return store
+
+    def test_store_verify_lint_flags_corrupt_artifact(self, tmp_path, capsys):
+        artifact = types.SimpleNamespace(compiled=stray_enc_artifact())
+        store = self._store_holding(tmp_path / "store", artifact)
         # The hash-level audit alone passes: the blob re-hashes fine.
         assert main(["store", "verify", "--dir", str(store.root)]) == 0
         capsys.readouterr()
@@ -330,3 +337,19 @@ class TestCli:
         assert doc["ok"] is True  # default schema untouched
         assert doc["lint"]["ok"] is False
         assert doc["lint"]["artifacts"] == 1
+
+    def test_store_verify_lint_flags_corrupt_packed_payload(self, tmp_path, capsys):
+        # The blob re-hashes and its envelope unpickles; only decoding the
+        # packed op stream fails, which the lint must report, not crash on.
+        compiled = pickle.loads(pickle.dumps(compile_benchmark("bv", 3)))
+        compiled._packed["ops"] = b"not a pickle"
+        store = self._store_holding(tmp_path / "store",
+                                    types.SimpleNamespace(compiled=compiled))
+        assert main(["store", "verify", "--dir", str(store.root)]) == 0
+        capsys.readouterr()
+        assert main(["store", "verify", "--dir", str(store.root),
+                     "--lint", "--json"]) == 1
+        lint = json.loads(capsys.readouterr().out)["lint"]
+        assert lint["artifacts"] == 0
+        assert len(lint["findings"]) == 1
+        assert "does not unpickle" in lint["findings"][0]["message"]

@@ -173,6 +173,18 @@ class TestSweepService:
             assert service.wait(owner, timeout=60).state == "failed"
             assert service.wait(borrower, timeout=60).state == "failed"
 
+    def test_missing_ref_fails_the_job_and_names_the_key(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        lost = point_key(PLAN[1])
+        get_ref = store.get_ref
+        monkeypatch.setattr(store, "get_ref", lambda key: None if key == lost else get_ref(key))
+        with SweepService(store) as service:
+            status = service.wait(service.submit(PLAN), timeout=120)
+        assert status.state == "failed"
+        assert lost in status.error
+        assert status.manifest_id is None
+        assert store.manifest_ids() == []
+
     def test_unknown_job_raises(self, tmp_path):
         with SweepService(ArtifactStore(tmp_path)) as service:
             with pytest.raises(KeyError):
