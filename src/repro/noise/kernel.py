@@ -14,31 +14,41 @@ Python dispatch:
   hot loop does pure data movement plus GEMMs, no recomputation.
 * :class:`FusedRun` is a maximal stretch of non-dynamic ops compiled into
   a flat schedule of :class:`UnitaryStep` and :class:`NoiseSite` items.
-  Executing a run keeps the block's amplitudes in a **lazily-permuted
-  layout**: each unitary's GEMM leaves the tensor in that op's permuted
-  layout, and the next op gathers directly from there — the per-op
-  scatter pass back to the canonical ``(batch, dimension)`` layout is
-  skipped entirely (one restore at the end of the run).  Adjacent ops on
-  the same unit tuple share a layout, so their GEMMs run back to back
-  with **zero** copies between them — the layout-level folding of
-  adjacent same-unit unitaries.  This halves the memory traffic of the
-  tracked path, which is memory-bound at register dimension >= 512.
+  Executing a run keeps the amplitudes in a **lazily-permuted layout**:
+  each unitary's GEMM leaves the tensor in that op's permuted layout,
+  and the next op gathers directly from there — the per-op scatter pass
+  back to the canonical layout is skipped entirely (one restore at the
+  end of the run).  Adjacent ops on the same unit tuple share a layout,
+  so their GEMMs run back to back with **zero** copies between them.
+* A run evolves **distinct trajectories, not shots**.  Every lane of a
+  fresh block starts in |0…0>, so the block enters its first run as one
+  row that all lanes share, and a lane→row map records which row each
+  lane reads.  Unitary steps touch only the rows.  At a noise site, a
+  fired lane on a shared row first gets its own copy of it, then takes
+  its Pauli; a lane that owns its row takes it in place.  Rows never
+  merge.  At ``table1`` error rates most lanes never fire, so most of
+  a block's GEMM work collapses into the one shared row.  The run ends
+  by expanding the rows to the per-lane ``(lanes, dimension)`` matrix
+  with one gather, so idle decay, fidelities and dynamic ops still see
+  one independent vector per lane.
 * :class:`EventKernel` is the event-only engine's program: one fused
   threshold vector compared against the whole draw matrix in a single
   vectorised pass.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
-on the same values in the same order** as the op-at-a-time path.  Layout
-transitions compose transposes — exact index bookkeeping — and every GEMM
-operand is materialised C-contiguous exactly where the eager pipeline's
-reshape copy would have materialised it, so each GEMM consumes
-bit-identical memory and produces bit-identical output.  The golden tests
-assert fused chunks ``==`` the retained scalar ``run_reference`` across
-presets x strategies x seeds x block splits.  The one deliberate
-exception is :func:`fold_matrix_runs` (engine flag ``fold_matrices``):
-multiplying adjacent same-unit matrices into one GEMM is numerically
-equivalent but *not* bit-identical, so it is opt-in and excluded from the
-golden contract.
+on the same values in the same order** as the op-at-a-time path, for
+every lane.  Layout transitions compose transposes — exact index
+bookkeeping — and every GEMM operand is materialised C-contiguous
+exactly where the eager pipeline's reshape copy would have materialised
+it.  A shared row holds exactly the values each of its lanes would hold,
+and a fork copies them bit for bit, so evolving one row instead of ``k``
+equal lanes changes only how many columns a GEMM sees: the stacked
+layout issues one call per row, exactly as per lane, and the wide layout
+already relies on column-panel independence (probed once per process by
+:func:`~repro.simulation.batched._wide_panels_bitstable`).  The golden
+tests assert fused chunks ``==`` the retained scalar ``run_reference``
+across presets x strategies x seeds x block splits, and pin the row
+count so that sharing cannot silently stop.
 
 Kernel schedules are cached on the compiled artifact
 (:meth:`~repro.compiler.result.CompiledCircuit.cached_schedule`), keyed
@@ -161,21 +171,26 @@ class FusedRun:
 # the lazily-permuted batch tensor
 # ----------------------------------------------------------------------
 class _LazyState:
-    """Cursor over one block's amplitudes in a lazily-tracked layout.
+    """Cursor over one block's distinct trajectories in a lazily-tracked layout.
 
+    The tensor holds **rows**: a ``shared`` block starts as one trunk row
+    (row 0) that every lane reads and none owns, and ``lane_rows`` maps
+    each lane to its row; otherwise row ``i`` is lane ``i``'s own.
     ``layout`` records the current axis order over the canonical
-    ``(batch,) + dims`` tensor; transitions compose transposes (views)
+    ``(rows,) + dims`` tensor; transitions compose transposes (views)
     and materialise exactly one C-contiguous copy per layout change — the
     copy the eager pipeline's pre-GEMM reshape would have made — while
     the eager path's post-GEMM scatter back to canonical is skipped.
     """
 
-    __slots__ = ("dims", "count", "tensor", "layout", "_identity")
+    __slots__ = ("dims", "count", "tensor", "layout", "_identity", "lane_rows")
 
-    def __init__(self, dims: tuple[int, ...], amps: np.ndarray) -> None:
+    def __init__(self, dims: tuple[int, ...], amps: np.ndarray, shared: bool = False) -> None:
         self.dims = dims
-        self.count = amps.shape[0]
-        self.tensor = amps.reshape((self.count,) + dims)
+        self.lane_rows = np.zeros(amps.shape[0], dtype=np.intp) if shared else None
+        rows = amps[:1] if shared else amps
+        self.count = rows.shape[0]
+        self.tensor = rows.reshape((self.count,) + dims)
         self._identity = tuple(range(len(dims) + 1))
         self.layout = self._identity
 
@@ -186,8 +201,28 @@ class _LazyState:
         layout = self.layout
         return tensor.transpose(tuple(layout.index(axis) for axis in target))
 
+    def fork(self, lanes: np.ndarray) -> np.ndarray:
+        """The rows ``lanes`` own, first copying the trunk for lanes still on it.
+
+        The copies are appended along the batch axis in the current
+        layout: the same values, so every later GEMM sees the operand the
+        lane's own vector would have given it.  Rows never merge.
+        """
+        if self.lane_rows is None:
+            return lanes
+        rows = self.lane_rows[lanes]
+        on_trunk = np.flatnonzero(rows == 0)
+        if on_trunk.size:
+            batch_axis = self.layout.index(0)
+            copies = np.take(self.tensor, rows[on_trunk], axis=batch_axis)
+            self.tensor = np.concatenate((self.tensor, copies), axis=batch_axis)
+            rows[on_trunk] = np.arange(self.count, self.count + on_trunk.size)
+            self.count += on_trunk.size
+            self.lane_rows[lanes] = rows
+        return rows
+
     def apply_all(self, matrix: np.ndarray, plan: ApplyPlan) -> None:
-        """Apply ``matrix`` to every lane, leaving the state in ``plan``'s layout."""
+        """Apply ``matrix`` to every row, leaving the state in ``plan``'s layout."""
         view = self._to_layout(self.tensor, plan.axes)
         # the reshape materialises the permuted view C-contiguous — the
         # same values in the same layout the eager pre-GEMM copy produces
@@ -199,18 +234,18 @@ class _LazyState:
         self.tensor = product.reshape(plan.shape(self.count))
         self.layout = plan.axes
 
-    def apply_lanes(self, matrix: np.ndarray, plan: ApplyPlan, lanes: np.ndarray) -> None:
-        """Apply ``matrix`` to a lane subset, preserving the current layout.
+    def apply_rows(self, matrix: np.ndarray, plan: ApplyPlan, rows: np.ndarray) -> None:
+        """Apply ``matrix`` to a row subset, preserving the current layout.
 
         Mirrors the eager lane-masked apply (gather, transform, scatter)
         except the gather/scatter address the current lazy layout — the
-        GEMM operand is bit-identical because gathering lanes and
+        GEMM operand is bit-identical because gathering rows and
         permuting axes commute exactly.
         """
         batch_axis = self.layout.index(0)
-        selected = np.take(self.tensor, lanes, axis=batch_axis)
+        selected = np.take(self.tensor, rows, axis=batch_axis)
         view = self._to_layout(selected, plan.axes)
-        count = int(lanes.size)
+        count = int(rows.size)
         if plan.wide:
             operand = view.reshape(plan.sub_dim, -1)
         else:
@@ -218,13 +253,18 @@ class _LazyState:
         product = matrix @ operand
         permuted = product.reshape(plan.shape(count))
         back = tuple(plan.axes.index(axis) for axis in self.layout)
-        index = (slice(None),) * batch_axis + (lanes,)
+        index = (slice(None),) * batch_axis + (rows,)
         self.tensor[index] = permuted.transpose(back)
 
     def restore(self) -> np.ndarray:
-        """The canonical ``(count, dimension)`` amplitude matrix."""
+        """The canonical per-lane ``(lanes, dimension)`` amplitude matrix.
+
+        Expands the rows with one gather, so every lane gets a vector of
+        its own (lanes that shared a row get equal, independent copies).
+        """
         view = self._to_layout(self.tensor, self._identity)
-        return view.reshape(self.count, -1)
+        rows = view.reshape(self.count, -1)
+        return rows if self.lane_rows is None else rows[self.lane_rows]
 
 
 # ----------------------------------------------------------------------
@@ -250,15 +290,19 @@ class KernelSchedule:
         amps: np.ndarray,
         gate_mask: np.ndarray,
         rng_lanes,
+        shared: bool = False,
     ) -> np.ndarray:
-        """Execute one fused run on ``amps`` (``(count, dimension)``, owned).
+        """Execute one fused run on ``amps`` (``(lanes, dimension)``, owned).
 
-        ``rng_lanes`` is the block's :class:`~repro.noise.rng.GeneratorLanes`;
-        fired noise sites draw their Pauli strings mid-run at exactly the
-        stream positions the scalar loop would use.  Returns the evolved
-        canonical amplitude matrix (which may alias ``amps``'s storage).
+        ``shared`` says every lane of ``amps`` holds the same vector (a
+        fresh block): the run then evolves that one row, and a lane gets
+        its own copy only when its gate error fires.  ``rng_lanes`` is the
+        block's :class:`~repro.noise.rng.GeneratorLanes`; fired noise sites
+        draw their Pauli strings mid-run at exactly the stream positions
+        the scalar loop would use.  Returns the evolved canonical per-lane
+        amplitude matrix (which may alias ``amps``'s storage).
         """
-        state = _LazyState(self.dims, amps)
+        state = _LazyState(self.dims, amps, shared)
         for item in run.items:
             if type(item) is UnitaryStep:
                 state.apply_all(item.matrix, item.plan)
@@ -266,7 +310,7 @@ class KernelSchedule:
                 fired = np.flatnonzero(gate_mask[:, item.op_index])
                 if fired.size:
                     strings = rng_lanes.integers(fired, 1, item.bound)
-                    self._inject_paulis(state, item, fired, strings)
+                    self._inject_paulis(state, item, state.fork(fired), strings)
         return state.restore()
 
     def execute_run_unitaries(
@@ -286,18 +330,22 @@ class KernelSchedule:
 
     @staticmethod
     def _inject_paulis(
-        state: _LazyState, site: NoiseSite, fired: np.ndarray, strings: np.ndarray
+        state: _LazyState, site: NoiseSite, rows: np.ndarray, strings: np.ndarray
     ) -> None:
-        """Inject each fired lane's sampled Pauli string, grouped by value."""
+        """Inject each fired lane's sampled Pauli string into its own row.
+
+        ``rows[i]`` is the row the lane that drew ``strings[i]`` owns;
+        rows are grouped by string value.
+        """
         width = len(site.slots)
         for value in np.unique(strings):
-            group = fired[strings == value]
+            group = rows[strings == value]
             for position in range(width):
                 code = (int(value) >> (2 * (width - 1 - position))) & 3
                 if code == 0:
                     continue
                 matrix, plan = site.paulis[position][code - 1]
-                state.apply_lanes(matrix, plan, group)
+                state.apply_rows(matrix, plan, group)
 
 
 def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
@@ -373,50 +421,6 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
             )
     flush()
     return KernelSchedule(dims=dims, segments=tuple(segments), num_ops=len(compiled.ops))
-
-
-def fold_matrix_runs(schedule: KernelSchedule, op_probs: np.ndarray) -> KernelSchedule:
-    """Matrix-fold adjacent same-unit unitaries (opt-in, not bit-identical).
-
-    Multiplies adjacent :class:`UnitaryStep` matrices on the same unit
-    tuple into one GEMM.  The product is numerically equivalent (to float
-    rounding) but **not** bit-identical to sequential GEMMs, so this mode
-    is excluded from the golden bit-equality contract — reach it through
-    ``TrajectoryEngine(..., fold_matrices=True)``.  Noise sites that can
-    never fire under ``op_probs`` (probability exactly 0) are dropped; a
-    site that can fire breaks a fold, because a sampled Pauli must land
-    between the two unitaries it separates.
-    """
-    folded: list[FusedRun | int] = []
-    for segment in schedule.segments:
-        if not isinstance(segment, FusedRun):
-            folded.append(segment)
-            continue
-        items: list[UnitaryStep | NoiseSite] = []
-        for item in segment.items:
-            if type(item) is NoiseSite and float(op_probs[item.op_index]) <= 0.0:
-                continue
-            if (
-                type(item) is UnitaryStep
-                and items
-                and type(items[-1]) is UnitaryStep
-                and items[-1].plan.units == item.plan.units
-            ):
-                previous = items[-1]
-                items[-1] = UnitaryStep(
-                    previous.op_index, item.matrix @ previous.matrix, previous.plan
-                )
-            else:
-                items.append(item)
-        folded.append(
-            FusedRun(
-                items=tuple(items),
-                unitaries=tuple(i for i in items if type(i) is UnitaryStep),
-            )
-        )
-    return KernelSchedule(
-        dims=schedule.dims, segments=tuple(folded), num_ops=schedule.num_ops
-    )
 
 
 # ----------------------------------------------------------------------

@@ -35,14 +35,19 @@ State tracking replays every strategy, including the Full-Ququart baseline
 whose encode/decode ops are modelled as slot transports (see
 :func:`repro.simulation.verify.physical_op_unitary`).
 
-The state-tracking path is chunk-batched too: a block of shots evolves as
-one :class:`~repro.simulation.batched.BatchedMixedRadixState` (each op's
-unitary hits the whole block in one stacked GEMM; sampled Paulis and
-damping jumps touch only the lanes whose error fired), and the per-shot
-RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`, which
-replicates ``Generator.integers``' 32-bit bounded path bit for bit.  The
-scalar loop remains the golden ``run_reference``; the batched path is
-asserted bit-identical to it, chunk for chunk.
+The state-tracking path is chunk-batched too.  A block of shots ends as
+one :class:`~repro.simulation.batched.BatchedMixedRadixState`, and the
+per-shot RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`,
+which replicates ``Generator.integers``' 32-bit bounded path bit for bit.
+The ops run as the fused kernel program of :mod:`repro.noise.kernel`,
+which evolves the block's distinct trajectories rather than its shots: a
+fresh block is one row every lane shares, and a lane gets a row of its
+own only when its first gate error fires.  Each row is bit-identical to
+the vector its lanes would hold on their own, so sharing is invisible in
+the results.  Idle decay, dynamic ops and fidelities then act per lane
+(damping jumps and sampled Paulis touch only the lanes whose event
+fired).  The scalar loop remains the golden ``run_reference``; the
+batched path is asserted bit-identical to it, chunk for chunk.
 """
 
 from __future__ import annotations
@@ -53,12 +58,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
-from repro.noise.kernel import (
-    KernelSchedule,
-    build_event_kernel,
-    compile_schedule,
-    fold_matrix_runs,
-)
+from repro.noise.kernel import KernelSchedule, build_event_kernel, compile_schedule
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
 from repro.noise.rng import GeneratorLanes, uniform_streams
@@ -128,11 +128,6 @@ class TrajectoryEngine:
         program (:mod:`repro.noise.kernel`) in both batched paths —
         bit-identical to the op-at-a-time loop, which ``False`` retains
         for A/B benchmarking and as a fallback.
-    fold_matrices:
-        Opt-in: additionally matrix-fold adjacent same-unit unitaries
-        into single GEMMs.  Numerically equivalent but **not**
-        bit-identical to the reference path (float rounding differs), so
-        it is excluded from the golden contract.
     """
 
     def __init__(
@@ -141,13 +136,11 @@ class TrajectoryEngine:
         model: NoiseModel | NoiseSpec,
         track_state: bool = False,
         use_kernel: bool = True,
-        fold_matrices: bool = False,
     ) -> None:
         self.compiled = compiled
         self.model = resolve_model(model, compiled.device)
         self.track_state = bool(track_state)
         self.use_kernel = bool(use_kernel)
-        self.fold_matrices = bool(fold_matrices)
         if self.model.idle_policy == "kraus" and not self.track_state:
             # validate the policy/track_state combination eagerly: the kraus
             # unraveling needs the state (jump probability scales with the
@@ -173,14 +166,8 @@ class TrajectoryEngine:
         self._schedule: KernelSchedule | None = None
         if self.track_state:
             self._prepare_replay()
-            if self.use_kernel or self.fold_matrices:
-                schedule = compile_schedule(self.compiled, self.dims, self._op_unitaries)
-                if self.fold_matrices:
-                    # folding depends on this engine's noise model (which
-                    # sites can fire), so the folded variant is per-engine
-                    # and never cached on the shared artifact
-                    schedule = fold_matrix_runs(schedule, self.op_probs)
-                self._schedule = schedule
+            if self.use_kernel:
+                self._schedule = compile_schedule(self.compiled, self.dims, self._op_unitaries)
 
     # ------------------------------------------------------------------
     # replay preparation (state-tracking mode)
@@ -539,48 +526,21 @@ class TrajectoryEngine:
             total = total + populations[:, level]
         return total
 
-    def _evolve_block(
-        self, seed: int, base_shot: int, count: int
-    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray]:
-        """Replay one block of tracked shots with the sampled noise injected.
+    def _apply_idle_decay(
+        self, state: BatchedMixedRadixState, draws: np.ndarray
+    ) -> np.ndarray:
+        """Apply idle decay per logical qubit at its final position.
 
-        Returns the live RNG lanes (positioned exactly where the scalar
-        loop's generators would be after ``_run_shot``), the evolved batch
-        and the per-lane gate/idle event counts.
-
-        With ``use_kernel`` (the default) the block executes the compiled
-        fused program — one lazily-permuted pass per run instead of a
-        gather/GEMM/scatter per op — which is bit-identical to the
-        retained op-at-a-time loop below (see :mod:`repro.noise.kernel`).
+        ``draws`` holds each lane's idle-decay uniforms, one column per
+        idle qubit.  Returns the per-lane count of damping jumps.
         """
-        num_ops = len(self.compiled.ops)
-        lanes = GeneratorLanes(seed, base_shot, count)
-        draws = lanes.random_block(self._draws)
-        gate_mask = draws[:, :num_ops] < self.op_probs
-        state = BatchedMixedRadixState(self.dims, count)
-        if self._schedule is not None:
-            amps = state.amplitudes
-            for segment in self._schedule.segments:
-                amps = self._schedule.execute_run(segment, amps, gate_mask, lanes)
-            state.replace_amplitudes(amps)
-        else:
-            for index, op in enumerate(self.compiled.ops):
-                embedded = self._op_unitaries[index]
-                if embedded is not None:
-                    state.apply(*embedded)
-                if op.slots:
-                    fired = np.flatnonzero(gate_mask[:, index])
-                    if fired.size:
-                        strings = lanes.integers(fired, 1, 4 ** len(op.slots))
-                        self._apply_pauli_strings(state, op.slots, fired, strings)
-        # idle decay, applied per logical qubit at its final position
-        idle_counts = np.zeros(count, dtype=np.int64)
+        idle_counts = np.zeros(state.batch, dtype=np.int64)
         for position, qubit in enumerate(self.idle_qubits):
             gamma = float(self.idle_gammas[position])
             if gamma <= 0.0:
                 continue
             unit, slot = self.compiled.final_placement[qubit]
-            column = draws[:, num_ops + position]
+            column = draws[:, position]
             if self.model.idle_policy == "worst_case":
                 jumped = np.flatnonzero(column < gamma)
                 survived = None
@@ -596,6 +556,45 @@ class TrajectoryEngine:
             if survived is not None and survived.size:
                 matrix, units = self._embedded_damping_survival(unit, slot, gamma)
                 state.apply_kraus(matrix, units, lanes=survived)
+        return idle_counts
+
+    def _evolve_block(
+        self, seed: int, base_shot: int, count: int
+    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray]:
+        """Replay one block of tracked shots with the sampled noise injected.
+
+        Returns the live RNG lanes (positioned exactly where the scalar
+        loop's generators would be after ``_run_shot``), the evolved batch
+        and the per-lane gate/idle event counts.
+
+        With ``use_kernel`` (the default) the block executes the compiled
+        fused program — one lazily-permuted pass over the block's distinct
+        trajectories instead of a gather/GEMM/scatter per op and lane —
+        which is bit-identical to the retained op-at-a-time loop below
+        (see :mod:`repro.noise.kernel`).
+        """
+        num_ops = len(self.compiled.ops)
+        lanes = GeneratorLanes(seed, base_shot, count)
+        draws = lanes.random_block(self._draws)
+        gate_mask = draws[:, :num_ops] < self.op_probs
+        state = BatchedMixedRadixState(self.dims, count)
+        if self._schedule is not None:
+            for position, run in enumerate(self._schedule.segments):
+                # a fresh block holds |0…0> on every lane: one shared row
+                state.replace_amplitudes(self._schedule.execute_run(
+                    run, state.amplitudes, gate_mask, lanes, shared=position == 0
+                ))
+        else:
+            for index, op in enumerate(self.compiled.ops):
+                embedded = self._op_unitaries[index]
+                if embedded is not None:
+                    state.apply(*embedded)
+                if op.slots:
+                    fired = np.flatnonzero(gate_mask[:, index])
+                    if fired.size:
+                        strings = lanes.integers(fired, 1, 4 ** len(op.slots))
+                        self._apply_pauli_strings(state, op.slots, fired, strings)
+        idle_counts = self._apply_idle_decay(state, draws[:, num_ops:])
         return lanes, state, gate_mask.sum(axis=1), idle_counts
 
     def _apply_dynamic_op(
@@ -700,46 +699,22 @@ class TrajectoryEngine:
             # ``alive`` only changes at dynamic ops, so the ideal batch's
             # live-lane subset is constant across a whole run: one
             # gather/scatter per run instead of one per op.
-            for segment in self._schedule.segments:
+            for position, segment in enumerate(self._schedule.segments):
                 if isinstance(segment, int):
                     self._apply_dynamic_op(
                         segment, state, ideal, alive, creg, lanes, gate_mask
                     )
                 else:
-                    state.replace_amplitudes(
-                        self._schedule.execute_run(
-                            segment, state.amplitudes, gate_mask, lanes
-                        )
-                    )
+                    state.replace_amplitudes(self._schedule.execute_run(
+                        segment, state.amplitudes, gate_mask, lanes, shared=position == 0
+                    ))
                     self._schedule.execute_run_unitaries(
                         segment, ideal.amplitudes, np.flatnonzero(alive)
                     )
         else:
             for index in range(num_ops):
                 self._apply_dynamic_op(index, state, ideal, alive, creg, lanes, gate_mask)
-        # idle decay, applied per logical qubit at its final position
-        idle_counts = np.zeros(count, dtype=np.int64)
-        for position, qubit in enumerate(self.idle_qubits):
-            gamma = float(self.idle_gammas[position])
-            if gamma <= 0.0:
-                continue
-            unit, slot = self.compiled.final_placement[qubit]
-            column = draws[:, num_ops + position]
-            if self.model.idle_policy == "worst_case":
-                jumped = np.flatnonzero(column < gamma)
-                survived = None
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_populations(state, unit, slot)
-                fired = column < jump_probability
-                jumped = np.flatnonzero(fired)
-                survived = np.flatnonzero(~fired)
-            idle_counts[jumped] += 1
-            if jumped.size:
-                matrix, units = self._embedded_damping_jump(unit, slot)
-                state.apply_kraus(matrix, units, lanes=jumped)
-            if survived is not None and survived.size:
-                matrix, units = self._embedded_damping_survival(unit, slot, gamma)
-                state.apply_kraus(matrix, units, lanes=survived)
+        idle_counts = self._apply_idle_decay(state, draws[:, num_ops:])
         fidelities = state.fidelities_with_batch(ideal)
         fidelities[~alive] = 0.0
         return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities

@@ -4,8 +4,9 @@ The contract under test (see :mod:`repro.noise.kernel`): the fused
 kernel path — the default in both batched trajectory engines — is
 bit-identical to the retained scalar ``run_reference`` across workloads,
 strategies, presets, seeds and chunk/block splits, static and dynamic
-circuits alike; the opt-in ``fold_matrices`` mode is numerically
-equivalent but excluded from that bit-equality contract.
+circuits alike.  The shared-row tests also pin *how* it gets there: a
+fresh block evolves one row all its lanes share, plus one row per lane
+whose gate error fired.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.noise.kernel as kernel_module
 import repro.noise.trajectory as trajectory_module
 from repro.noise import NoiseSpec, TrajectoryEngine
 from repro.noise.kernel import (
@@ -20,12 +22,11 @@ from repro.noise.kernel import (
     FusedRun,
     KernelSchedule,
     NoiseSite,
-    UnitaryStep,
     build_event_kernel,
     build_plan,
     compile_schedule,
-    fold_matrix_runs,
 )
+from repro.noise.rng import GeneratorLanes
 from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
 from repro.runner import SweepPoint
 from repro.simulation.verify import VerificationError
@@ -143,6 +144,115 @@ class TestFusedGoldenEquivalence:
         assert legacy.run(300, seed=2) == reference
 
 
+def _fired_lanes(engine: TrajectoryEngine, seed: int, shots: int, runs=None) -> np.ndarray:
+    """Per lane of one block: did a noise site of ``runs`` (default: all) fire?"""
+    draws = GeneratorLanes(seed, 0, shots).random_block(engine._draws)
+    gate_mask = draws[:, : len(engine.compiled.ops)] < engine.op_probs
+    if runs is None:
+        runs = [s for s in engine._schedule.segments if isinstance(s, FusedRun)]
+    sites = [item.op_index for run in runs for item in run.items if type(item) is NoiseSite]
+    return gate_mask[:, sites].any(axis=1)
+
+
+class _RowSpy:
+    """Records the row count of every fused-run state the kernel builds."""
+
+    def __init__(self, monkeypatch):
+        self.applied: list[int] = []
+        self.restored: list[int] = []
+        apply_all, restore = kernel_module._LazyState.apply_all, kernel_module._LazyState.restore
+
+        def spied_apply_all(state, matrix, plan):
+            self.applied.append(state.count)
+            apply_all(state, matrix, plan)
+
+        def spied_restore(state):
+            self.restored.append(state.count)
+            return restore(state)
+
+        monkeypatch.setattr(kernel_module._LazyState, "apply_all", spied_apply_all)
+        monkeypatch.setattr(kernel_module._LazyState, "restore", spied_restore)
+
+
+class TestSharedRows:
+    """A block evolves its distinct trajectories, not its shots."""
+
+    @pytest.mark.parametrize("preset", ["ideal", "pessimistic"])
+    def test_fused_matches_reference_per_preset(self, preset, monkeypatch):
+        engine = _pooled_engine(1, preset)
+        spy = _RowSpy(monkeypatch)
+        assert engine.run(64, seed=11) == engine.run_reference(64, seed=11)
+        fired = _fired_lanes(engine, 11, 64)
+        assert spy.restored == [1 + int(fired.sum())]
+        assert fired.any() == (preset != "ideal")
+
+    def test_every_lane_forks_and_orphans_the_trunk(self, monkeypatch):
+        # ten times the pessimistic gate error: no lane stays error-free
+        spec = NoiseSpec.from_preset("pessimistic", gate_error_scale=30.0)
+        engine = TrajectoryEngine(_pooled_compiled(1), spec, track_state=True)
+        fired = _fired_lanes(engine, 8, 64)
+        assert fired.all()
+        spy = _RowSpy(monkeypatch)
+        assert engine.run(64, seed=8) == engine.run_reference(64, seed=8)
+        assert spy.restored == [1 + 64]
+
+    def test_kraus_idle_policy_matches_reference(self):
+        engine = TrajectoryEngine(
+            _pooled_compiled(0), TABLE1.with_idle_policy("kraus"), track_state=True
+        )
+        assert engine.run(64, seed=4) == engine.run_reference(64, seed=4)
+
+    def test_dynamic_teleport_matches_reference(self):
+        for spec_index in (3, 4):
+            engine = _pooled_engine(spec_index, "pessimistic")
+            assert engine.run(48, seed=6) == engine.run_reference(48, seed=6)
+
+    @pytest.mark.parametrize("spec_index", [0, 3])
+    def test_one_lane_blocks_match_reference(self, spec_index, monkeypatch):
+        engine = _pooled_engine(spec_index, "pessimistic")
+        monkeypatch.setattr(
+            trajectory_module, "TRACKED_BLOCK_AMPLITUDES", engine.dimension
+        )
+        assert engine._tracked_block_shots() == 1
+        assert engine.run(12, seed=2) == engine.run_reference(12, seed=2)
+
+    def test_static_block_evolves_one_row_per_forked_lane(self, monkeypatch):
+        engine = _pooled_engine(0, "table1")
+        shots = 300
+        assert engine._tracked_block_shots() >= shots  # one block
+        fired = _fired_lanes(engine, 5, shots)
+        assert 0 < fired.sum() < shots
+        spy = _RowSpy(monkeypatch)
+        engine.run(shots, seed=5)
+        # the block enters the run as one shared row, and only lanes with
+        # a fired gate event ever get a row of their own
+        assert min(spy.applied) == 1
+        assert spy.restored == [1 + int(fired.sum())]
+
+    def test_dynamic_block_shares_its_opening_run(self, monkeypatch):
+        engine = _pooled_engine(3, "pessimistic")
+        opening = engine._schedule.segments[0]
+        assert isinstance(opening, FusedRun)
+        fired = _fired_lanes(engine, 5, 200, runs=[opening])
+        assert 0 < fired.sum() < 200
+        spy = _RowSpy(monkeypatch)
+        engine.run(200, seed=5)
+        # after the first mid-circuit measurement every lane is its own row
+        assert spy.restored[0] == 1 + int(fired.sum())
+
+    @pytest.mark.parametrize("spec_index", [1, 3])
+    def test_final_vectors_are_independent_and_match_scalar(self, spec_index):
+        engine = _pooled_engine(spec_index, "table1")
+        vectors = list(engine.iter_final_vectors(40, seed=3))
+        for shot, vector in enumerate(vectors):
+            scalar = engine._run_shot(np.random.default_rng((3, shot))).vector
+            assert (vector == scalar).all()
+        snapshot = [vector.copy() for vector in vectors]
+        vectors[0][:] = 0.0
+        for vector, before in zip(vectors[1:], snapshot[1:]):
+            assert (vector == before).all()
+
+
 class TestKernelCompilation:
     """The compiled program's structure and artifact-level caching."""
 
@@ -194,46 +304,6 @@ class TestKernelCompilation:
         gate, idle = kernel.count_block(draws)
         assert gate.tolist() == [2, 0]
         assert idle.tolist() == [1, 0]
-
-
-class TestMatrixFolding:
-    """`fold_matrices` is numerically equivalent, and only that."""
-
-    def test_folding_merges_adjacent_same_unit_steps(self):
-        engine = _pooled_engine(0, "table1")
-        folded = fold_matrix_runs(engine._schedule, np.zeros(len(engine.compiled.ops)))
-        def count(schedule, kind):
-            return sum(
-                isinstance(item, kind)
-                for segment in schedule.segments
-                if isinstance(segment, FusedRun)
-                for item in segment.items
-            )
-        assert count(folded, NoiseSite) == 0  # zero-prob sites all dropped
-        assert count(folded, UnitaryStep) < count(engine._schedule, UnitaryStep)
-
-    def test_folded_engine_agrees_numerically(self):
-        compiled = _pooled_compiled(1)
-        plain = _pooled_engine(1, "table1")
-        folded = TrajectoryEngine(compiled, TABLE1, track_state=True,
-                                  fold_matrices=True)
-        a = plain.run(200, seed=5)
-        b = folded.run(200, seed=5)
-        # events depend only on the draws, never on the state: exact
-        assert (a.no_error_shots, a.gate_events, a.idle_events) == (
-            b.no_error_shots, b.gate_events, b.idle_events
-        )
-        assert a.outcome_fidelity_sum == pytest.approx(
-            b.outcome_fidelity_sum, rel=1e-9
-        )
-
-    def test_ideal_preset_folds_to_exact_fidelity_one(self):
-        folded = TrajectoryEngine(_pooled_compiled(1),
-                                  NoiseSpec.from_preset("ideal"),
-                                  track_state=True, fold_matrices=True)
-        chunk = folded.run(30, seed=0)
-        assert chunk.no_error_shots == 30
-        assert chunk.outcome_fidelity_sum == pytest.approx(30.0)
 
 
 class TestFinalVectorStreaming:
