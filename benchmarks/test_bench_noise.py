@@ -14,10 +14,10 @@ throughput on this workload (it measures ~15-20x in practice, so the gate
 has headroom).  ``test_tracked_speedup_floor`` is the PR-5 counterpart for
 the batched state-tracking path (~20-25x measured).
 ``test_kernel_speedup_floor`` gates the fused kernel programs
-(:mod:`repro.noise.kernel`): on a dim >= 512 register — where the
-op-at-a-time tracked path is memory-bound — the lazily-permuted fused
-path must deliver >= 1.5x the op-at-a-time throughput (measured ~1.8x
-locally at dim 4096), after asserting bit-equality between the two.
+(:mod:`repro.noise.kernel`) on a dim >= 512 register: after asserting
+bit-equality with the scalar reference, the fused path must deliver
+>= 3x the reference's tracked throughput (measured 6-12x on a 2-core
+Xeon VM at dim 4096).
 """
 
 import time
@@ -33,8 +33,8 @@ TRACKED_POINT = SweepPoint(
     "qft", 4, "rb", compiler_kwargs=(("merge_single_qubit_gates", False),)
 )
 #: Large-register tracked workload (register dimension 4096): the regime
-#: where the op-at-a-time path is memory-bound and the fused kernel's
-#: skipped scatter pass pays off most.
+#: where per-op gather/scatter passes are memory-bound and the fused
+#: kernel's lazy layout and shared rows pay off most.
 LARGE_TRACKED_POINT = SweepPoint(
     "bv", 10, "qubit_only", compiler_kwargs=(("merge_single_qubit_gates", False),)
 )
@@ -50,11 +50,13 @@ TRACKED_SHOTS = 4000
 TRACKED_REFERENCE_SHOTS = 300
 #: Minimum vectorised / reference throughput ratio (both engine modes).
 SPEEDUP_FLOOR = 10.0
-#: Shot budget of the large-register fused benchmark (~1-2k shots/s).
+#: Shot budget of the large-register fused benchmark (~6k shots/s).
 LARGE_TRACKED_SHOTS = 600
-#: Minimum fused / op-at-a-time throughput ratio on the dim >= 512
-#: tracked workload (the PR-9 acceptance gate; ~1.8x measured locally).
-KERNEL_SPEEDUP_FLOOR = 1.5
+#: Shot budget of the large-register scalar reference (~0.7-1k shots/s).
+LARGE_TRACKED_REFERENCE_SHOTS = 300
+#: Minimum fused / scalar-reference throughput ratio on the dim >= 512
+#: tracked workload (6-12x measured on a 2-core Xeon VM).
+KERNEL_SPEEDUP_FLOOR = 3.0
 
 
 def _shots_per_second(runner, shots: int, repeats: int = 5) -> float:
@@ -170,25 +172,24 @@ def test_bench_trajectories_tracked_large(benchmark):
 
 
 def test_kernel_speedup_floor():
-    """PR-9 acceptance: >=1.5x fused tracked shots/s at dim >= 512.
+    """>=3x fused tracked shots/s over the scalar reference at dim >= 512.
 
-    Compares the fused kernel path against the retained op-at-a-time loop
-    (``use_kernel=False``) on the same engine configuration — equivalence
-    asserted first, so a fast-but-wrong kernel can never pass.  Measured
-    ~1.8x locally at dim 4096; best-of-N on both sides keeps shared-runner
-    noise out of the ratio.
+    Equivalence asserted first, so a fast-but-wrong kernel can never
+    pass; best-of-3 on both sides keeps shared-runner noise out of the
+    ratio.  Measured 6-12x on a 2-core Xeon VM at dim 4096.
     """
     compiled = LARGE_TRACKED_POINT.execute().compiled
-    fused = TrajectoryEngine(compiled, TABLE1, track_state=True)
-    legacy = TrajectoryEngine(compiled, TABLE1, track_state=True, use_kernel=False)
-    assert fused.dimension >= 512
-    assert fused.run(120, seed=0) == legacy.run(120, seed=0)
-    legacy_rate = _shots_per_second(legacy.run, LARGE_TRACKED_SHOTS, repeats=3)
-    fused_rate = _shots_per_second(fused.run, LARGE_TRACKED_SHOTS, repeats=3)
-    assert fused_rate >= KERNEL_SPEEDUP_FLOOR * legacy_rate, (
+    engine = TrajectoryEngine(compiled, TABLE1, track_state=True)
+    assert engine.dimension >= 512
+    assert engine.run(120, seed=0) == engine.run_reference(120, seed=0)
+    reference_rate = _shots_per_second(
+        engine.run_reference, LARGE_TRACKED_REFERENCE_SHOTS, repeats=3
+    )
+    fused_rate = _shots_per_second(engine.run, LARGE_TRACKED_SHOTS, repeats=3)
+    assert fused_rate >= KERNEL_SPEEDUP_FLOOR * reference_rate, (
         f"fused kernel path delivers {fused_rate:,.0f} shots/s vs "
-        f"{legacy_rate:,.0f} op-at-a-time — below the "
-        f"{KERNEL_SPEEDUP_FLOOR:.1f}x floor at dim {fused.dimension}"
+        f"{reference_rate:,.0f} reference — below the "
+        f"{KERNEL_SPEEDUP_FLOOR:.1f}x floor at dim {engine.dimension}"
     )
 
 

@@ -1,17 +1,14 @@
 """Fused shot-evolution kernel programs for the trajectory hot path.
 
-Both batched trajectory engines used to execute op-at-a-time: one stacked
-GEMM (or masked Kraus pass) per physical op per block, each call
-re-deriving the op's permutation axes, reshape shapes and wide/stacked
-layout decision, and each call paying a full gather *and* scatter pass
-over the block's amplitudes.  This module compiles each
-:class:`~repro.compiler.result.CompiledCircuit` **once** into a flat
-kernel program that the engine's block loops execute without per-op
-Python dispatch:
+This module compiles each :class:`~repro.compiler.result.CompiledCircuit`
+**once** into a flat kernel program that the trajectory engine's block
+loops execute without per-op Python dispatch:
 
-* :func:`build_plan` precomputes every op's permutation/reshape plan —
-  target axis order, GEMM operand shape, wide-panel eligibility — so the
-  hot loop does pure data movement plus GEMMs, no recomputation.
+* Every op carries its :class:`~repro.simulation.batched.ApplyPlan` —
+  target axis order, GEMM operand shape, wide-panel eligibility — built
+  at compile by :func:`~repro.simulation.batched.build_plan`, the same
+  function the eager :class:`~repro.simulation.batched.BatchedMixedRadixState`
+  calls per apply, so the hot loop does pure data movement plus GEMMs.
 * :class:`FusedRun` is a maximal stretch of non-dynamic ops compiled into
   a flat schedule of :class:`UnitaryStep` and :class:`NoiseSite` items.
   Executing a run keeps the amplitudes in a **lazily-permuted layout**:
@@ -36,7 +33,8 @@ Python dispatch:
   vectorised pass.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
-on the same values in the same order** as the op-at-a-time path, for
+on the same values in the same order** as the scalar
+:class:`~repro.simulation.statevector.MixedRadixState` pipeline, for
 every lane.  Layout transitions compose transposes — exact index
 bookkeeping — and every GEMM operand is materialised C-contiguous
 exactly where the eager pipeline's reshape copy would have materialised
@@ -46,7 +44,7 @@ equal lanes changes only how many columns a GEMM sees: the stacked
 layout issues one call per row, exactly as per lane, and the wide layout
 already relies on column-panel independence (probed once per process by
 :func:`~repro.simulation.batched._wide_panels_bitstable`).  The golden
-tests assert fused chunks ``==`` the retained scalar ``run_reference``
+tests assert fused chunks ``==`` the scalar ``run_reference``
 across presets x strategies x seeds x block splits, and pin the row
 count so that sharing cannot silently stop.
 
@@ -60,73 +58,16 @@ keys: they change how results are computed, not what they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from repro.pulses.unitaries import qubit_gate
-from repro.simulation.batched import _wide_panels_bitstable
+from repro.simulation.batched import ApplyPlan, build_plan
 from repro.simulation.verify import embed_on_slots
 
 #: Pauli codes used when a depolarizing event fires (0 = identity).
 _PAULI_NAMES = ("i", "x", "y", "z")
-
-
-# ----------------------------------------------------------------------
-# plans: the per-op permutation/reshape recipe, computed once
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ApplyPlan:
-    """Precomputed data-movement recipe for one target unit tuple.
-
-    Captures everything :meth:`BatchedMixedRadixState._transform` derives
-    per call: the target axis order over the canonical ``(batch,) + dims``
-    tensor, the GEMM operand shape family (wide panel vs stacked batch)
-    and the post-GEMM tensor shape.  Plans depend only on ``dims`` and
-    ``units``, so one plan serves every block size and lane subset.
-    """
-
-    units: tuple[int, ...]
-    sub_dim: int
-    rest: int
-    #: True when the GEMM uses the wide-panel layout (batch axis folded
-    #: into the columns); mirrors the eager path's per-call decision.
-    wide: bool
-    #: Axis order over the canonical ``(batch,) + dims`` tensor the GEMM
-    #: operand is gathered in (axis 0 of the canonical tensor = lanes).
-    axes: tuple[int, ...]
-    #: Tensor shape in ``axes`` order with 0 at the batch slot (filled
-    #: with the live lane count at execution time).
-    shape_template: tuple[int, ...]
-
-    def shape(self, count: int) -> tuple[int, ...]:
-        """The post-GEMM tensor shape for a ``count``-lane batch."""
-        return tuple(count if entry == 0 else entry for entry in self.shape_template)
-
-
-def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
-    """Compute the :class:`ApplyPlan` for ``units`` on a ``dims`` register.
-
-    The wide/stacked decision reproduces the eager path exactly: wide
-    panels need power-of-two ``sub_dim`` and ``rest``, ``rest > 2``, and
-    the once-per-process BLAS bit-stability probe to pass.
-    """
-    dims = tuple(int(d) for d in dims)
-    units = tuple(int(u) for u in units)
-    dimension = int(np.prod(dims))
-    sub_dim = int(np.prod([dims[u] for u in units]))
-    others = [axis for axis in range(len(dims)) if axis not in units]
-    rest = dimension // sub_dim
-    aligned = (sub_dim & (sub_dim - 1)) == 0 and (rest & (rest - 1)) == 0
-    wide = rest > 2 and aligned and _wide_panels_bitstable()
-    if wide:
-        axes = [unit + 1 for unit in units] + [0] + [axis + 1 for axis in others]
-    else:
-        axes = [0] + [unit + 1 for unit in units] + [axis + 1 for axis in others]
-    shape_template = tuple(0 if axis == 0 else dims[axis - 1] for axis in axes)
-    return ApplyPlan(
-        units=units, sub_dim=sub_dim, rest=rest, wide=wide,
-        axes=tuple(axes), shape_template=shape_template,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -224,13 +165,8 @@ class _LazyState:
     def apply_all(self, matrix: np.ndarray, plan: ApplyPlan) -> None:
         """Apply ``matrix`` to every row, leaving the state in ``plan``'s layout."""
         view = self._to_layout(self.tensor, plan.axes)
-        # the reshape materialises the permuted view C-contiguous — the
-        # same values in the same layout the eager pre-GEMM copy produces
-        if plan.wide:
-            operand = view.reshape(plan.sub_dim, -1)
-        else:
-            operand = view.reshape(self.count, plan.sub_dim, -1)
-        product = matrix @ operand
+        # the same values in the same layout the eager pre-GEMM copy produces
+        product = matrix @ plan.operand(view, self.count)
         self.tensor = product.reshape(plan.shape(self.count))
         self.layout = plan.axes
 
@@ -246,11 +182,7 @@ class _LazyState:
         selected = np.take(self.tensor, rows, axis=batch_axis)
         view = self._to_layout(selected, plan.axes)
         count = int(rows.size)
-        if plan.wide:
-            operand = view.reshape(plan.sub_dim, -1)
-        else:
-            operand = view.reshape(count, plan.sub_dim, -1)
-        product = matrix @ operand
+        product = matrix @ plan.operand(view, count)
         permuted = product.reshape(plan.shape(count))
         back = tuple(plan.axes.index(axis) for axis in self.layout)
         index = (slice(None),) * batch_axis + (rows,)
@@ -363,26 +295,15 @@ def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSch
 
 
 def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    plans: dict[tuple[int, ...], ApplyPlan] = {}
-    embeds: dict[tuple[int, int, int], tuple[np.ndarray, ApplyPlan]] = {}
-
+    # memoised per schedule, so equal plans and Paulis are shared objects
+    @cache
     def plan_for(units: tuple[int, ...]) -> ApplyPlan:
-        plan = plans.get(units)
-        if plan is None:
-            plan = build_plan(dims, units)
-            plans[units] = plan
-        return plan
+        return build_plan(dims, units)
 
+    @cache
     def pauli_for(unit: int, slot: int, code: int) -> tuple[np.ndarray, ApplyPlan]:
-        key = (unit, slot, code)
-        entry = embeds.get(key)
-        if entry is None:
-            matrix, units = embed_on_slots(
-                dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),)
-            )
-            entry = (matrix, plan_for(units))
-            embeds[key] = entry
-        return entry
+        matrix, units = embed_on_slots(dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),))
+        return matrix, plan_for(units)
 
     segments: list[FusedRun | int] = []
     items: list[UnitaryStep | NoiseSite] = []
@@ -432,8 +353,8 @@ class EventKernel:
 
     Concatenates the per-op error probabilities and per-qubit idle decay
     gammas so a whole block's events come from a single vectorised
-    compare.  The values and IEEE predicates are exactly the eager
-    path's, so the counts are bit-identical.
+    compare.  The values and IEEE predicates are exactly the scalar
+    loop's, so the counts are bit-identical.
     """
 
     thresholds: np.ndarray

@@ -24,9 +24,9 @@ chunk-batched: the circuit's error-site schedule is pre-extracted into flat
 probability arrays once per engine, and all stochastic draws for a whole
 block of shots are generated in one vectorised pass through
 :mod:`repro.noise.rng` — an order of magnitude faster than one Python
-``Generator`` per shot, yet bit-identical to it.  The original scalar loop
-is retained as the ``_reference`` implementation (:meth:`run_reference`)
-and the golden-equivalence tests compare the two draw for draw.
+``Generator`` per shot, yet bit-identical to it.  The scalar loop is the
+``_reference`` implementation (:meth:`run_reference`), and the
+golden-equivalence tests compare the two draw for draw.
 
 Shots where *no* event fired estimate the analytic EPS; with
 ``track_state=True`` the engine additionally evolves the state vector and
@@ -39,15 +39,15 @@ The state-tracking path is chunk-batched too.  A block of shots ends as
 one :class:`~repro.simulation.batched.BatchedMixedRadixState`, and the
 per-shot RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`,
 which replicates ``Generator.integers``' 32-bit bounded path bit for bit.
-The ops run as the fused kernel program of :mod:`repro.noise.kernel`,
-which evolves the block's distinct trajectories rather than its shots: a
-fresh block is one row every lane shares, and a lane gets a row of its
-own only when its first gate error fires.  Each row is bit-identical to
-the vector its lanes would hold on their own, so sharing is invisible in
-the results.  Idle decay, dynamic ops and fidelities then act per lane
-(damping jumps and sampled Paulis touch only the lanes whose event
-fired).  The scalar loop remains the golden ``run_reference``; the
-batched path is asserted bit-identical to it, chunk for chunk.
+The ops run as the fused kernel program of :mod:`repro.noise.kernel` —
+the only batched evolution path — which evolves the block's distinct
+trajectories rather than its shots: a fresh block is one row every lane
+shares, and a lane gets a row of its own only when its first gate error
+fires.  Each row is bit-identical to the vector its lanes would hold on
+their own, so sharing is invisible in the results.  Idle decay, dynamic
+ops and fidelities then act per lane (damping jumps and sampled Paulis
+touch only the lanes whose event fired).  The batched path is asserted bit-identical to the scalar
+``run_reference``, chunk for chunk.
 """
 
 from __future__ import annotations
@@ -94,6 +94,14 @@ TRACKED_BLOCK_AMPLITUDES = 1 << 18
 FINAL_VECTORS_MAX_SHOTS = 4096
 
 
+def _check_shot_range(shots: int, base_shot: int) -> None:
+    """Reject a negative shot count or start index with ``ValueError``."""
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
+    if base_shot < 0:
+        raise ValueError("base_shot must be non-negative")
+
+
 @dataclass(frozen=True)
 class _ShotOutcome:
     gate_events: int
@@ -123,11 +131,6 @@ class TrajectoryEngine:
         requires a replayable op stream (compile with
         ``merge_single_qubit_gates=False``; the FQ baseline always
         schedules unmerged).
-    use_kernel:
-        ``True`` (the default) executes the pre-compiled fused kernel
-        program (:mod:`repro.noise.kernel`) in both batched paths —
-        bit-identical to the op-at-a-time loop, which ``False`` retains
-        for A/B benchmarking and as a fallback.
     """
 
     def __init__(
@@ -135,12 +138,10 @@ class TrajectoryEngine:
         compiled: CompiledCircuit,
         model: NoiseModel | NoiseSpec,
         track_state: bool = False,
-        use_kernel: bool = True,
     ) -> None:
         self.compiled = compiled
         self.model = resolve_model(model, compiled.device)
         self.track_state = bool(track_state)
-        self.use_kernel = bool(use_kernel)
         if self.model.idle_policy == "kraus" and not self.track_state:
             # validate the policy/track_state combination eagerly: the kraus
             # unraveling needs the state (jump probability scales with the
@@ -166,8 +167,7 @@ class TrajectoryEngine:
         self._schedule: KernelSchedule | None = None
         if self.track_state:
             self._prepare_replay()
-            if self.use_kernel:
-                self._schedule = compile_schedule(self.compiled, self.dims, self._op_unitaries)
+            self._schedule = compile_schedule(self.compiled, self.dims, self._op_unitaries)
 
     # ------------------------------------------------------------------
     # replay preparation (state-tracking mode)
@@ -457,23 +457,15 @@ class TrajectoryEngine:
         pre-built :class:`~repro.noise.kernel.EventKernel` at once.  The
         thresholds and the draws are the same floats the scalar loop uses,
         compared with the same IEEE predicates, so the event counts are
-        bit-identical at any block or chunk split (and identical between
-        the fused kernel and the retained two-compare loop).
+        bit-identical at any block or chunk split.
         """
-        num_ops = len(self.compiled.ops)
         no_error = 0
         gate_events = 0
         idle_events = 0
         for start in range(0, shots, EVENT_BLOCK_SHOTS):
             count = min(EVENT_BLOCK_SHOTS, shots - start)
             draws = uniform_streams(seed, base_shot + start, count, self._draws)
-            if self.use_kernel:
-                per_shot_gate, per_shot_idle = self._event_kernel.count_block(draws)
-            else:
-                gate_mask = draws[:, :num_ops] < self.op_probs
-                idle_mask = draws[:, num_ops:] < self.idle_gammas
-                per_shot_gate = gate_mask.sum(axis=1)
-                per_shot_idle = idle_mask.sum(axis=1)
+            per_shot_gate, per_shot_idle = self._event_kernel.count_block(draws)
             no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
             gate_events += int(per_shot_gate.sum())
             idle_events += int(per_shot_idle.sum())
@@ -558,45 +550,6 @@ class TrajectoryEngine:
                 state.apply_kraus(matrix, units, lanes=survived)
         return idle_counts
 
-    def _evolve_block(
-        self, seed: int, base_shot: int, count: int
-    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray]:
-        """Replay one block of tracked shots with the sampled noise injected.
-
-        Returns the live RNG lanes (positioned exactly where the scalar
-        loop's generators would be after ``_run_shot``), the evolved batch
-        and the per-lane gate/idle event counts.
-
-        With ``use_kernel`` (the default) the block executes the compiled
-        fused program — one lazily-permuted pass over the block's distinct
-        trajectories instead of a gather/GEMM/scatter per op and lane —
-        which is bit-identical to the retained op-at-a-time loop below
-        (see :mod:`repro.noise.kernel`).
-        """
-        num_ops = len(self.compiled.ops)
-        lanes = GeneratorLanes(seed, base_shot, count)
-        draws = lanes.random_block(self._draws)
-        gate_mask = draws[:, :num_ops] < self.op_probs
-        state = BatchedMixedRadixState(self.dims, count)
-        if self._schedule is not None:
-            for position, run in enumerate(self._schedule.segments):
-                # a fresh block holds |0…0> on every lane: one shared row
-                state.replace_amplitudes(self._schedule.execute_run(
-                    run, state.amplitudes, gate_mask, lanes, shared=position == 0
-                ))
-        else:
-            for index, op in enumerate(self.compiled.ops):
-                embedded = self._op_unitaries[index]
-                if embedded is not None:
-                    state.apply(*embedded)
-                if op.slots:
-                    fired = np.flatnonzero(gate_mask[:, index])
-                    if fired.size:
-                        strings = lanes.integers(fired, 1, 4 ** len(op.slots))
-                        self._apply_pauli_strings(state, op.slots, fired, strings)
-        idle_counts = self._apply_idle_decay(state, draws[:, num_ops:])
-        return lanes, state, gate_mask.sum(axis=1), idle_counts
-
     def _apply_dynamic_op(
         self,
         index: int,
@@ -609,11 +562,10 @@ class TrajectoryEngine:
     ) -> None:
         """Apply one op of a dynamic program to the batch, per-lane exact.
 
-        Mutates ``state``/``ideal``/``alive``/``creg`` in place.  This is
-        the canonical-layout op-at-a-time step shared by the legacy loop
-        and the kernel path (which calls it only for the dynamic ops
-        between fused runs — mid-circuit measurement/``reset`` and
-        conditioned ops need per-lane branch masks).
+        Mutates ``state``/``ideal``/``alive``/``creg`` in place.  Runs in
+        canonical layout between fused runs: mid-circuit
+        measurement/``reset`` and conditioned ops need per-lane branch
+        masks.
         """
         op = self.compiled.ops[index]
         count = creg.shape[0]
@@ -672,51 +624,53 @@ class TrajectoryEngine:
                 strings = lanes.integers(fired, 1, 4 ** len(op.slots))
                 self._apply_pauli_strings(state, op.slots, fired, strings)
 
-    def _evolve_block_dynamic(
+    def _evolve_block(
         self, seed: int, base_shot: int, count: int
     ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray, np.ndarray]:
-        """Replay one block of tracked *dynamic* shots, lane-exact vs scalar.
+        """Replay one block of tracked shots with the sampled noise injected.
 
-        Mirrors :meth:`_run_shot_dynamic` per lane: each lane carries its
-        own classical register and branch decisions, a parallel noise-free
-        batch follows the same branches, and mid-stream RNG draws touch
-        only the lanes that execute the drawing op — so every lane's stream
-        position matches its scalar ``default_rng((seed, shot))`` twin.
-        Returns the lanes, the noisy batch, per-lane gate/idle event counts
-        and the per-lane ideal-vs-noisy fidelities.
+        Executes the compiled kernel schedule: fused runs evolve the
+        block's distinct trajectories without per-op dispatch, and the
+        dynamic ops between them run in canonical layout, per lane.  A
+        dynamic program mirrors :meth:`_run_shot_dynamic` per lane: each
+        lane carries its own classical register and branch decisions, a
+        parallel noise-free batch follows the same branches, and
+        mid-stream draws touch only the lanes that execute the drawing
+        op.  Every lane's stream position therefore matches its scalar
+        ``default_rng((seed, shot))`` twin.
+
+        Returns the live RNG lanes, the evolved batch, the per-lane
+        gate/idle event counts and the per-lane ideal-vs-noisy fidelities.
         """
         num_ops = len(self.compiled.ops)
         lanes = GeneratorLanes(seed, base_shot, count)
         draws = lanes.random_block(self._draws)
         gate_mask = draws[:, :num_ops] < self.op_probs
         state = BatchedMixedRadixState(self.dims, count)
-        ideal = BatchedMixedRadixState(self.dims, count)
-        alive = np.ones(count, dtype=bool)
-        creg = np.zeros(count, dtype=np.int64)
-        if self._schedule is not None:
-            # fused runs evolve both batches without per-op dispatch; the
-            # dynamic ops between them run in canonical layout, per lane.
-            # ``alive`` only changes at dynamic ops, so the ideal batch's
-            # live-lane subset is constant across a whole run: one
-            # gather/scatter per run instead of one per op.
-            for position, segment in enumerate(self._schedule.segments):
-                if isinstance(segment, int):
-                    self._apply_dynamic_op(
-                        segment, state, ideal, alive, creg, lanes, gate_mask
-                    )
-                else:
-                    state.replace_amplitudes(self._schedule.execute_run(
-                        segment, state.amplitudes, gate_mask, lanes, shared=position == 0
-                    ))
-                    self._schedule.execute_run_unitaries(
-                        segment, ideal.amplitudes, np.flatnonzero(alive)
-                    )
-        else:
-            for index in range(num_ops):
-                self._apply_dynamic_op(index, state, ideal, alive, creg, lanes, gate_mask)
+        if self.is_dynamic:
+            ideal = BatchedMixedRadixState(self.dims, count)
+            alive = np.ones(count, dtype=bool)
+            creg = np.zeros(count, dtype=np.int64)
+        for position, segment in enumerate(self._schedule.segments):
+            if isinstance(segment, int):
+                self._apply_dynamic_op(segment, state, ideal, alive, creg, lanes, gate_mask)
+                continue
+            # a fresh block holds |0…0> on every lane: one shared row
+            state.replace_amplitudes(self._schedule.execute_run(
+                segment, state.amplitudes, gate_mask, lanes, shared=position == 0
+            ))
+            if self.is_dynamic:
+                # ``alive`` only changes at dynamic ops, so the live-lane
+                # subset is constant across a whole run
+                self._schedule.execute_run_unitaries(
+                    segment, ideal.amplitudes, np.flatnonzero(alive)
+                )
         idle_counts = self._apply_idle_decay(state, draws[:, num_ops:])
-        fidelities = state.fidelities_with_batch(ideal)
-        fidelities[~alive] = 0.0
+        if self.is_dynamic:
+            fidelities = state.fidelities_with_batch(ideal)
+            fidelities[~alive] = 0.0
+        else:
+            fidelities = state.fidelities_with(self._ideal_vector)
         return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities
 
     def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
@@ -737,15 +691,9 @@ class TrajectoryEngine:
         block = self._tracked_block_shots()
         for start in range(0, shots, block):
             count = min(block, shots - start)
-            if self.is_dynamic:
-                lanes, state, gate_counts, idle_counts, fidelities = (
-                    self._evolve_block_dynamic(seed, base_shot + start, count)
-                )
-            else:
-                lanes, state, gate_counts, idle_counts = self._evolve_block(
-                    seed, base_shot + start, count
-                )
-                fidelities = state.fidelities_with(self._ideal_vector)
+            lanes, state, gate_counts, idle_counts, fidelities = self._evolve_block(
+                seed, base_shot + start, count
+            )
             final_draws = lanes.random_block(1)[:, 0]
             gate_events += int(gate_counts.sum())
             idle_events += int(idle_counts.sum())
@@ -779,8 +727,7 @@ class TrajectoryEngine:
 
         A zero-shot batch is valid and returns an empty chunk.
         """
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
+        _check_shot_range(shots, base_shot)
         if self.track_state:
             return self._run_tracked_batch(shots, seed, base_shot)
         return self._run_event_batch(shots, seed, base_shot)
@@ -793,20 +740,19 @@ class TrajectoryEngine:
         ``TRACKED_BLOCK_AMPLITUDES`` amplitudes) is live at a time, so
         memory stays bounded however many shots are requested.  Replays
         the same deterministic per-shot streams :meth:`run` would use, on
-        the batched state (state-tracking mode only).
+        the batched state (state-tracking mode only).  The arguments are
+        checked at call time, before the first vector is requested.
         """
         if not self.track_state:
             raise VerificationError("final_vectors requires track_state=True")
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
+        _check_shot_range(shots, base_shot)
+        return self._stream_final_vectors(shots, seed, base_shot)
+
+    def _stream_final_vectors(self, shots: int, seed: int, base_shot: int):
         block = self._tracked_block_shots()
         for start in range(0, shots, block):
             count = min(block, shots - start)
-            if self.is_dynamic:
-                _, state, _, _, _ = self._evolve_block_dynamic(seed, base_shot + start, count)
-            else:
-                _, state, _, _ = self._evolve_block(seed, base_shot + start, count)
-            yield from state.vectors()
+            yield from self._evolve_block(seed, base_shot + start, count)[1].vectors()
 
     def final_vectors(self, shots: int, seed: int, base_shot: int = 0) -> list[np.ndarray]:
         """Final state vector of each trajectory, as one list (capped).

@@ -24,6 +24,8 @@ operators.  Two implementation choices make that hold:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 #: Kraus branches below this squared-norm weight are treated as impossible
@@ -68,6 +70,80 @@ def _wide_panels_bitstable() -> bool:
                     ok = False
         _WIDE_PANEL_OK = ok
     return _WIDE_PANEL_OK
+
+
+@dataclass(frozen=True)
+class ApplyPlan:
+    """Data-movement recipe for applying an operator to one target unit tuple.
+
+    Depends only on ``dims`` and ``units``, so one plan serves every batch
+    size and lane subset: :class:`BatchedMixedRadixState` builds one per
+    apply, the fused kernel programs (:mod:`repro.noise.kernel`) one per
+    op at compile.
+    """
+
+    units: tuple[int, ...]
+    sub_dim: int
+    rest: int
+    #: True when the GEMM uses the wide-panel layout (batch axis folded
+    #: into the columns).
+    wide: bool
+    #: Axis order over the canonical ``(batch,) + dims`` tensor the GEMM
+    #: operand is gathered in (axis 0 of the canonical tensor = lanes).
+    axes: tuple[int, ...]
+    #: Tensor shape in ``axes`` order with 0 at the batch slot (filled
+    #: with the live lane count at execution time).
+    shape_template: tuple[int, ...]
+
+    def shape(self, count: int) -> tuple[int, ...]:
+        """The post-GEMM tensor shape for a ``count``-lane batch."""
+        return tuple(count if entry == 0 else entry for entry in self.shape_template)
+
+    def operand(self, view: np.ndarray, count: int) -> np.ndarray:
+        """``view`` (in ``axes`` order) reshaped, C-contiguous, for the GEMM."""
+        if self.wide:
+            return view.reshape(self.sub_dim, -1)
+        return view.reshape(count, self.sub_dim, -1)
+
+
+def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
+    """Compute the :class:`ApplyPlan` for ``units`` on a ``dims`` register.
+
+    Two layouts, both bit-identical per lane to the scalar 2-D product
+    ``operator @ matrix`` with ``matrix`` of shape ``(sub_dim, rest)``:
+
+    * wide panel: the batch moves into the GEMM's *columns* — one
+      ``(sub_dim, count * rest)`` product instead of ``count`` BLAS
+      dispatches.  A lane's bits survive the widening only while every
+      lane's column span stays aligned to the BLAS kernel's register
+      blocking, so this layout is used only where that holds:
+      power-of-two ``sub_dim`` *and* ``rest`` (every mixed-radix
+      register of 2-/4-level units qualifies) with ``rest > 2``
+      (NumPy special-cases skinnier products), and only after
+      :func:`_wide_panels_bitstable` has confirmed once per process
+      that this BLAS build keeps columns panel-width independent.
+      The batch axis sits between the target and spectator axes so
+      the gather/scatter copies walk the source near-contiguously.
+      The golden-equivalence tests pin the guarantee continuously.
+    * otherwise: the batch stays on axis 0 and the stacked ``matmul``
+      issues the scalar path's exact per-lane call — trivially
+      bit-identical at per-lane dispatch cost.
+    """
+    dims = tuple(int(d) for d in dims)
+    units = tuple(int(u) for u in units)
+    dimension = int(np.prod(dims))
+    sub_dim = int(np.prod([dims[u] for u in units]))
+    rest = dimension // sub_dim
+    aligned = (sub_dim & (sub_dim - 1)) == 0 and (rest & (rest - 1)) == 0
+    wide = rest > 2 and aligned and _wide_panels_bitstable()
+    targets = [unit + 1 for unit in units]
+    others = [axis + 1 for axis in range(len(dims)) if axis not in units]
+    axes = targets + [0] + others if wide else [0] + targets + others
+    shape_template = tuple(0 if axis == 0 else dims[axis - 1] for axis in axes)
+    return ApplyPlan(
+        units=units, sub_dim=sub_dim, rest=rest, wide=wide,
+        axes=tuple(axes), shape_template=shape_template,
+    )
 
 
 class BatchedMixedRadixState:
@@ -151,63 +227,32 @@ class BatchedMixedRadixState:
     # ------------------------------------------------------------------
     # evolution
     # ------------------------------------------------------------------
-    def _check_targets(self, operator: np.ndarray, units: tuple[int, ...]) -> int:
+    def _plan(self, operator: np.ndarray, units: tuple[int, ...] | list[int]) -> ApplyPlan:
+        """Validate ``operator`` against ``units`` and build its plan."""
+        units = tuple(int(u) for u in units)
         if len(set(units)) != len(units):
             raise ValueError("target units must be distinct")
         for unit in units:
             if not 0 <= unit < self.num_units:
                 raise ValueError(f"unit index {unit} out of range")
-        sub_dim = int(np.prod([self.dims[u] for u in units]))
-        if operator.shape != (sub_dim, sub_dim):
+        plan = build_plan(self.dims, units)
+        if operator.shape != (plan.sub_dim, plan.sub_dim):
             raise ValueError(
-                f"operator of shape {operator.shape} does not match target dimensions {sub_dim}"
+                f"operator of shape {operator.shape} does not match target dimensions {plan.sub_dim}"
             )
-        return sub_dim
+        return plan
 
-    def _transform(self, amps: np.ndarray, operator: np.ndarray,
-                   units: tuple[int, ...], sub_dim: int) -> np.ndarray:
+    def _transform(self, amps: np.ndarray, operator: np.ndarray, plan: ApplyPlan) -> np.ndarray:
         """The scalar class's apply pipeline, batched over all lanes.
 
-        Two layouts, both bit-identical per lane to the scalar 2-D product
-        ``operator @ matrix`` with ``matrix`` of shape ``(sub_dim, rest)``:
-
-        * wide panel: the batch moves into the GEMM's *columns* — one
-          ``(sub_dim, count * rest)`` product instead of ``count`` BLAS
-          dispatches.  A lane's bits survive the widening only while every
-          lane's column span stays aligned to the BLAS kernel's register
-          blocking, so this layout is used only where that holds:
-          power-of-two ``sub_dim`` *and* ``rest`` (every mixed-radix
-          register of 2-/4-level units qualifies) with ``rest > 2``
-          (NumPy special-cases skinnier products), and only after
-          :func:`_wide_panels_bitstable` has confirmed once per process
-          that this BLAS build keeps columns panel-width independent.
-          The batch axis sits between the target and spectator axes so
-          the gather/scatter copies walk the source near-contiguously.
-          The golden-equivalence tests pin the guarantee continuously.
-        * otherwise: the batch stays on axis 0 and the stacked ``matmul``
-          issues the scalar path's exact per-lane call — trivially
-          bit-identical at per-lane dispatch cost.
+        Gathers ``amps`` into ``plan``'s layout, runs the one GEMM the
+        plan chooses (see :func:`build_plan`) and scatters the product
+        back to the canonical ``(count, dimension)`` layout.
         """
         count = amps.shape[0]
-        tensor = amps.reshape((count,) + self.dims)
-        others = [axis for axis in range(self.num_units) if axis not in units]
-        rest = self.dimension // sub_dim
-        aligned = (sub_dim & (sub_dim - 1)) == 0 and (rest & (rest - 1)) == 0
-        if rest > 2 and aligned and _wide_panels_bitstable():
-            axes = [unit + 1 for unit in units] + [0] + [axis + 1 for axis in others]
-            permuted = np.transpose(tensor, axes=axes)
-            permuted_shape = permuted.shape
-            matrix = permuted.reshape(sub_dim, -1)
-            matrix = operator @ matrix
-        else:
-            axes = [0] + [unit + 1 for unit in units] + [axis + 1 for axis in others]
-            permuted = np.transpose(tensor, axes=axes)
-            permuted_shape = permuted.shape
-            matrix = permuted.reshape(count, sub_dim, -1)
-            matrix = operator @ matrix
-        permuted = matrix.reshape(permuted_shape)
-        inverse_axes = np.argsort(axes)
-        return np.transpose(permuted, axes=inverse_axes).reshape(count, self.dimension)
+        permuted = amps.reshape((count,) + self.dims).transpose(plan.axes)
+        product = (operator @ plan.operand(permuted, count)).reshape(plan.shape(count))
+        return product.transpose(np.argsort(plan.axes)).reshape(count, self.dimension)
 
     def apply(self, unitary: np.ndarray, units: tuple[int, ...] | list[int],
               lanes: np.ndarray | None = None) -> None:
@@ -217,12 +262,11 @@ class BatchedMixedRadixState:
         operation — the trajectory engine uses it to inject a sampled Pauli
         only on the shots whose error fired.
         """
-        units = tuple(int(u) for u in units)
-        sub_dim = self._check_targets(unitary, units)
+        plan = self._plan(unitary, units)
         if lanes is None:
-            self._amps = self._transform(self._amps, unitary, units, sub_dim)
+            self._amps = self._transform(self._amps, unitary, plan)
         elif lanes.size:
-            self._amps[lanes] = self._transform(self._amps[lanes], unitary, units, sub_dim)
+            self._amps[lanes] = self._transform(self._amps[lanes], unitary, plan)
 
     def apply_kraus(self, operator: np.ndarray, units: tuple[int, ...] | list[int],
                     lanes: np.ndarray | None = None) -> np.ndarray:
@@ -233,12 +277,11 @@ class BatchedMixedRadixState:
         are left unchanged and report 0.0, so an impossible jump is a
         no-op, exactly like the scalar class.
         """
-        units = tuple(int(u) for u in units)
-        sub_dim = self._check_targets(operator, units)
+        plan = self._plan(operator, units)
         selected = self._amps if lanes is None else self._amps[lanes]
         if selected.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        transformed = self._transform(selected, operator, units, sub_dim)
+        transformed = self._transform(selected, operator, plan)
         # per-lane np.vdot: the scalar path's own reduction, for bit-equality
         weights = np.array(
             [float(np.vdot(row, row).real) for row in transformed], dtype=np.float64

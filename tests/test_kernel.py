@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import repro.noise.kernel as kernel_module
 import repro.noise.trajectory as trajectory_module
+import repro.simulation.batched as batched_module
 from repro.noise import NoiseSpec, TrajectoryEngine
 from repro.noise.kernel import (
     EventKernel,
@@ -60,13 +61,13 @@ def _pooled_compiled(spec_index: int):
     return compiled
 
 
-def _pooled_engine(spec_index: int, preset: str, **kwargs) -> TrajectoryEngine:
-    key = (spec_index, preset, tuple(sorted(kwargs.items())))
+def _pooled_engine(spec_index: int, preset: str) -> TrajectoryEngine:
+    key = (spec_index, preset)
     engine = _ENGINES.get(key)
     if engine is None:
         engine = TrajectoryEngine(
             _pooled_compiled(spec_index), NoiseSpec.from_preset(preset),
-            track_state=True, **kwargs,
+            track_state=True,
         )
         _ENGINES[key] = engine
     return engine
@@ -101,27 +102,18 @@ class TestFusedGoldenEquivalence:
             reference.outcome_successes
         )
 
-    @given(
-        spec_index=st.integers(0, len(_POOL_SPECS) - 1),
-        seed=st.integers(0, 2**16),
-        shots=st.integers(1, 32),
-    )
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_fused_matches_legacy_op_at_a_time(self, spec_index, seed, shots):
-        fused = _pooled_engine(spec_index, "table1")
-        legacy = _pooled_engine(spec_index, "table1", use_kernel=False)
-        assert fused.run(shots, seed) == legacy.run(shots, seed)
-
     def test_kraus_idle_policy_fused(self):
         compiled = _pooled_compiled(1)
         spec = TABLE1.with_idle_policy("kraus")
         engine = TrajectoryEngine(compiled, spec, track_state=True)
         assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
 
-    def test_dynamic_kraus_idle_policy_fused(self):
-        compiled = _pooled_compiled(3)
-        spec = TABLE1.with_idle_policy("kraus")
+    @pytest.mark.parametrize("spec_index", [3, 4], ids=["eqm", "qubit_only"])
+    @pytest.mark.parametrize("preset", ["table1", "pessimistic"])
+    def test_dynamic_kraus_idle_policy_fused(self, preset, spec_index):
+        # dynamic ops, state-dependent idle decay and many forked rows at once
+        compiled = _pooled_compiled(spec_index)
+        spec = NoiseSpec.from_preset(preset).with_idle_policy("kraus")
         engine = TrajectoryEngine(compiled, spec, track_state=True)
         assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
 
@@ -138,10 +130,8 @@ class TestFusedGoldenEquivalence:
     def test_event_path_fused_matches_reference(self):
         compiled = SweepPoint("bv", 6, "eqm").execute().compiled
         fused = TrajectoryEngine(compiled, TABLE1)
-        legacy = TrajectoryEngine(compiled, TABLE1, use_kernel=False)
         reference = fused.run_reference(300, seed=2)
         assert fused.run(300, seed=2) == reference
-        assert legacy.run(300, seed=2) == reference
 
 
 def _fired_lanes(engine: TrajectoryEngine, seed: int, shots: int, runs=None) -> np.ndarray:
@@ -288,6 +278,8 @@ class TestKernelCompilation:
                     assert not engine.compiled.ops[item.op_index].is_dynamic
 
     def test_build_plan_matches_transform_layouts(self):
+        # one owner: the kernel re-exports the batched state's planner
+        assert build_plan is batched_module.build_plan
         plan = build_plan((2, 2, 2, 2), (1,))
         assert plan.sub_dim == 2 and plan.rest == 8
         assert plan.shape(7) == tuple(
@@ -337,6 +329,29 @@ class TestFinalVectorStreaming:
         engine = TrajectoryEngine(compiled, TABLE1)
         with pytest.raises(VerificationError):
             list(engine.iter_final_vectors(3, seed=0))
+
+    def test_arguments_are_checked_at_call_time(self):
+        compiled = SweepPoint("bv", 4, "eqm").execute().compiled
+        # no next(): the call itself must raise
+        with pytest.raises(VerificationError):
+            TrajectoryEngine(compiled, TABLE1).iter_final_vectors(-1, 0)
+        engine = _pooled_engine(1, "table1")
+        with pytest.raises(ValueError, match="shots"):
+            engine.iter_final_vectors(-1, 0)
+        with pytest.raises(ValueError, match="base_shot"):
+            engine.iter_final_vectors(3, 0, base_shot=-1)
+
+    @pytest.mark.parametrize("track_state", [False, True])
+    def test_run_rejects_negative_base_shot(self, track_state):
+        engine = (
+            _pooled_engine(1, "table1") if track_state
+            else TrajectoryEngine(_pooled_compiled(1), TABLE1)
+        )
+        with pytest.raises(ValueError, match="base_shot"):
+            engine.run(5, 0, base_shot=-1)
+        # the scalar oracle rejects the same range with the same error type
+        with pytest.raises(ValueError):
+            engine.run_reference(5, 0, base_shot=-1)
 
     def test_dynamic_vectors_stream_too(self):
         engine = _pooled_engine(3, "table1")
