@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from repro.pulses.hamiltonian import TransmonSystem
 
@@ -87,6 +85,8 @@ class PulseOptimizer:
             )
         if duration_ns <= 0:
             raise ValueError("pulse duration must be positive")
+        from scipy.linalg import expm
+
         dt = duration_ns / self.segments
         unitary = np.eye(self.system.dimension, dtype=complex)
         for segment in range(self.segments):
@@ -143,6 +143,8 @@ class PulseOptimizer:
             infidelity = 1.0 - self.gate_fidelity(unitary, target_logical)
             return infidelity + leakage_weight * self.leakage(unitary)
 
+        from scipy.optimize import minimize
+
         bounds = [(-max_drive, max_drive)] * initial.size
         result = minimize(
             objective,
@@ -181,6 +183,10 @@ class PulseOptimizer:
         """
         if not 0.0 < fidelity_target <= 1.0:
             raise ValueError("fidelity_target must be in (0, 1]")
+        if not step_ns > 0.0:
+            raise ValueError("step_ns must be positive")
+        if not 0.0 < start_ns <= max_duration_ns:
+            raise ValueError("start_ns must be in (0, max_duration_ns]")
         best: PulseResult | None = None
         previous_amplitudes: np.ndarray | None = None
         duration = start_ns

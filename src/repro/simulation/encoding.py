@@ -9,7 +9,6 @@ the state evolution of CX gates on bare and encoded operands.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import fractional_matrix_power
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.pulses.unitaries import qubit_gate, target_unitary
@@ -124,6 +123,8 @@ def cx_state_evolution(gate_name: str, initial_levels: tuple[int, ...], steps: i
         if fraction == 0.0:
             partial = np.eye(unitary.shape[0], dtype=complex)
         else:
+            from scipy.linalg import fractional_matrix_power
+
             partial = fractional_matrix_power(unitary, float(fraction))
         evolved = partial @ initial_vector
         populations[row] = np.abs(evolved) ** 2

@@ -1,9 +1,10 @@
 """Minimal JSON-Schema validator for the artifact store's manifests.
 
 The store validates every manifest it writes *and* every manifest it reads
-back (``ArtifactStore.verify``), so the validator must be dependency-free —
-the reproduction's runtime dependencies are numpy and networkx only.  This
-module implements the small, deterministic subset of JSON Schema
+back (``ArtifactStore.verify``), so the validator must stay free of
+dependencies, standard library only.  (scipy is a declared dependency, but
+only pulse optimisation and ``cx_state_evolution`` load it.)  This module
+implements the small, deterministic subset of JSON Schema
 (draft-07 style) that :data:`repro.store.manifest.MANIFEST_SCHEMA` uses:
 
 ``type`` (single name or list), ``const``, ``enum``, ``pattern``,

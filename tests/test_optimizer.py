@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pulses import PulseOptimizer, TransmonSystem, qubit_gate
+from repro.pulses import PulseOptimizer, PulseResult, TransmonSystem, qubit_gate
 
 
 @pytest.fixture
@@ -82,6 +82,45 @@ class TestOptimization:
     def test_find_min_duration_validates_target(self, optimizer):
         with pytest.raises(ValueError):
             optimizer.find_min_duration(qubit_gate("x"), fidelity_target=1.5)
+
+    @pytest.mark.parametrize(
+        "start_ns, step_ns, max_duration_ns",
+        [
+            (20.0, 0.0, 60.0),  # would never advance past start_ns
+            (20.0, -5.0, 60.0),  # would walk away from max_duration_ns
+            (20.0, float("nan"), 60.0),
+            (0.0, 20.0, 60.0),
+            (-20.0, 20.0, 60.0),
+            (80.0, 20.0, 60.0),  # no attempt would run
+        ],
+    )
+    def test_find_min_duration_validates_search_range(
+        self, optimizer, monkeypatch, start_ns, step_ns, max_duration_ns
+    ):
+        def no_attempts(*args, **kwargs):
+            raise AssertionError("the search range is checked before any attempt")
+
+        monkeypatch.setattr(optimizer, "optimize", no_attempts)
+        with pytest.raises(ValueError):
+            optimizer.find_min_duration(
+                qubit_gate("x"), fidelity_target=0.999,
+                start_ns=start_ns, step_ns=step_ns, max_duration_ns=max_duration_ns,
+            )
+
+    def test_find_min_duration_single_attempt_at_max(self, optimizer, monkeypatch):
+        durations = []
+
+        def record(target, duration_ns, gate_name="custom", initial_amplitudes=None):
+            durations.append(duration_ns)
+            return PulseResult(gate_name, duration_ns, 0.1, np.zeros((8, 1)))
+
+        monkeypatch.setattr(optimizer, "optimize", record)
+        result = optimizer.find_min_duration(
+            qubit_gate("x"), fidelity_target=0.999,
+            start_ns=60.0, step_ns=20.0, max_duration_ns=60.0,
+        )
+        assert durations == [60.0]
+        assert result.duration_ns == 60.0
 
     def test_invalid_segments_rejected(self, single_qubit_system):
         with pytest.raises(ValueError):
