@@ -15,6 +15,7 @@ from repro.backends.contract import (
     CompiledHandle,
     DuplicateBackendError,
     ExecutionBackend,
+    LRUMemo,
     ReplayMissError,
     UnknownBackendError,
     ensure_noisy_result,
@@ -32,6 +33,7 @@ __all__ = [
     "CompiledHandle",
     "DuplicateBackendError",
     "ExecutionBackend",
+    "LRUMemo",
     "ReplayMissError",
     "UnknownBackendError",
     "ensure_noisy_result",

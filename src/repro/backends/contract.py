@@ -24,8 +24,9 @@ pure function of the backend class, never per-call state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Mapping
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping
 
 from repro.noise.result import NoisyResult
 
@@ -72,6 +73,43 @@ class CompiledHandle:
     qasm: str | None = None
 
 
+class LRUMemo:
+    """A bounded least-recently-used memo.
+
+    A hit moves its entry to the most-recent end; an insert that
+    overflows the capacity evicts only the least recently used entry.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key: Hashable):
+        """The entry under ``key`` (now the most recent), or ``None``."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Hashable, value) -> None:
+        """Store ``value`` as the most recent entry, evicting the oldest on overflow."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+
+def memo_key(point: "SweepPoint") -> "SweepPoint":
+    """``point`` as a compile-memo key: its pinned store root removed.
+
+    Pinning only says where stored artifacts are read from; the compile
+    it names is the same wherever it is pinned.
+    """
+    return replace(point, cache_root=None) if point.cache_root is not None else point
+
+
 #: Integer counter fields every :class:`NoisyResult` must carry with sane
 #: values; checked by :func:`ensure_noisy_result` before results merge.
 _RESULT_COUNTERS = ("shots", "no_error_shots", "gate_events", "idle_events")
@@ -108,9 +146,10 @@ class ExecutionBackend:
     """Base class every execution backend extends.
 
     Subclasses set :attr:`name`, implement :meth:`compile` and
-    :meth:`execute`, and inherit point-level plumbing: a bounded
-    per-process handle memo so a thousand shot chunks of one circuit
-    compile it once, and contract validation of every execute() result.
+    :meth:`execute`, and inherit point-level plumbing: a per-process
+    LRU of compiled handles, so each point compiles once however many
+    shot chunks it feeds, and contract validation of every execute()
+    result.
     """
 
     #: Registry name (``--backend`` value).
@@ -131,12 +170,13 @@ class ExecutionBackend:
     #: default.  Pinning never changes content keys.
     reads_store: ClassVar[bool] = False
 
-    #: Bound on the per-process compiled-handle memo (mirrors the noise
-    #: subsystem's compile memo).
-    _MEMO_LIMIT = 16
+    #: Compiled handles kept per process: enough for a default EPS
+    #: validation sweep (36 cells) to compile each cell once.
+    HANDLE_CAPACITY = 64
 
     def __init__(self) -> None:
-        self._handles: dict[object, CompiledHandle] = {}
+        #: Compiled handles by :func:`memo_key`.
+        self.handles = LRUMemo(self.HANDLE_CAPACITY)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -161,7 +201,8 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     def compile_point(self, point: "SweepPoint") -> CompiledHandle:
         """Compile one declarative point through :meth:`compile` (memoised)."""
-        handle = self._handles.get(point)
+        key = memo_key(point)
+        handle = self.handles.get(key)
         if handle is None:
             from repro.compression import get_strategy
 
@@ -171,9 +212,7 @@ class ExecutionBackend:
             kwargs = dict(point.compiler_kwargs)
             kwargs.update(self.compiler_overrides)
             handle = self.compile(circuit, device, strategy, compiler_kwargs=kwargs)
-            if len(self._handles) >= self._MEMO_LIMIT:
-                self._handles.clear()
-            self._handles[point] = handle
+            self.handles.put(key, handle)
         return handle
 
     def run_compile_point(self, point: "SweepPoint") -> "StrategyResult":

@@ -4,9 +4,9 @@ This is a straight port of the pre-registry execution path — the compile
 pipeline (:class:`~repro.compiler.pipeline.QompressCompiler` + EPS report)
 and the vectorised :class:`~repro.noise.trajectory.TrajectoryEngine` — so
 the golden bit-equality guarantees (``run`` vs ``run_reference``, serial vs
-parallel, cached vs fresh) are untouched.  Shot chunks reuse the noise
-subsystem's per-process engine memo, so priming via
-:func:`repro.noise.points.prime_compiled` keeps working.
+parallel, cached vs fresh) are untouched.  Shot chunks build their engines
+from the backend's compile memo, which
+:func:`repro.noise.points.prime_compiled` writes into.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 from repro.backends.contract import (
     CompiledHandle,
     ExecutionBackend,
+    LRUMemo,
     ensure_noisy_result,
+    memo_key,
 )
 from repro.backends.registry import register_backend
 from repro.noise.result import NoisyResult
@@ -27,6 +29,15 @@ class TrajectoryBackend(ExecutionBackend):
 
     name = "trajectory"
     supports_track_state = True
+
+    #: Trajectory engines kept per process; shot chunks arrive grouped by
+    #: cell, so a few suffice.
+    ENGINE_CAPACITY = 16
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Engines by (compile memo key, noise spec, track_state).
+        self.engines = LRUMemo(self.ENGINE_CAPACITY)
 
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
                 ) -> CompiledHandle:
@@ -47,15 +58,17 @@ class TrajectoryBackend(ExecutionBackend):
         return NoisyResult.from_chunks([chunk], seed)
 
     def run_noise_point(self, point) -> NoisyResult:
-        """Shot-chunk worker body, via the process-local engine memo.
+        """Shot-chunk worker body, via the per-process engine memo.
 
-        Overrides the base implementation to share
-        :func:`repro.noise.points._engine_for` — a thousand chunks of one
+        Overrides the base implementation so that a thousand chunks of one
         circuit build the engine (op probabilities, idle channels) once per
-        process, and callers that already compiled the point can prime it.
+        process, from the compiled handle memo.
         """
-        from repro.noise.points import _engine_for
-
-        engine = _engine_for(point.compile_point, point.noise, point.track_state)
+        key = (memo_key(point.compile_point), point.noise, point.track_state)
+        engine = self.engines.get(key)
+        if engine is None:
+            handle = self.compile_point(point.compile_point)
+            engine = TrajectoryEngine(handle.compiled, point.noise, track_state=point.track_state)
+            self.engines.put(key, engine)
         chunk = engine.run(point.shots, point.seed, base_shot=point.base_shot)
         return ensure_noisy_result(NoisyResult.from_chunks([chunk], point.seed), self.name)

@@ -29,8 +29,8 @@ loops execute without per-op Python dispatch:
   with one gather, so idle decay, fidelities and dynamic ops still see
   one independent vector per lane.
 * :class:`EventKernel` is the event-only engine's program: one fused
-  threshold vector compared against the whole draw matrix in a single
-  vectorised pass.
+  threshold vector, compared column by column with the draws as the RNG
+  lanes make them, so no draw matrix is ever held.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
 on the same values in the same order** as the scalar
@@ -352,21 +352,32 @@ class EventKernel:
     """The event-only engine's flat program: one fused threshold vector.
 
     Concatenates the per-op error probabilities and per-qubit idle decay
-    gammas so a whole block's events come from a single vectorised
-    compare.  The values and IEEE predicates are exactly the scalar
-    loop's, so the counts are bit-identical.
+    gammas so a whole block's events come from one pass over the stream,
+    one vectorised compare per draw.  The values and IEEE predicates are
+    exactly the scalar loop's, so the counts are bit-identical.
     """
 
     thresholds: np.ndarray
     num_ops: int
 
-    def count_block(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot gate and idle event counts for one draw matrix."""
-        events = draws < self.thresholds
-        return (
-            events[:, : self.num_ops].sum(axis=1),
-            events[:, self.num_ops:].sum(axis=1),
-        )
+    def count_block(self, lanes) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lane gate and idle event counts, drawing one column at a time.
+
+        ``lanes`` is the block's :class:`~repro.noise.rng.GeneratorLanes`.
+        Column ``j`` of every lane's stream is drawn with ``lanes.random()``,
+        compared with ``thresholds[j]`` and added into the lanes' counts, so
+        no ``(lanes, draws)`` matrix is ever built.  Afterwards the lanes
+        stand where ``random_block(len(thresholds))`` would leave them.
+        """
+        fired = np.empty(lanes.shots, dtype=bool)
+        counts = []
+        for thresholds in (self.thresholds[: self.num_ops], self.thresholds[self.num_ops:]):
+            total = np.zeros(lanes.shots, dtype=np.int64)
+            for threshold in thresholds:
+                np.less(lanes.random(), threshold, out=fired)
+                np.add(total, fired, out=total)
+            counts.append(total)
+        return counts[0], counts[1]
 
 
 def build_event_kernel(op_probs: np.ndarray, idle_gammas: np.ndarray) -> EventKernel:

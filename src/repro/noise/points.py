@@ -10,19 +10,17 @@ bit-identical whatever the worker count or chunk size.
 
 The compile request itself is carried declaratively (a
 :class:`~repro.runner.SweepPoint`); workers rebuild the compiled circuit on
-first use and memoise it per process, so a thousand chunks of the same
-circuit compile it once per worker.
+first use and keep it in the backend's per-process compile memo, so a
+thousand chunks of the same circuit compile it once per worker.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 from repro.compiler.result import CompiledCircuit
 from repro.noise.model import NoiseSpec
 from repro.noise.result import NoisyResult
-from repro.noise.trajectory import TrajectoryEngine
 from repro.runner.cache import CompileCache
 from repro.runner.plan import SweepPlan
 from repro.runner.points import SweepPoint
@@ -36,32 +34,27 @@ from repro.runner.points import SweepPoint
 DEFAULT_CHUNK_SIZE = 4096
 
 
-#: Process-local memo of compiled circuits for shot batches (bounded).
-_COMPILED_MEMO: dict[SweepPoint, CompiledCircuit] = {}
-_COMPILED_MEMO_LIMIT = 16
-
-
 def prime_compiled(point: SweepPoint, compiled: CompiledCircuit) -> None:
-    """Seed the compile memo so callers that already compiled a point do
-    not pay for a second compile when its shot chunks execute in-process."""
-    if len(_COMPILED_MEMO) >= _COMPILED_MEMO_LIMIT:
-        _COMPILED_MEMO.clear()
-    _COMPILED_MEMO[point] = compiled
+    """Seed the trajectory backend's compile memo with an existing compile.
 
+    Callers that already hold a trajectory point's compile (fresh, or
+    served from the store) prime it so the point's shot chunks executing
+    in-process reuse it instead of compiling again.  A point the memo
+    already holds is left as it is.
+    """
+    from repro.backends import CompiledHandle, get_backend
+    from repro.backends.contract import memo_key
 
-def _compiled_for(point: SweepPoint) -> CompiledCircuit:
-    """Process-local memo of compiled circuits for shot batches."""
-    compiled = _COMPILED_MEMO.get(point)
-    if compiled is None:
-        compiled = point.execute().compiled
-        prime_compiled(point, compiled)
-    return compiled
+    if point.backend != "trajectory":
+        return  # other backends' chunks never read this memo
+    backend = get_backend("trajectory")
+    key = memo_key(point)
+    if backend.handles.get(key) is None:
+        from repro.metrics.eps import evaluate_eps
 
-
-@functools.lru_cache(maxsize=16)
-def _engine_for(point: SweepPoint, noise: NoiseSpec, track_state: bool) -> TrajectoryEngine:
-    """Process-local memo of trajectory engines (op probabilities etc.)."""
-    return TrajectoryEngine(_compiled_for(point), noise, track_state=track_state)
+        backend.handles.put(
+            key, CompiledHandle(backend.name, compiled, evaluate_eps(compiled))
+        )
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,21 @@ identical streams across releases — which is what makes a bit-exact
 re-implementation meaningful rather than fragile.  ``tests/test_trajectory.py``
 pins the equivalence against ``default_rng`` itself, draw for draw.
 
-:func:`uniform_streams` is the entry point the event-only engine needs: a
-``(shots, ndraws)`` float64 matrix whose row ``i`` equals
+:class:`GeneratorLanes` keeps one chunk's PCG64 lanes alive between
+draws.  ``random()`` advances every lane one word — the event-only engine
+draws its shots one column at a time this way and compares each column as
+it comes, never holding a draw matrix — and ``random_block`` stacks
+columns into the ``(shots, ndraws)`` matrix the state-tracking engine
+reads.  That engine's per-op Pauli draws call ``Generator.integers``
+*between* uniform draws, and only on the shots whose error fired, so
+``random(lanes)`` and ``integers`` advance only the selected lanes,
+replicating NumPy's small-range bounded-integer path exactly (the 32-bit
+Lemire rejection sampler over ``next_uint32``, including the half-word
+buffer PCG64 keeps between 32-bit draws).  Every draw method
+runs the one in-place PCG64 step, :func:`_pcg_advance`, over
+preallocated limb buffers.  :func:`uniform_streams` is the one-burst
+convenience: row ``i`` of its matrix equals
 ``default_rng((seed, base_shot + i)).random(ndraws)`` bit for bit.
-
-The state-tracking engine needs more than one burst of uniforms per shot —
-its per-op Pauli draws call ``Generator.integers`` *between* uniform draws,
-and only on the shots whose error fired.  :class:`GeneratorLanes` therefore
-keeps the PCG64 lanes alive: ``random_block`` advances every lane,
-``integers`` advances only the selected lanes, replicating NumPy's
-small-range bounded-integer path exactly (the 32-bit Lemire rejection
-sampler over ``next_uint32``, including the half-word buffer PCG64 keeps
-between 32-bit draws).
 """
 
 from __future__ import annotations
@@ -133,39 +136,71 @@ def _pcg_seed_material(pool: list[np.ndarray]) -> list[np.ndarray]:
 
 
 # ------------------------------------------------------------------
-# PCG64 as (high, low) uint64 limb arrays
+# PCG64 as (high, low) uint64 limb arrays, advanced in place
 # ------------------------------------------------------------------
-def _mulhi_by_mult_lo(x: np.ndarray) -> np.ndarray:
-    """High 64 bits of ``x * (PCG_MULT mod 2**64)`` via 32-bit limbs."""
-    x_lo = x & _MASK32
-    x_hi = x >> np.uint64(32)
-    p00 = x_lo * _PCG_MULT_LO_LO
-    p01 = x_lo * _PCG_MULT_LO_HI
-    p10 = x_hi * _PCG_MULT_LO_LO
-    p11 = x_hi * _PCG_MULT_LO_HI
-    cross = (p00 >> np.uint64(32)) + (p10 & _MASK32) + p01
-    return p11 + (p10 >> np.uint64(32)) + (cross >> np.uint64(32))
+_SHIFT32 = np.uint64(32)
+_SHIFT58 = np.uint64(58)
+_SHIFT11 = np.uint64(11)
+_WIDTH = np.uint64(64)
 
 
-def _pcg_step(
+def _pcg_advance(
     state_hi: np.ndarray,
     state_lo: np.ndarray,
     inc_hi: np.ndarray,
     inc_lo: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``state = state * PCG_MULT + inc (mod 2**128)`` on every lane."""
-    new_lo = state_lo * _PCG_MULT_LO
-    new_hi = state_hi * _PCG_MULT_LO + state_lo * _PCG_MULT_HI + _mulhi_by_mult_lo(state_lo)
-    out_lo = new_lo + inc_lo
-    carry = (out_lo < new_lo).astype(np.uint64)
-    return new_hi + inc_hi + carry, out_lo
+    work: np.ndarray,
+    carry: np.ndarray,
+) -> None:
+    """``state = state * PCG_MULT + inc (mod 2**128)`` on every lane, in place.
+
+    The one PCG64 step.  Every pass writes into ``state_*`` or into the
+    caller's scratch — ``work`` is ``(4, lanes)`` uint64, ``carry`` is
+    ``lanes`` bool — so a step allocates nothing.  The high word of
+    ``state_lo * (PCG_MULT mod 2**64)`` comes from 32-bit limb products.
+    """
+    x_lo, x_hi, part, tmp = work
+    np.bitwise_and(state_lo, _MASK32, out=x_lo)
+    np.right_shift(state_lo, _SHIFT32, out=x_hi)
+    np.multiply(x_lo, _PCG_MULT_LO_LO, out=part)
+    np.right_shift(part, _SHIFT32, out=part)
+    np.multiply(x_lo, _PCG_MULT_LO_HI, out=x_lo)
+    np.add(x_lo, part, out=x_lo)
+    np.multiply(x_hi, _PCG_MULT_LO_LO, out=part)
+    np.bitwise_and(part, _MASK32, out=tmp)
+    np.add(x_lo, tmp, out=x_lo)  # the middle column, carries included
+    np.right_shift(part, _SHIFT32, out=part)
+    np.multiply(x_hi, _PCG_MULT_LO_HI, out=x_hi)
+    np.add(x_hi, part, out=x_hi)
+    np.right_shift(x_lo, _SHIFT32, out=x_lo)
+    np.add(x_hi, x_lo, out=x_hi)  # mulhi(state_lo, PCG_MULT mod 2**64)
+    np.multiply(state_lo, _PCG_MULT_HI, out=tmp)
+    np.add(x_hi, tmp, out=x_hi)
+    np.multiply(state_hi, _PCG_MULT_LO, out=state_hi)
+    np.add(state_hi, x_hi, out=state_hi)
+    np.add(state_hi, inc_hi, out=state_hi)
+    np.multiply(state_lo, _PCG_MULT_LO, out=state_lo)
+    np.add(state_lo, inc_lo, out=state_lo)
+    np.less(state_lo, inc_lo, out=carry)
+    np.add(state_hi, carry, out=state_hi)
 
 
-def _pcg_output(state_hi: np.ndarray, state_lo: np.ndarray) -> np.ndarray:
-    """XSL-RR: rotate ``hi ^ lo`` right by the state's top six bits."""
-    word = state_hi ^ state_lo
-    rotation = state_hi >> np.uint64(58)
-    return (word >> rotation) | (word << ((np.uint64(64) - rotation) & np.uint64(63)))
+def _pcg_output(
+    state_hi: np.ndarray, state_lo: np.ndarray, work: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """XSL-RR into ``out``: rotate ``hi ^ lo`` right by the state's top six bits.
+
+    The left half of the rotation shifts by ``64 - rotation``; NumPy
+    defines a shift by the full width as 0, which is what a zero rotation
+    needs.
+    """
+    word, rotation, left, _ = work
+    np.bitwise_xor(state_hi, state_lo, out=word)
+    np.right_shift(state_hi, _SHIFT58, out=rotation)
+    np.subtract(_WIDTH, rotation, out=left)
+    np.left_shift(word, left, out=left)
+    np.right_shift(word, rotation, out=word)
+    return np.bitwise_or(word, left, out=out)
 
 
 def _seeded_pcg_lanes(
@@ -182,15 +217,41 @@ def _seeded_pcg_lanes(
     inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
     state_lo = inc_lo + init_lo
-    carry = (state_lo < inc_lo).astype(np.uint64)
+    carry = state_lo < inc_lo
     state_hi = inc_hi + init_hi + carry
-    state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
+    lanes = state_lo.size
+    _pcg_advance(
+        state_hi, state_lo, inc_hi, inc_lo,
+        np.empty((4, lanes), dtype=np.uint64), carry,
+    )
     return state_hi, state_lo, inc_hi, inc_lo
 
 
 # ------------------------------------------------------------------
-# public entry point
+# public entry points
 # ------------------------------------------------------------------
+#: Shot indices are SeedSequence entropy words below this bound; NumPy
+#: seeds ``(seed, 2**64)`` from a third word the lanes do not model.
+_SHOT_INDEX_LIMIT = 1 << 64
+
+
+def check_shot_span(base_shot: int, shots: int) -> None:
+    """Reject shot ranges the lanes cannot seed bit-exactly, with ``ValueError``.
+
+    Every index in ``[base_shot, base_shot + shots)`` must lie in
+    ``[0, 2**64)``.
+    """
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
+    if base_shot < 0:
+        raise ValueError("base_shot must be non-negative")
+    if base_shot + shots > _SHOT_INDEX_LIMIT:
+        raise ValueError(
+            f"shot indices must stay below 2**64; base_shot={base_shot} "
+            f"with shots={shots} runs past it"
+        )
+
+
 def _uint32_words(value: int) -> list[int]:
     """SeedSequence's little-endian uint32 decomposition of one integer."""
     if value < 0:
@@ -219,12 +280,12 @@ class GeneratorLanes:
     different number of SeedSequence entropy words, so seeding splits the
     chunk into same-word-count groups and scatters each group's lanes back
     into shot order (in practice a chunk never straddles the boundary and
-    there is exactly one group).
+    there is exactly one group).  Indices past ``2**64 - 1`` would need a
+    third word, so a span that reaches them raises ``ValueError``.
     """
 
     def __init__(self, seed: int, base_shot: int, shots: int) -> None:
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
+        check_shot_span(base_shot, shots)
         self.shots = shots
         self._state_hi = np.empty(shots, dtype=np.uint64)
         self._state_lo = np.empty(shots, dtype=np.uint64)
@@ -234,9 +295,15 @@ class GeneratorLanes:
         #: of a fresh 64-bit word and banks the high half for the next call.
         self._buffered = np.zeros(shots, dtype=np.uint64)
         self._has_buffer = np.zeros(shots, dtype=bool)
+        #: Scratch for the in-place step, sized for every lane; a draw on a
+        #: lane subset uses a prefix of it.
+        self._work = np.empty((4, shots), dtype=np.uint64)
+        self._carry = np.empty(shots, dtype=bool)
+        self._words = np.empty(shots, dtype=np.uint64)
         if shots == 0:
             return
-        indices = np.arange(base_shot, base_shot + shots, dtype=np.uint64)
+        # offsets first, so no index is ever formed past 2**64 - 1
+        indices = np.arange(shots, dtype=np.uint64) + np.uint64(base_shot)
         seed_columns = [
             np.full(shots, word, dtype=np.uint32) for word in _uint32_words(int(seed))
         ]
@@ -259,13 +326,17 @@ class GeneratorLanes:
     # -- raw stream advancement ----------------------------------------
     def _next64(self, lanes) -> np.ndarray:
         """Advance the selected lanes one step; their next uint64 outputs."""
-        hi, lo = _pcg_step(
-            self._state_hi[lanes], self._state_lo[lanes],
-            self._inc_hi[lanes], self._inc_lo[lanes],
+        state_hi = self._state_hi[lanes]
+        state_lo = self._state_lo[lanes]
+        count = state_hi.size
+        work = self._work[:, :count]
+        _pcg_advance(
+            state_hi, state_lo, self._inc_hi[lanes], self._inc_lo[lanes],
+            work, self._carry[:count],
         )
-        self._state_hi[lanes] = hi
-        self._state_lo[lanes] = lo
-        return _pcg_output(hi, lo)
+        self._state_hi[lanes] = state_hi
+        self._state_lo[lanes] = state_lo
+        return _pcg_output(state_hi, state_lo, work, np.empty(count, dtype=np.uint64))
 
     def _next32(self, lanes: np.ndarray) -> np.ndarray:
         """``pcg64_next32`` on the selected lanes (``lanes`` = index array).
@@ -287,33 +358,46 @@ class GeneratorLanes:
             self._has_buffer[fresh] = True
         return out
 
+    def _uniforms(self, out: np.ndarray) -> np.ndarray:
+        """Advance every lane one word in place; its 53-bit uniform into ``out``."""
+        _pcg_advance(
+            self._state_hi, self._state_lo, self._inc_hi, self._inc_lo,
+            self._work, self._carry,
+        )
+        words = _pcg_output(self._state_hi, self._state_lo, self._work, self._words)
+        np.right_shift(words, _SHIFT11, out=words)
+        # 53-bit values convert to float64 exactly, and faster from int64
+        return np.multiply(words.view(np.int64), _TO_DOUBLE, out=out)
+
     # -- Generator-equivalent draws ------------------------------------
     def random_block(self, ndraws: int) -> np.ndarray:
         """``rng.random(ndraws)`` on every lane: a ``(shots, ndraws)`` matrix.
 
         Like NumPy's ``next_double``, this consumes whole 64-bit words and
-        leaves any banked 32-bit half untouched.
+        leaves any banked 32-bit half untouched.  Column ``j`` is the
+        ``j``-th ``random()`` of every lane.
         """
         if ndraws < 0:
             raise ValueError("ndraws must be non-negative")
         out = np.empty((self.shots, ndraws), dtype=np.float64)
-        if self.shots == 0 or ndraws == 0:
-            return out
-        everyone = slice(None)
         for draw in range(ndraws):
-            out[:, draw] = (self._next64(everyone) >> np.uint64(11)) * _TO_DOUBLE
+            self._uniforms(out[:, draw])
         return out
 
-    def random(self, lanes: np.ndarray) -> np.ndarray:
-        """``rng.random()`` on the selected lanes only.
+    def random(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """``rng.random()`` on the selected lanes only, or on every lane.
 
         One 53-bit uniform per selected lane, consuming a whole 64-bit word
         there (like ``next_double``, the banked 32-bit half is untouched);
-        unselected lanes do not advance.  This is the draw pattern of
-        mid-circuit measurement, which samples only on the shots whose
-        branch actually executes the measurement.
+        unselected lanes do not advance.  Selected lanes are the draw
+        pattern of mid-circuit measurement, which samples only on the shots
+        whose branch actually executes the measurement.  ``lanes=None``
+        draws the next column of every lane in place, without gathering
+        state: the event-only engine's draw-and-compare pass.
         """
-        return (self._next64(lanes) >> np.uint64(11)) * _TO_DOUBLE
+        if lanes is None:
+            return self._uniforms(np.empty(self.shots, dtype=np.float64))
+        return (self._next64(lanes) >> _SHIFT11) * _TO_DOUBLE
 
     def integers(self, lanes: np.ndarray, low: int, high: int) -> np.ndarray:
         """``rng.integers(low, high)`` on the selected lanes only.
@@ -358,8 +442,7 @@ def uniform_streams(seed: int, base_shot: int, shots: int, ndraws: int) -> np.nd
     computed with vectorised RNG arithmetic instead of one ``Generator``
     per shot.  One-burst convenience wrapper over :class:`GeneratorLanes`.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    check_shot_span(base_shot, shots)
     if ndraws < 0:
         raise ValueError("ndraws must be non-negative")
     if shots == 0 or ndraws == 0:

@@ -61,7 +61,8 @@ from repro.compiler.result import CompiledCircuit
 from repro.noise.kernel import KernelSchedule, build_event_kernel, compile_schedule
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
-from repro.noise.rng import GeneratorLanes, uniform_streams
+from repro.noise.rng import GeneratorLanes, check_shot_span
+from repro.noise.rng import uniform_streams  # noqa: F401  (perfbench traces it here)
 from repro.pulses.unitaries import qubit_gate
 from repro.simulation.batched import BatchedMixedRadixState
 from repro.simulation.statevector import MixedRadixState
@@ -75,9 +76,9 @@ from repro.simulation.verify import (
 #: Pauli codes used when a depolarizing event fires (0 = identity).
 _PAULI_NAMES = ("i", "x", "y", "z")
 
-#: Shots per vectorised block in the event-only path.  Bounds the size of
-#: the per-block draw matrix (``block x draws_per_shot`` float64) while
-#: keeping the batch large enough that per-block overhead is negligible.
+#: Shots per vectorised block in the event-only path.  Bounds the RNG
+#: lanes' per-block buffers while keeping the batch large enough that
+#: per-block overhead is negligible.
 EVENT_BLOCK_SHOTS = 8192
 
 #: Amplitude budget of one state-tracking block: the block size is chosen
@@ -92,14 +93,6 @@ TRACKED_BLOCK_AMPLITUDES = 1 << 18
 #: materialise as one list (O(shots x dimension) complex128 memory).
 #: Larger requests must stream :meth:`TrajectoryEngine.iter_final_vectors`.
 FINAL_VECTORS_MAX_SHOTS = 4096
-
-
-def _check_shot_range(shots: int, base_shot: int) -> None:
-    """Reject a negative shot count or start index with ``ValueError``."""
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
-    if base_shot < 0:
-        raise ValueError("base_shot must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -451,10 +444,10 @@ class TrajectoryEngine:
     def _run_event_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
         """Vectorised event-only sampling over blocks of shots.
 
-        Generates every shot's private ``default_rng((seed, shot))`` stream
-        in batch (:func:`repro.noise.rng.uniform_streams`) and compares the
-        whole draw matrix against the fused threshold vector of the
-        pre-built :class:`~repro.noise.kernel.EventKernel` at once.  The
+        Seeds every shot's private ``default_rng((seed, shot))`` stream as
+        one :class:`~repro.noise.rng.GeneratorLanes` block, which the
+        pre-built :class:`~repro.noise.kernel.EventKernel` draws one column
+        at a time and compares against the column's threshold.  The
         thresholds and the draws are the same floats the scalar loop uses,
         compared with the same IEEE predicates, so the event counts are
         bit-identical at any block or chunk split.
@@ -464,8 +457,8 @@ class TrajectoryEngine:
         idle_events = 0
         for start in range(0, shots, EVENT_BLOCK_SHOTS):
             count = min(EVENT_BLOCK_SHOTS, shots - start)
-            draws = uniform_streams(seed, base_shot + start, count, self._draws)
-            per_shot_gate, per_shot_idle = self._event_kernel.count_block(draws)
+            lanes = GeneratorLanes(seed, base_shot + start, count)
+            per_shot_gate, per_shot_idle = self._event_kernel.count_block(lanes)
             no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
             gate_events += int(per_shot_gate.sum())
             idle_events += int(per_shot_idle.sum())
@@ -727,7 +720,7 @@ class TrajectoryEngine:
 
         A zero-shot batch is valid and returns an empty chunk.
         """
-        _check_shot_range(shots, base_shot)
+        check_shot_span(base_shot, shots)
         if self.track_state:
             return self._run_tracked_batch(shots, seed, base_shot)
         return self._run_event_batch(shots, seed, base_shot)
@@ -745,7 +738,7 @@ class TrajectoryEngine:
         """
         if not self.track_state:
             raise VerificationError("final_vectors requires track_state=True")
-        _check_shot_range(shots, base_shot)
+        check_shot_span(base_shot, shots)
         return self._stream_final_vectors(shots, seed, base_shot)
 
     def _stream_final_vectors(self, shots: int, seed: int, base_shot: int):

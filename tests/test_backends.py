@@ -19,6 +19,7 @@ from repro.backends import (
     CompiledHandle,
     DuplicateBackendError,
     ExecutionBackend,
+    LRUMemo,
     ReplayMissError,
     UnknownBackendError,
     ensure_noisy_result,
@@ -188,6 +189,49 @@ class TestResultContract:
 
 class _NotAPoint:
     """Deliberately fails the ExecutionPoint protocol (no methods at all)."""
+
+
+class TestCompileMemo:
+    """Compiled handles live in one true LRU per backend instance."""
+
+    def test_hit_survives_and_only_the_oldest_is_evicted(self):
+        memo = LRUMemo(3)
+        for key in "abc":
+            memo.put(key, key.upper())
+        assert memo.get("a") == "A"  # a hit makes "a" the most recent
+        memo.put("d", "D")  # evicts "b", now the oldest
+        assert memo.get("b") is None
+        assert [memo.get(key) for key in "cad"] == ["C", "A", "D"]
+        memo.put("e", "E")  # "c" was touched first above, so it goes
+        assert memo.get("c") is None
+        assert [memo.get(key) for key in "ade"] == ["A", "D", "E"]
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            LRUMemo(0)
+
+    def test_compile_point_keeps_recent_handles_and_ignores_the_store_root(self):
+        compiled: list[str] = []
+
+        class Counting(ExecutionBackend):
+            name = "counting"
+            HANDLE_CAPACITY = 2
+
+            def compile(self, circuit, device, strategy, compiler_kwargs=None):
+                compiled.append(circuit.name)
+                return CompiledHandle(backend=self.name, compiled=None, report=None)
+
+        backend = Counting()
+        first, second, third = (_point(num_qubits=n) for n in (4, 5, 6))
+        backend.compile_point(first)
+        backend.compile_point(second)
+        backend.compile_point(first)  # hit: "first" is now the most recent
+        backend.compile_point(third)  # evicts "second" only
+        assert len(compiled) == 3
+        backend.compile_point(dataclasses.replace(first, cache_root="/elsewhere"))
+        assert len(compiled) == 3  # pinning a store root is the same compile
+        backend.compile_point(second)
+        assert len(compiled) == 4
 
 
 class TestExecutionPointProtocol:

@@ -27,7 +27,7 @@ from repro.noise.kernel import (
     build_plan,
     compile_schedule,
 )
-from repro.noise.rng import GeneratorLanes
+from repro.noise.rng import GeneratorLanes, uniform_streams
 from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
 from repro.runner import SweepPoint
 from repro.simulation.verify import VerificationError
@@ -293,9 +293,73 @@ class TestKernelCompilation:
         kernel = build_event_kernel(np.array([0.5, 0.0, 0.25]), np.array([0.125]))
         assert isinstance(kernel, EventKernel)
         draws = np.array([[0.4, 0.1, 0.2, 0.1], [0.6, 0.0, 0.3, 0.2]])
-        gate, idle = kernel.count_block(draws)
+        lanes = _ColumnLanes(draws)
+        gate, idle = kernel.count_block(lanes)
         assert gate.tolist() == [2, 0]
         assert idle.tolist() == [1, 0]
+        assert lanes.served == 4  # one column per threshold, no more
+
+
+class _ColumnLanes:
+    """Serves a fixed draw matrix to ``count_block`` one column at a time."""
+
+    def __init__(self, draws: np.ndarray) -> None:
+        self.shots = draws.shape[0]
+        self._draws = draws
+        self.served = 0
+
+    def random(self) -> np.ndarray:
+        column = self._draws[:, self.served].copy()
+        self.served += 1
+        return column
+
+
+class TestFusedEventCount:
+    """``count_block`` draws and compares column by column: the counts and
+    the stream position equal the draw-matrix computation exactly."""
+
+    SEED = 7
+    BASE = 123
+    NDRAWS = 10
+
+    @classmethod
+    def _thresholds(cls) -> np.ndarray:
+        # edge values, plus three thresholds equal to draws that lanes 0-2
+        # really make at columns 5-7 (``<`` must not fire on them)
+        made = uniform_streams(cls.SEED, cls.BASE, 3, cls.NDRAWS)
+        return np.array([0.0, 1.0, 5e-324, 0.5, 1e-3,
+                         made[0, 5], made[2, 6], made[1, 7], 0.25, 0.75])
+
+    def test_thresholds_cover_the_edges(self):
+        thresholds = self._thresholds()
+        made = uniform_streams(self.SEED, self.BASE, 3, self.NDRAWS)
+        assert (made == thresholds).sum() >= 3
+        assert 0.0 < thresholds[2] < np.finfo(float).tiny  # subnormal
+
+    @pytest.mark.parametrize("shots", [0, 1, 3, 4096, 8193])
+    @pytest.mark.parametrize("num_ops", [0, 4, 10])
+    def test_counts_equal_the_draw_matrix_sums(self, shots, num_ops):
+        thresholds = self._thresholds()
+        draws = uniform_streams(self.SEED, self.BASE, shots, self.NDRAWS + 3)
+        kernel = build_event_kernel(thresholds[:num_ops], thresholds[num_ops:])
+        lanes = GeneratorLanes(self.SEED, self.BASE, shots)
+        gate, idle = kernel.count_block(lanes)
+        events = draws[:, : self.NDRAWS] < thresholds
+        assert gate.tolist() == events[:, :num_ops].sum(axis=1).tolist()
+        assert idle.tolist() == events[:, num_ops:].sum(axis=1).tolist()
+        # the lanes stand where random_block(len(thresholds)) leaves them
+        assert (lanes.random_block(3) == draws[:, self.NDRAWS:]).all()
+
+    def test_later_draws_continue_the_stream(self):
+        kernel = build_event_kernel(np.full(6, 0.1), np.full(2, 0.01))
+        lanes = GeneratorLanes(self.SEED, self.BASE, 64)
+        kernel.count_block(lanes)
+        picked = np.array([1, 5, 40])
+        strings = lanes.integers(picked, 1, 16)
+        for position, lane in enumerate(picked):
+            rng = np.random.default_rng((self.SEED, self.BASE + int(lane)))
+            rng.random(8)
+            assert int(rng.integers(1, 16)) == strings[position]
 
 
 class TestFinalVectorStreaming:

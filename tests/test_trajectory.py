@@ -239,7 +239,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import repro.noise.trajectory as trajectory_module  # noqa: E402
-from repro.noise.rng import uniform_streams  # noqa: E402
+from repro.noise.rng import GeneratorLanes, uniform_streams  # noqa: E402
 
 #: Small compile pool the property tests draw from: every strategy family,
 #: FQ included, compiled once per test session.
@@ -403,6 +403,47 @@ class TestDegenerateInputs:
             uniform_streams(0, 0, -1, 4)
         with pytest.raises(ValueError):
             uniform_streams(0, 0, 4, -1)
+
+
+class TestShotIndexRange:
+    """Shot indices must lie in [0, 2**64): outside it the lanes would
+    seed the wrong streams, so every entry point raises ``ValueError``."""
+
+    TOP = 2**64
+
+    def test_last_representable_indices_are_bit_exact(self):
+        import numpy as np
+
+        batched = uniform_streams(0, self.TOP - 2, 2, 3)
+        for row, index in enumerate((self.TOP - 2, self.TOP - 1)):
+            assert (batched[row] == np.random.default_rng((0, index)).random(3)).all()
+
+    @pytest.mark.parametrize("base_shot, shots", [
+        (TOP - 2, 4), (TOP - 2, 3), (TOP, 1), (TOP + 5, 0), (-1, 3), (-(2**70), 1),
+    ])
+    def test_out_of_range_spans_raise(self, base_shot, shots):
+        with pytest.raises(ValueError):
+            uniform_streams(0, base_shot, shots, 1)
+        with pytest.raises(ValueError):
+            GeneratorLanes(0, base_shot, shots)
+
+    @pytest.mark.parametrize("track_state", [False, True])
+    def test_engine_run_rejects_the_wrapping_span(self, track_state):
+        compiled = SweepPoint(
+            "bv", 4, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        ).execute().compiled
+        engine = TrajectoryEngine(compiled, TABLE1, track_state=track_state)
+        with pytest.raises(ValueError):
+            engine.run(4, seed=0, base_shot=self.TOP - 2)
+        with pytest.raises(ValueError):
+            engine.run(4, seed=0, base_shot=-1)
+
+    def test_engine_run_matches_reference_up_to_the_last_index(self, compiled_bv6):
+        engine = TrajectoryEngine(compiled_bv6, TABLE1)
+        base = self.TOP - 2
+        assert engine.run(2, seed=0, base_shot=base) == engine.run_reference(
+            2, seed=0, base_shot=base
+        )
 
 
 class TestFlatChannelExports:

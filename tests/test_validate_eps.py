@@ -267,3 +267,54 @@ class TestTrackedValidation:
             assert one.result.outcome_fidelity_sum == pytest.approx(
                 two.result.outcome_fidelity_sum, rel=1e-12
             )
+
+
+class TestCompileMemo:
+    """Each validation cell compiles once per process, through one LRU."""
+
+    SHOTS = 100
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """A fresh trajectory backend (empty memos) and a compile counter."""
+        from repro.backends import get_backend, registry
+        from repro.compiler.pipeline import QompressCompiler
+
+        monkeypatch.delitem(registry._INSTANCES, "trajectory", raising=False)
+        get_backend("trajectory")
+        calls = []
+        compile_ = QompressCompiler.compile
+
+        def counted(self, circuit):
+            calls.append(circuit.name)
+            return compile_(self, circuit)
+
+        monkeypatch.setattr(QompressCompiler, "compile", counted)
+        return calls
+
+    @staticmethod
+    def _cache(tmp_path):
+        from repro.runner import CompileCache
+
+        return CompileCache.from_store(ArtifactStore(tmp_path))
+
+    def test_fresh_store_compiles_each_cell_once(self, tmp_path, compiles):
+        rows = validate_eps(shots=self.SHOTS, cache=self._cache(tmp_path))
+        assert len(rows) == 36
+        assert len(compiles) == 36
+
+    def test_warm_compiles_with_cold_shots_compile_nothing(
+        self, tmp_path, compiles, monkeypatch
+    ):
+        from repro.backends import get_backend, registry
+
+        cache = self._cache(tmp_path)
+        validate_eps(shots=self.SHOTS, cache=cache)
+        # a new process's view: empty memos, compiles warm in the store,
+        # and a shot budget whose chunks the store has never seen
+        monkeypatch.delitem(registry._INSTANCES, "trajectory")
+        get_backend("trajectory")
+        compiles.clear()
+        rows = validate_eps(shots=2 * self.SHOTS, cache=cache)
+        assert len(rows) == 36
+        assert compiles == []
