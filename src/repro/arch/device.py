@@ -92,9 +92,12 @@ class Device:
         return replace(self, durations=durations)
 
     def with_t1_scaled(self, factor: float) -> "Device":
-        """Scale both qubit and ququart T1 by ``factor`` (Figure 11 uses 10x)."""
-        if factor <= 0:
-            raise ValueError("T1 scale factor must be positive")
+        """Scale both qubit and ququart T1 by ``factor`` (Figure 11 uses 10x).
+
+        ``inf`` is a valid factor (no decay); NaN and non-positive ones raise.
+        """
+        if not factor > 0:
+            raise ValueError(f"T1 scale factor must be positive, got {factor!r}")
         return replace(
             self,
             qubit_t1_us=self.qubit_t1_us * factor,

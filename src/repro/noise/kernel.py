@@ -14,20 +14,24 @@ loops execute without per-op Python dispatch:
   Executing a run keeps the amplitudes in a **lazily-permuted layout**:
   each unitary's GEMM leaves the tensor in that op's permuted layout,
   and the next op gathers directly from there — the per-op scatter pass
-  back to the canonical layout is skipped entirely (one restore at the
-  end of the run).  Adjacent ops on the same unit tuple share a layout,
-  so their GEMMs run back to back with **zero** copies between them.
-* A run evolves **distinct trajectories, not shots**.  Every lane of a
-  fresh block starts in |0…0>, so the block enters its first run as one
-  row that all lanes share, and a lane→row map records which row each
-  lane reads.  Unitary steps touch only the rows.  At a noise site, a
-  fired lane on a shared row first gets its own copy of it, then takes
-  its Pauli; a lane that owns its row takes it in place.  Rows never
-  merge.  At ``table1`` error rates most lanes never fire, so most of
-  a block's GEMM work collapses into the one shared row.  The run ends
-  by expanding the rows to the per-lane ``(lanes, dimension)`` matrix
-  with one gather, so idle decay, fidelities and dynamic ops still see
-  one independent vector per lane.
+  back to the canonical layout is skipped entirely.  Adjacent ops on the
+  same unit tuple share a layout, so their GEMMs run back to back with
+  **zero** copies between them.
+* A tracked block is a :class:`RowTable` from its first op to its last:
+  it evolves **distinct trajectories, not shots**.  Every lane of a
+  fresh block starts in |0…0>, so the block starts as one row that all
+  lanes share, and a lane→row map records which row each lane reads.
+  Unitary steps touch only the rows.  Rows split by one rule: lanes that
+  need a different op from the other lanes on their row get a copy of
+  it, grouped by (row, key), and a row whose lanes all take the op is
+  updated in place — a fired gate error (keyed by the lane), a damping
+  jump, a mid-circuit outcome, a condition.  Rows never merge.  At
+  ``table1`` error rates most lanes never fire, so most of a block's
+  GEMM work collapses into the one shared row; idle decay, dynamic ops
+  and fidelities (:mod:`repro.noise.trajectory`) act on rows as well, and
+  only ``iter_final_vectors`` ever expands rows into per-lane vectors.
+  The table owns its storage: every layout copy, GEMM and fork writes
+  into buffers allocated once per block.
 * :class:`EventKernel` is the event-only engine's program: one fused
   threshold vector, compared column by column with the draws as the RNG
   lanes make them, so no draw matrix is ever held.
@@ -58,12 +62,17 @@ keys: they change how results are computed, not what they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from repro.pulses.unitaries import qubit_gate
-from repro.simulation.batched import ApplyPlan, build_plan
+from repro.simulation.batched import (
+    DEAD_BRANCH_WEIGHT,
+    ApplyPlan,
+    build_plan,
+    unit_populations,
+)
 from repro.simulation.verify import embed_on_slots
 
 #: Pauli codes used when a depolarizing event fires (0 = identity).
@@ -106,69 +115,207 @@ class FusedRun:
     #: The unitary steps alone — the noise-free pass a dynamic program's
     #: parallel ideal batch takes through the same stretch.
     unitaries: tuple[UnitaryStep, ...]
+    #: Per item, the layout the rows take next: the next unitary step's,
+    #: or canonical past the run's last one.  A noise site whose forks
+    #: must widen a wide-layout tensor widens it straight into this layout,
+    #: so one copy serves as both the fork and the next layout change.
+    ahead: tuple[tuple[int, ...], ...]
 
 
-# ----------------------------------------------------------------------
-# the lazily-permuted batch tensor
-# ----------------------------------------------------------------------
-class _LazyState:
-    """Cursor over one block's distinct trajectories in a lazily-tracked layout.
+@dataclass(frozen=True)
+class DynamicOp:
+    """A dynamic op's precompiled parts, for the engine's row-table handlers.
 
-    The tensor holds **rows**: a ``shared`` block starts as one trunk row
-    (row 0) that every lane reads and none owns, and ``lane_rows`` maps
-    each lane to its row; otherwise row ``i`` is lane ``i``'s own.
-    ``layout`` records the current axis order over the canonical
-    ``(rows,) + dims`` tensor; transitions compose transposes (views)
-    and materialise exactly one C-contiguous copy per layout change — the
-    copy the eager pipeline's pre-GEMM reshape would have made — while
-    the eager path's post-GEMM scatter back to canonical is skipped.
+    ``step`` is the conditioned op's unitary (``None`` for mid-circuit
+    measurement and reset), ``site`` its depolarizing error site (``None``
+    when the op touches no encoded qubit).
     """
 
-    __slots__ = ("dims", "count", "tensor", "layout", "_identity", "lane_rows")
+    step: UnitaryStep | None
+    site: NoiseSite | None
 
-    def __init__(self, dims: tuple[int, ...], amps: np.ndarray, shared: bool = False) -> None:
+
+# ----------------------------------------------------------------------
+# the row table: one tracked block's distinct trajectories
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=1024)
+def _permutation(source: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose taking a tensor held in ``source`` axis order to ``target``."""
+    return tuple(source.index(axis) for axis in target)
+
+
+@lru_cache(maxsize=1024)
+def _around_batch(
+    dims: tuple[int, ...], layout: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis lengths before and after the batch axis of ``layout``."""
+    cut = layout.index(0)
+    return (
+        tuple(dims[axis - 1] for axis in layout[:cut]),
+        tuple(dims[axis - 1] for axis in layout[cut + 1:]),
+    )
+
+
+class RowTable:
+    """One tracked block's distinct trajectories, in a lazily-tracked layout.
+
+    The tensor holds **rows**; ``lane_rows`` maps each lane to the row it
+    reads.  A fresh table is one |0…0> row every lane shares.  Rows split
+    by one rule (:meth:`split`, :meth:`fork`): lanes that need a different
+    op from the other lanes on their row get a copy of it, and a row whose
+    lanes all take the same op is updated in place.  Rows never merge.
+
+    ``layout`` records the current axis order over the canonical
+    ``(rows,) + dims`` tensor.  Transitions compose transposes (views) and
+    materialise exactly one C-contiguous copy per layout change — the copy
+    the eager pipeline's pre-GEMM reshape would have made — while the eager
+    path's post-GEMM scatter back to canonical is skipped.
+
+    Storage is two flat buffers the table owns, each sized for
+    ``capacity`` rows: the tensor always fills a prefix of ``_front``, and
+    every layout copy and GEMM writes into ``_back`` (``matmul(..., out=)``)
+    before the two swap; Kraus ops add a third, ``_scratch``, on first use.
+    A table sized right up front therefore allocates once; a split past
+    the capacity regrows the buffers geometrically.
+    """
+
+    __slots__ = ("dims", "dimension", "count", "layout", "lane_rows",
+                 "_front", "_back", "_scratch", "_identity")
+
+    def __init__(self, dims: tuple[int, ...], lanes: int, capacity: int = 1) -> None:
         self.dims = dims
-        self.lane_rows = np.zeros(amps.shape[0], dtype=np.intp) if shared else None
-        rows = amps[:1] if shared else amps
-        self.count = rows.shape[0]
-        self.tensor = rows.reshape((self.count,) + dims)
+        self.dimension = int(np.prod(dims))
+        self._front = np.empty(max(1, capacity) * self.dimension, dtype=complex)
+        self._back = np.empty_like(self._front)
+        self._scratch: np.ndarray | None = None  # Kraus GEMM output, made on first use
+        self._front[: self.dimension] = 0.0
+        self._front[0] = 1.0
+        self.count = 1
+        self.lane_rows = np.zeros(lanes, dtype=np.intp)
         self._identity = tuple(range(len(dims) + 1))
         self.layout = self._identity
+
+    @property
+    def capacity(self) -> int:
+        """Rows the owned buffers hold before a split must regrow them."""
+        return self._front.size // self.dimension
+
+    def _view(self, buffer: np.ndarray, layout: tuple[int, ...], count: int) -> np.ndarray:
+        """``buffer``'s prefix as a ``count``-row tensor in ``layout`` order."""
+        before, after = _around_batch(self.dims, layout)
+        return buffer[: count * self.dimension].reshape(before + (count,) + after)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The rows, in the current ``layout`` (a view of the storage)."""
+        return self._view(self._front, self.layout, self.count)
 
     def _to_layout(self, tensor: np.ndarray, target: tuple[int, ...]) -> np.ndarray:
         """View of ``tensor`` (held in ``self.layout``) in ``target`` order."""
         if self.layout == target:
             return tensor
-        layout = self.layout
-        return tensor.transpose(tuple(layout.index(axis) for axis in target))
+        return tensor.transpose(_permutation(self.layout, target))
 
-    def fork(self, lanes: np.ndarray) -> np.ndarray:
-        """The rows ``lanes`` own, first copying the trunk for lanes still on it.
+    def _relayout(self, target: tuple[int, ...]) -> None:
+        """Copy the rows into ``target`` order, C-contiguous, in owned storage."""
+        if self.layout != target:
+            np.copyto(self._view(self._back, target, self.count),
+                      self._to_layout(self.tensor, target))
+            self._front, self._back = self._back, self._front
+            self.layout = target
 
-        The copies are appended along the batch axis in the current
-        layout: the same values, so every later GEMM sees the operand the
-        lane's own vector would have given it.  Rows never merge.
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows, regrowing both buffers if needed."""
+        if rows <= self.capacity:
+            return
+        used = self.count * self.dimension
+        grown = np.empty(max(rows, 2 * self.capacity) * self.dimension, dtype=complex)
+        grown[:used] = self._front[:used]
+        self._front, self._back = grown, np.empty_like(grown)
+
+    # ------------------------------------------------------------------
+    # splitting
+    # ------------------------------------------------------------------
+    def _copy_rows(self, sources: np.ndarray, ahead: tuple[int, ...] | None = None) -> np.ndarray:
+        """Append copies of rows ``sources``; return the new rows' indices.
+
+        The copies hold the same values, so every later GEMM sees the
+        operand the lane's own vector would have given it.  With the batch
+        axis leading the layout they land in spare capacity; otherwise the
+        tensor is rebuilt wider in owned storage — in layout ``ahead``
+        when given, so the rebuild doubles as the next layout change.
         """
-        if self.lane_rows is None:
-            return lanes
+        start = self.count
+        total = start + sources.size
+        self._reserve(total)
+        tensor = self.tensor
+        axis = self.layout.index(0)
+        if axis == 0:
+            spare = self._front[start * self.dimension: total * self.dimension]
+            np.take(tensor, sources, axis=0, mode="clip",
+                    out=spare.reshape((sources.size,) + tensor.shape[1:]))
+        else:
+            target = self.layout if ahead is None else ahead
+            grown = self._view(self._back, target, total)
+            lead = (slice(None),) * target.index(0)
+            np.copyto(grown[lead + (slice(0, start),)], self._to_layout(tensor, target))
+            np.copyto(grown[lead + (slice(start, total),)],
+                      self._to_layout(np.take(tensor, sources, axis=axis), target))
+            self._front, self._back = self._back, self._front
+            self.layout = target
+        self.count = total
+        return np.arange(start, total)
+
+    def fork(self, lanes: np.ndarray, ahead: tuple[int, ...] | None = None) -> np.ndarray:
+        """Give every lane in ``lanes`` a row only it reads; return those rows.
+
+        The gate-error split, keyed by the lane itself: each fired lane
+        draws its own Pauli string, so a lane sharing its row gets a copy
+        and a lane alone on its row keeps it.  The trunk (row 0) is never
+        handed to one lane, so a static block ends its run with exactly
+        one row more than it has forked lanes.  ``ahead`` is passed on to
+        :meth:`_copy_rows`.
+        """
         rows = self.lane_rows[lanes]
-        on_trunk = np.flatnonzero(rows == 0)
-        if on_trunk.size:
-            batch_axis = self.layout.index(0)
-            copies = np.take(self.tensor, rows[on_trunk], axis=batch_axis)
-            self.tensor = np.concatenate((self.tensor, copies), axis=batch_axis)
-            rows[on_trunk] = np.arange(self.count, self.count + on_trunk.size)
-            self.count += on_trunk.size
+        shared = (np.bincount(self.lane_rows, minlength=self.count)[rows] > 1) | (rows == 0)
+        if shared.any():
+            rows[shared] = self._copy_rows(rows[shared], ahead)
             self.lane_rows[lanes] = rows
         return rows
 
+    def split(self, lanes: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """Give each (row, key) group of ``lanes`` a row only it reads.
+
+        ``keys`` (0/1 or bool, one per lane; ``None`` = one key) names the
+        op each lane takes next.  A group holding every lane of its row
+        keeps the row; any other group gets a copy.  Returns each lane's
+        row after the split.
+        """
+        rows = self.lane_rows[lanes]
+        groups = rows if keys is None else 2 * rows + keys
+        _, first, inverse, sizes = np.unique(
+            groups, return_index=True, return_inverse=True, return_counts=True
+        )
+        sources = rows[first]
+        moving = sizes < np.bincount(self.lane_rows, minlength=self.count)[sources]
+        if moving.any():
+            targets = sources.copy()
+            targets[moving] = self._copy_rows(sources[moving])
+            rows = targets[inverse]
+            self.lane_rows[lanes] = rows
+        return rows
+
+    # ------------------------------------------------------------------
+    # evolution
+    # ------------------------------------------------------------------
     def apply_all(self, matrix: np.ndarray, plan: ApplyPlan) -> None:
-        """Apply ``matrix`` to every row, leaving the state in ``plan``'s layout."""
-        view = self._to_layout(self.tensor, plan.axes)
+        """Apply ``matrix`` to every row, leaving the rows in ``plan``'s layout."""
         # the same values in the same layout the eager pre-GEMM copy produces
-        product = matrix @ plan.operand(view, self.count)
-        self.tensor = product.reshape(plan.shape(self.count))
-        self.layout = plan.axes
+        self._relayout(plan.axes)
+        size = self.count * self.dimension
+        operand = plan.operand(self._front[:size].reshape(plan.shape(self.count)), self.count)
+        np.matmul(matrix, operand, out=self._back[:size].reshape(operand.shape))
+        self._front, self._back = self._back, self._front
 
     def apply_rows(self, matrix: np.ndarray, plan: ApplyPlan, rows: np.ndarray) -> None:
         """Apply ``matrix`` to a row subset, preserving the current layout.
@@ -178,25 +325,95 @@ class _LazyState:
         GEMM operand is bit-identical because gathering rows and
         permuting axes commute exactly.
         """
+        tensor = self.tensor
         batch_axis = self.layout.index(0)
-        selected = np.take(self.tensor, rows, axis=batch_axis)
+        selected = np.take(tensor, rows, axis=batch_axis)
         view = self._to_layout(selected, plan.axes)
         count = int(rows.size)
         product = matrix @ plan.operand(view, count)
         permuted = product.reshape(plan.shape(count))
-        back = tuple(plan.axes.index(axis) for axis in self.layout)
         index = (slice(None),) * batch_axis + (rows,)
-        self.tensor[index] = permuted.transpose(back)
+        tensor[index] = permuted.transpose(_permutation(plan.axes, self.layout))
 
-    def restore(self) -> np.ndarray:
-        """The canonical per-lane ``(lanes, dimension)`` amplitude matrix.
+    def apply_kraus(self, matrix: np.ndarray, plan: ApplyPlan, rows: np.ndarray) -> np.ndarray:
+        """Apply a Kraus operator to the distinct ``rows`` and renormalise them.
 
-        Expands the rows with one gather, so every lane gets a vector of
-        its own (lanes that shared a row get equal, independent copies).
+        The eager pipeline step by step, each into owned storage: gather
+        the canonical rows (``_scratch``), copy them into ``plan``'s layout
+        (``_back``), GEMM into ``_scratch``, scatter the product back to
+        canonical rows (``_back``), weigh each row with the scalar path's
+        ``np.vdot`` and write the renormalised rows home.  Returns each
+        row's branch weight, 0.0 where the branch is impossible (the row
+        keeps its values, exactly like the scalar class).
         """
-        view = self._to_layout(self.tensor, self._identity)
-        rows = view.reshape(self.count, -1)
-        return rows if self.lane_rows is None else rows[self.lane_rows]
+        amps = self.canonical()
+        count = int(rows.size)
+        size = count * self.dimension
+        if self._scratch is None or self._scratch.size < self._back.size:
+            self._scratch = np.empty_like(self._back)
+        gathered = self._scratch[:size].reshape(count, self.dimension)
+        np.take(amps, rows, axis=0, out=gathered, mode="clip")
+        operand = self._back[:size].reshape(plan.shape(count))
+        np.copyto(operand, gathered.reshape((count,) + self.dims).transpose(plan.axes))
+        operand = plan.operand(operand, count)
+        product = self._scratch[:size].reshape(operand.shape)
+        np.matmul(matrix, operand, out=product)
+        branches = self._back[:size].reshape(count, self.dimension)
+        np.copyto(branches.reshape((count,) + self.dims),
+                  product.reshape(plan.shape(count)).transpose(
+                      _permutation(plan.axes, self._identity)))
+        weights = np.zeros(count, dtype=np.float64)
+        for index, row in enumerate(rows):
+            branch = branches[index]
+            weight = float(np.vdot(branch, branch).real)
+            if weight >= DEAD_BRANCH_WEIGHT:
+                weights[index] = weight
+                np.divide(branch, np.sqrt(weight), out=amps[row])
+        return weights
+
+    # ------------------------------------------------------------------
+    # readout
+    # ------------------------------------------------------------------
+    def canonical(self) -> np.ndarray:
+        """The rows as a canonical ``(rows, dimension)`` matrix (a storage view)."""
+        self._relayout(self._identity)
+        return self._front[: self.count * self.dimension].reshape(self.count, self.dimension)
+
+    def unit_populations(self, unit: int) -> np.ndarray:
+        """``(rows, dims[unit])`` marginal level populations of one unit."""
+        return unit_populations(self.canonical(), self.dims, unit)
+
+    def vectors(self) -> np.ndarray:
+        """A fresh ``(lanes, dimension)`` matrix: every lane's own vector."""
+        return self.canonical()[self.lane_rows]
+
+
+def inject_noise(
+    state: RowTable,
+    site: NoiseSite,
+    fired: np.ndarray,
+    rng_lanes,
+    ahead: tuple[int, ...] | None = None,
+) -> None:
+    """Draw each fired lane's Pauli string and inject it into a row of its own.
+
+    ``fired`` are the lanes whose gate error fired at ``site``; each draws
+    its string from its own stream (``rng_lanes``, the block's
+    :class:`~repro.noise.rng.GeneratorLanes`) at exactly the position the
+    scalar loop would use.  The lanes fork (:meth:`RowTable.fork`, towards
+    layout ``ahead``), and slot by slot, in the scalar loop's order, the
+    rows drawing each Pauli take it in one row-subset apply.
+    """
+    strings = rng_lanes.integers(fired, 1, site.bound)
+    rows = state.fork(fired, ahead)
+    width = len(site.slots)
+    for position in range(width):
+        codes = (strings >> (2 * (width - 1 - position))) & 3
+        for code in (1, 2, 3):
+            group = rows[codes == code]
+            if group.size:
+                matrix, plan = site.paulis[position][code - 1]
+                state.apply_rows(matrix, plan, group)
 
 
 # ----------------------------------------------------------------------
@@ -208,76 +425,43 @@ class KernelSchedule:
 
     ``segments`` alternates :class:`FusedRun` stretches with bare op
     indices — the dynamic ops (mid-circuit measurement/reset, conditioned
-    ops) the engine must handle in canonical layout with per-lane branch
-    masks.  Static circuits compile to a single fused run.
+    ops) the engine handles with per-lane branch keys; ``dynamic`` holds
+    each one's precompiled :class:`DynamicOp`.  Static circuits compile to
+    a single fused run.
     """
 
     dims: tuple[int, ...]
     segments: tuple[FusedRun | int, ...]
     num_ops: int
+    dynamic: dict[int, DynamicOp]
 
     def execute_run(
-        self,
-        run: FusedRun,
-        amps: np.ndarray,
-        gate_mask: np.ndarray,
-        rng_lanes,
-        shared: bool = False,
-    ) -> np.ndarray:
-        """Execute one fused run on ``amps`` (``(lanes, dimension)``, owned).
+        self, run: FusedRun, state: RowTable, gate_mask: np.ndarray, rng_lanes
+    ) -> None:
+        """Execute one fused run on ``state``, in place.
 
-        ``shared`` says every lane of ``amps`` holds the same vector (a
-        fresh block): the run then evolves that one row, and a lane gets
-        its own copy only when its gate error fires.  ``rng_lanes`` is the
-        block's :class:`~repro.noise.rng.GeneratorLanes`; fired noise sites
-        draw their Pauli strings mid-run at exactly the stream positions
-        the scalar loop would use.  Returns the evolved canonical per-lane
-        amplitude matrix (which may alias ``amps``'s storage).
+        Unitary steps touch every row once; at a noise site the fired
+        lanes fork and take their sampled Paulis (:func:`inject_noise`).
+        ``rng_lanes`` is the block's
+        :class:`~repro.noise.rng.GeneratorLanes`.  The rows stay in the
+        last op's layout: nothing is expanded or restored at the run's end.
         """
-        state = _LazyState(self.dims, amps, shared)
-        for item in run.items:
+        for item, ahead in zip(run.items, run.ahead):
             if type(item) is UnitaryStep:
                 state.apply_all(item.matrix, item.plan)
             else:
                 fired = np.flatnonzero(gate_mask[:, item.op_index])
                 if fired.size:
-                    strings = rng_lanes.integers(fired, 1, item.bound)
-                    self._inject_paulis(state, item, state.fork(fired), strings)
-        return state.restore()
+                    inject_noise(state, item, fired, rng_lanes, ahead)
 
-    def execute_run_unitaries(
-        self, run: FusedRun, amps: np.ndarray, lanes: np.ndarray
-    ) -> None:
-        """Apply a run's unitaries to the ``lanes`` subset of ``amps``, in place.
+    def execute_run_unitaries(self, run: FusedRun, state: RowTable) -> None:
+        """Apply a run's unitaries to every row of ``state``, in place.
 
-        The dynamic ideal-batch pass: no noise, lane-gathered once per run
-        instead of once per op (``alive`` cannot change inside a run).
+        The dynamic program's noise-free pass: its ideal table splits only
+        at dynamic ops, so within a run every row takes every unitary.
         """
-        if not run.unitaries or not lanes.size:
-            return
-        state = _LazyState(self.dims, amps[lanes])
         for step in run.unitaries:
             state.apply_all(step.matrix, step.plan)
-        amps[lanes] = state.restore()
-
-    @staticmethod
-    def _inject_paulis(
-        state: _LazyState, site: NoiseSite, rows: np.ndarray, strings: np.ndarray
-    ) -> None:
-        """Inject each fired lane's sampled Pauli string into its own row.
-
-        ``rows[i]`` is the row the lane that drew ``strings[i]`` owns;
-        rows are grouped by string value.
-        """
-        width = len(site.slots)
-        for value in np.unique(strings):
-            group = rows[strings == value]
-            for position in range(width):
-                code = (int(value) >> (2 * (width - 1 - position))) & 3
-                if code == 0:
-                    continue
-                matrix, plan = site.paulis[position][code - 1]
-                state.apply_rows(matrix, plan, group)
 
 
 def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
@@ -305,15 +489,44 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
         matrix, units = embed_on_slots(dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),))
         return matrix, plan_for(units)
 
+    def site_for(index: int, op) -> NoiseSite | None:
+        if not op.slots:
+            return None
+        slots = tuple(op.slots)
+        return NoiseSite(
+            op_index=index,
+            slots=slots,
+            bound=4 ** len(slots),
+            paulis=tuple(
+                tuple(pauli_for(unit, slot, code) for code in (1, 2, 3))
+                for unit, slot in slots
+            ),
+        )
+
+    def step_for(index: int) -> UnitaryStep | None:
+        embedded = op_unitaries[index]
+        if embedded is None:
+            return None
+        matrix, units = embedded
+        return UnitaryStep(index, matrix, plan_for(tuple(units)))
+
     segments: list[FusedRun | int] = []
+    dynamic: dict[int, DynamicOp] = {}
     items: list[UnitaryStep | NoiseSite] = []
 
     def flush() -> None:
         if items:
+            ahead = []
+            layout = tuple(range(len(dims) + 1))
+            for item in reversed(items):
+                ahead.append(layout)
+                if type(item) is UnitaryStep:
+                    layout = item.plan.axes
             segments.append(
                 FusedRun(
                     items=tuple(items),
                     unitaries=tuple(i for i in items if type(i) is UnitaryStep),
+                    ahead=tuple(reversed(ahead)),
                 )
             )
             items.clear()
@@ -322,26 +535,21 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
         if op.is_dynamic:
             flush()
             segments.append(index)
-            continue
-        embedded = op_unitaries[index]
-        if embedded is not None:
-            matrix, units = embedded
-            items.append(UnitaryStep(index, matrix, plan_for(tuple(units))))
-        if op.slots:
-            slots = tuple(op.slots)
-            items.append(
-                NoiseSite(
-                    op_index=index,
-                    slots=slots,
-                    bound=4 ** len(slots),
-                    paulis=tuple(
-                        tuple(pauli_for(unit, slot, code) for code in (1, 2, 3))
-                        for unit, slot in slots
-                    ),
-                )
+            measures = op.gate in ("measure_mid", "reset")
+            dynamic[index] = DynamicOp(
+                step=None if measures else step_for(index), site=site_for(index, op)
             )
+            continue
+        step = step_for(index)
+        if step is not None:
+            items.append(step)
+        site = site_for(index, op)
+        if site is not None:
+            items.append(site)
     flush()
-    return KernelSchedule(dims=dims, segments=tuple(segments), num_ops=len(compiled.ops))
+    return KernelSchedule(
+        dims=dims, segments=tuple(segments), num_ops=len(compiled.ops), dynamic=dynamic
+    )
 
 
 # ----------------------------------------------------------------------

@@ -80,9 +80,10 @@ class NoiseSpec:
     hetero_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.gate_error_scale < 0:
-            raise ValueError("gate_error_scale must be non-negative")
-        if self.t1_scale <= 0:
+        if not (math.isfinite(self.gate_error_scale) and self.gate_error_scale >= 0):
+            raise ValueError("gate_error_scale must be finite and non-negative")
+        # ``not > 0`` also rejects NaN, which every ordered comparison fails
+        if not self.t1_scale > 0:
             raise ValueError("t1_scale must be positive (use inf to disable decay)")
         if self.idle_policy not in IDLE_POLICIES:
             raise ValueError(f"idle_policy must be one of {IDLE_POLICIES}")

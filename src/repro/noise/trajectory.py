@@ -35,19 +35,19 @@ State tracking replays every strategy, including the Full-Ququart baseline
 whose encode/decode ops are modelled as slot transports (see
 :func:`repro.simulation.verify.physical_op_unitary`).
 
-The state-tracking path is chunk-batched too.  A block of shots ends as
-one :class:`~repro.simulation.batched.BatchedMixedRadixState`, and the
-per-shot RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`,
+The state-tracking path is chunk-batched too.  A block of shots is one
+:class:`~repro.noise.kernel.RowTable` from its first op to its last, and
+the per-shot RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`,
 which replicates ``Generator.integers``' 32-bit bounded path bit for bit.
-The ops run as the fused kernel program of :mod:`repro.noise.kernel` —
-the only batched evolution path — which evolves the block's distinct
-trajectories rather than its shots: a fresh block is one row every lane
-shares, and a lane gets a row of its own only when its first gate error
-fires.  Each row is bit-identical to the vector its lanes would hold on
-their own, so sharing is invisible in the results.  Idle decay, dynamic
-ops and fidelities then act per lane (damping jumps and sampled Paulis
-touch only the lanes whose event fired).  The batched path is asserted bit-identical to the scalar
-``run_reference``, chunk for chunk.
+The table holds the block's distinct trajectories rather than its shots:
+a fresh block is one row every lane shares, and lanes split off a row
+only where they need a different op from the rest of it — a fired gate
+error, a damping jump (or survival), a mid-circuit outcome, a condition.
+The ops run as the fused kernel program of :mod:`repro.noise.kernel`;
+idle decay, dynamic ops and fidelities act on rows too, each distinct row
+once.  Each row is bit-identical to the vector its lanes would hold on
+their own, so sharing is invisible in the results: the batched path is
+asserted bit-identical to the scalar ``run_reference``, chunk for chunk.
 """
 
 from __future__ import annotations
@@ -58,13 +58,19 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
-from repro.noise.kernel import KernelSchedule, build_event_kernel, compile_schedule
+from repro.noise.kernel import (
+    KernelSchedule,
+    RowTable,
+    build_event_kernel,
+    compile_schedule,
+    inject_noise,
+)
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
 from repro.noise.rng import GeneratorLanes, check_shot_span
 from repro.noise.rng import uniform_streams  # noqa: F401  (perfbench traces it here)
 from repro.pulses.unitaries import qubit_gate
-from repro.simulation.batched import BatchedMixedRadixState
+from repro.simulation.batched import ApplyPlan, build_plan
 from repro.simulation.statevector import MixedRadixState
 from repro.simulation.verify import (
     VerificationError,
@@ -156,6 +162,8 @@ class TrajectoryEngine:
         self._projector_cache: dict[
             tuple[int, int, int], tuple[np.ndarray, tuple[int, ...]]
         ] = {}
+        self._jump_cache: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
+        self._plans: dict[tuple[int, ...], ApplyPlan] = {}
         self._event_kernel = build_event_kernel(self.op_probs, self.idle_gammas)
         self._schedule: KernelSchedule | None = None
         if self.track_state:
@@ -234,8 +242,13 @@ class TrajectoryEngine:
 
     def _embedded_damping_jump(self, unit: int, slot: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """The jump operator K1 ∝ |0><1|, embedded at ``(unit, slot)``."""
-        jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        return embed_on_slots(self.dims, jump, ((unit, slot),))
+        cached = self._jump_cache.get((unit, slot))
+        if cached is None:
+            jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+            cached = self._jump_cache[(unit, slot)] = embed_on_slots(
+                self.dims, jump, ((unit, slot),)
+            )
+        return cached
 
     def _embedded_damping_survival(
         self, unit: int, slot: int, gamma: float
@@ -478,32 +491,16 @@ class TrajectoryEngine:
         """Shots per state-tracking block, sized by the amplitude budget."""
         return max(1, min(EVENT_BLOCK_SHOTS, TRACKED_BLOCK_AMPLITUDES // self.dimension))
 
-    def _apply_pauli_strings(
-        self,
-        state: BatchedMixedRadixState,
-        slots: tuple[tuple[int, int], ...],
-        lanes: np.ndarray,
-        strings: np.ndarray,
-    ) -> None:
-        """Inject each fired lane's sampled Pauli string into the batch.
+    def _planned(self, embedded: tuple[np.ndarray, tuple[int, ...]]) -> tuple[np.ndarray, ApplyPlan]:
+        """``(matrix, units)`` with the units' :class:`ApplyPlan` in place of them."""
+        matrix, units = embedded
+        plan = self._plans.get(units)
+        if plan is None:
+            plan = self._plans[units] = build_plan(self.dims, units)
+        return matrix, plan
 
-        Lanes are grouped by string value so each distinct Pauli is one
-        lane-masked apply per non-identity slot — per lane, the exact op
-        sequence the scalar loop performs.
-        """
-        for value in np.unique(strings):
-            group = lanes[strings == value]
-            for position, (unit, slot) in enumerate(slots):
-                code = (int(value) >> (2 * (len(slots) - 1 - position))) & 3
-                if code == 0:
-                    continue
-                matrix, units = self._embedded_pauli(unit, slot, code)
-                state.apply(matrix, units, lanes=group)
-
-    def _excited_populations(
-        self, state: BatchedMixedRadixState, unit: int, slot: int
-    ) -> np.ndarray:
-        """Per-lane |1> population of the encoded qubit at ``(unit, slot)``."""
+    def _excited_populations(self, state: RowTable, unit: int, slot: int) -> np.ndarray:
+        """Per-row |1> population of the encoded qubit at ``(unit, slot)``."""
         populations = state.unit_populations(unit)
         levels = self._excited_levels(unit, slot)
         total = populations[:, levels[0]]
@@ -511,56 +508,78 @@ class TrajectoryEngine:
             total = total + populations[:, level]
         return total
 
-    def _apply_idle_decay(
-        self, state: BatchedMixedRadixState, draws: np.ndarray
-    ) -> np.ndarray:
-        """Apply idle decay per logical qubit at its final position.
+    def _row_capacity(self, gate_mask: np.ndarray, idle_draws: np.ndarray) -> int:
+        """Rows a static block reaches, from the draws made up front.
+
+        The trunk plus one row per lane with a fired gate, and under the
+        ``worst_case`` policy one more per jump pattern beyond the first
+        among the lanes still on the trunk: each idle qubit's jump splits
+        their rows by jumped-or-not, so they end on one row per distinct
+        pattern.  ``kraus`` decay and dynamic ops split on the state, so
+        their tables regrow when they need to.
+        """
+        forked = gate_mask.any(axis=1)
+        capacity = 1 + int(forked.sum())
+        if self.model.idle_policy == "worst_case" and not forked.all():
+            jumps = np.packbits(idle_draws[~forked] < self.idle_gammas, axis=1)
+            capacity += np.unique(jumps, axis=0).shape[0] - 1
+        return capacity
+
+    def _apply_idle_decay(self, state: RowTable, draws: np.ndarray) -> np.ndarray:
+        """Apply idle decay per logical qubit at its final position, per row.
 
         ``draws`` holds each lane's idle-decay uniforms, one column per
-        idle qubit.  Returns the per-lane count of damping jumps.
+        idle qubit.  Lanes split by jump (``worst_case``: jumped or not;
+        ``kraus``: jump or survive), so each damping operator touches each
+        distinct row once.  Returns the per-lane count of damping jumps.
         """
-        idle_counts = np.zeros(state.batch, dtype=np.int64)
+        idle_counts = np.zeros(state.lane_rows.size, dtype=np.int64)
+        every_lane = np.arange(state.lane_rows.size)
         for position, qubit in enumerate(self.idle_qubits):
             gamma = float(self.idle_gammas[position])
             if gamma <= 0.0:
                 continue
             unit, slot = self.compiled.final_placement[qubit]
             column = draws[:, position]
+            jump = self._planned(self._embedded_damping_jump(unit, slot))
             if self.model.idle_policy == "worst_case":
                 jumped = np.flatnonzero(column < gamma)
-                survived = None
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_populations(state, unit, slot)
-                fired = column < jump_probability
-                jumped = np.flatnonzero(fired)
-                survived = np.flatnonzero(~fired)
-            idle_counts[jumped] += 1
-            if jumped.size:
-                matrix, units = self._embedded_damping_jump(unit, slot)
-                state.apply_kraus(matrix, units, lanes=jumped)
-            if survived is not None and survived.size:
-                matrix, units = self._embedded_damping_survival(unit, slot, gamma)
-                state.apply_kraus(matrix, units, lanes=survived)
+                idle_counts[jumped] += 1
+                if jumped.size:
+                    state.apply_kraus(*jump, np.unique(state.split(jumped)))
+                continue
+            # kraus: jump probability scales with the excited population
+            populations = self._excited_populations(state, unit, slot)
+            fired = column < gamma * populations[state.lane_rows]
+            idle_counts += fired
+            rows = state.split(every_lane, fired)
+            if fired.any():
+                state.apply_kraus(*jump, np.unique(rows[fired]))
+            if not fired.all():
+                survival = self._embedded_damping_survival(unit, slot, gamma)
+                state.apply_kraus(*self._planned(survival), np.unique(rows[~fired]))
         return idle_counts
 
     def _apply_dynamic_op(
         self,
         index: int,
-        state: BatchedMixedRadixState,
-        ideal: BatchedMixedRadixState,
+        state: RowTable,
+        ideal: RowTable,
         alive: np.ndarray,
         creg: np.ndarray,
         lanes: GeneratorLanes,
         gate_mask: np.ndarray,
     ) -> None:
-        """Apply one op of a dynamic program to the batch, per-lane exact.
+        """Apply one op of a dynamic program to both row tables, per-lane exact.
 
-        Mutates ``state``/``ideal``/``alive``/``creg`` in place.  Runs in
-        canonical layout between fused runs: mid-circuit
-        measurement/``reset`` and conditioned ops need per-lane branch
-        masks.
+        Mutates ``state``/``ideal``/``alive``/``creg`` in place.  The
+        executing lanes split both tables by their branch key — the sampled
+        outcome of a mid-circuit measurement/``reset``, or simply "executed"
+        for a conditioned op.  The ideal table splits on the same keys (a
+        lost lane's ideal row is never read again, so it may follow along).
         """
         op = self.compiled.ops[index]
+        parts = self._schedule.dynamic[index]
         count = creg.shape[0]
         if op.condition is None:
             executed = np.ones(count, dtype=bool)
@@ -575,95 +594,106 @@ class TrajectoryEngine:
             if exec_idx.size:
                 unit, slot = op.slots[0]
                 draw = lanes.random(exec_idx)
-                excited = self._excited_populations(state, unit, slot)[exec_idx]
-                outcomes = draw < excited
-                for outcome in (0, 1):
-                    selected = exec_idx[outcomes == bool(outcome)]
-                    if not selected.size:
+                excited = self._excited_populations(state, unit, slot)
+                outcomes = draw < excited[state.lane_rows[exec_idx]]
+                rows = state.split(exec_idx, outcomes)
+                ideal_rows = ideal.split(exec_idx, outcomes)
+                for outcome in (False, True):
+                    chosen = outcomes == outcome
+                    if not chosen.any():
                         continue
-                    projector, units = self._embedded_projector(unit, slot, outcome)
-                    state.apply_kraus(projector, units, lanes=selected)
-                    live = selected[alive[selected]]
-                    if live.size:
-                        weights = ideal.apply_kraus(projector, units, lanes=live)
-                        alive[live[weights == 0.0]] = False
+                    projector = self._planned(
+                        self._embedded_projector(unit, slot, int(outcome))
+                    )
+                    state.apply_kraus(*projector, np.unique(rows[chosen]))
+                    targets, inverse = np.unique(ideal_rows[chosen], return_inverse=True)
+                    weights = ideal.apply_kraus(*projector, targets)
+                    alive[exec_idx[chosen][weights[inverse] == 0.0]] = False
                 if op.gate == "measure_mid":
                     bit = np.int64(op.cbits[0])
                     creg[exec_idx] = (creg[exec_idx] & ~(np.int64(1) << bit)) | (
                         outcomes.astype(np.int64) << bit
                     )
-                else:  # reset: flip the sampled |1> lanes back to |0>
-                    flipped = exec_idx[outcomes]
-                    if flipped.size:
-                        flip, flip_units = self._embedded_pauli(unit, slot, 1)
-                        state.apply(flip, flip_units, lanes=flipped)
-                        live = flipped[alive[flipped]]
-                        if live.size:
-                            ideal.apply(flip, flip_units, lanes=live)
-        else:
-            embedded = self._op_unitaries[index]
-            if embedded is not None and exec_idx.size:
-                matrix, units = embedded
-                if op.condition is None:
-                    state.apply(matrix, units)
-                else:
-                    state.apply(matrix, units, lanes=exec_idx)
-                live = exec_idx[alive[exec_idx]]
-                if live.size:
-                    ideal.apply(matrix, units, lanes=live)
-        if op.slots:
+                elif outcomes.any():  # reset: flip the sampled |1> rows back to |0>
+                    flip, plan = parts.site.paulis[0][0]
+                    state.apply_rows(flip, plan, np.unique(rows[outcomes]))
+                    ideal.apply_rows(flip, plan, np.unique(ideal_rows[outcomes]))
+        elif parts.step is not None and exec_idx.size:
+            step = parts.step
+            state.apply_rows(step.matrix, step.plan, np.unique(state.split(exec_idx)))
+            ideal.apply_rows(step.matrix, step.plan, np.unique(ideal.split(exec_idx)))
+        if parts.site is not None:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:
-                strings = lanes.integers(fired, 1, 4 ** len(op.slots))
-                self._apply_pauli_strings(state, op.slots, fired, strings)
+                inject_noise(state, parts.site, fired, lanes)
+
+    def _fidelities(
+        self, state: RowTable, ideal: RowTable | None, alive: np.ndarray | None
+    ) -> np.ndarray:
+        """Per-lane ideal-vs-noisy fidelity: one ``np.vdot`` per distinct row.
+
+        A static lane's fidelity depends on its noisy row alone; a dynamic
+        lane's on its (ideal row, noisy row) pair, and a lane whose ideal
+        branch was lost scores 0.
+        """
+        noisy = state.canonical()
+        if ideal is None:
+            rows, inverse = np.unique(state.lane_rows, return_inverse=True)
+            per_row = [float(abs(np.vdot(self._ideal_vector, noisy[row])) ** 2) for row in rows]
+            return np.array(per_row, dtype=np.float64)[inverse]
+        clean = ideal.canonical()
+        fidelities = np.zeros(alive.size, dtype=np.float64)
+        live = np.flatnonzero(alive)
+        pairs, inverse = np.unique(
+            ideal.lane_rows[live] * state.count + state.lane_rows[live], return_inverse=True
+        )
+        per_pair = [
+            float(abs(np.vdot(clean[pair // state.count], noisy[pair % state.count])) ** 2)
+            for pair in pairs
+        ]
+        fidelities[live] = np.array(per_pair, dtype=np.float64)[inverse]
+        return fidelities
 
     def _evolve_block(
         self, seed: int, base_shot: int, count: int
-    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[GeneratorLanes, RowTable, np.ndarray, np.ndarray, np.ndarray]:
         """Replay one block of tracked shots with the sampled noise injected.
 
-        Executes the compiled kernel schedule: fused runs evolve the
-        block's distinct trajectories without per-op dispatch, and the
-        dynamic ops between them run in canonical layout, per lane.  A
-        dynamic program mirrors :meth:`_run_shot_dynamic` per lane: each
-        lane carries its own classical register and branch decisions, a
-        parallel noise-free batch follows the same branches, and
-        mid-stream draws touch only the lanes that execute the drawing
-        op.  Every lane's stream position therefore matches its scalar
-        ``default_rng((seed, shot))`` twin.
+        The block is one :class:`~repro.noise.kernel.RowTable` from its
+        first op to its last: it starts as a single |0…0> row, fused runs
+        evolve its rows without per-op dispatch, and dynamic ops, idle
+        decay and fidelities act on rows too, splitting them only where
+        lanes on one row need different ops.  A dynamic program mirrors
+        :meth:`_run_shot_dynamic` per lane: each lane carries its own
+        classical register and branch decisions, a parallel noise-free
+        table follows the same branches, and mid-stream draws touch only
+        the lanes that execute the drawing op.  Every lane's stream
+        position therefore matches its scalar ``default_rng((seed, shot))``
+        twin.
 
-        Returns the live RNG lanes, the evolved batch, the per-lane
+        Returns the live RNG lanes, the evolved row table, the per-lane
         gate/idle event counts and the per-lane ideal-vs-noisy fidelities.
         """
         num_ops = len(self.compiled.ops)
         lanes = GeneratorLanes(seed, base_shot, count)
         draws = lanes.random_block(self._draws)
         gate_mask = draws[:, :num_ops] < self.op_probs
-        state = BatchedMixedRadixState(self.dims, count)
+        idle_draws = draws[:, num_ops:]
+        state = RowTable(self.dims, count, self._row_capacity(gate_mask, idle_draws))
+        ideal = alive = None
         if self.is_dynamic:
-            ideal = BatchedMixedRadixState(self.dims, count)
+            ideal = RowTable(self.dims, count)
             alive = np.ones(count, dtype=bool)
             creg = np.zeros(count, dtype=np.int64)
-        for position, segment in enumerate(self._schedule.segments):
+        for segment in self._schedule.segments:
             if isinstance(segment, int):
                 self._apply_dynamic_op(segment, state, ideal, alive, creg, lanes, gate_mask)
                 continue
-            # a fresh block holds |0…0> on every lane: one shared row
-            state.replace_amplitudes(self._schedule.execute_run(
-                segment, state.amplitudes, gate_mask, lanes, shared=position == 0
-            ))
+            self._schedule.execute_run(segment, state, gate_mask, lanes)
             if self.is_dynamic:
-                # ``alive`` only changes at dynamic ops, so the live-lane
-                # subset is constant across a whole run
-                self._schedule.execute_run_unitaries(
-                    segment, ideal.amplitudes, np.flatnonzero(alive)
-                )
-        idle_counts = self._apply_idle_decay(state, draws[:, num_ops:])
-        if self.is_dynamic:
-            fidelities = state.fidelities_with_batch(ideal)
-            fidelities[~alive] = 0.0
-        else:
-            fidelities = state.fidelities_with(self._ideal_vector)
+                self._schedule.execute_run_unitaries(segment, ideal)
+        idle_counts = self._apply_idle_decay(state, idle_draws)
+        fidelities = self._fidelities(state, ideal, alive)
         return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities
 
     def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
@@ -672,9 +702,9 @@ class TrajectoryEngine:
         Every lane's evolution — op unitaries, sampled Pauli injections,
         damping jumps/survivals, the final fidelity and the outcome draw —
         reproduces the scalar ``run_reference`` loop bit for bit: the RNG
-        lanes consume the identical stream positions and the batched state
-        applies the identical kernels per lane (see
-        :class:`~repro.simulation.batched.BatchedMixedRadixState`).
+        lanes consume the identical stream positions and every row of the
+        block's :class:`~repro.noise.kernel.RowTable` takes the identical
+        kernels its lanes' scalar vectors would.
         """
         no_error = 0
         gate_events = 0
@@ -687,6 +717,7 @@ class TrajectoryEngine:
             lanes, state, gate_counts, idle_counts, fidelities = self._evolve_block(
                 seed, base_shot + start, count
             )
+            del state  # free the block's row storage before the next block
             final_draws = lanes.random_block(1)[:, 0]
             gate_events += int(gate_counts.sum())
             idle_events += int(idle_counts.sum())
@@ -712,7 +743,7 @@ class TrajectoryEngine:
 
         Both engine modes take a chunk-batched vectorised path: event-only
         sampling batches the stochastic draws, state tracking additionally
-        evolves the whole block on a batched state.  Both honour the
+        evolves the block's distinct trajectories as one row table.  Both honour the
         per-shot ``(seed, shot)`` RNG-stream contract, so the vectorised
         paths — and any chunk split of either — are bit-identical to the
         scalar loop (asserted by :meth:`run_reference` comparisons in the
@@ -732,8 +763,9 @@ class TrajectoryEngine:
         counts: only one block of states (at most
         ``TRACKED_BLOCK_AMPLITUDES`` amplitudes) is live at a time, so
         memory stays bounded however many shots are requested.  Replays
-        the same deterministic per-shot streams :meth:`run` would use, on
-        the batched state (state-tracking mode only).  The arguments are
+        the same deterministic per-shot streams :meth:`run` would use, and
+        is the one place a block's rows expand into per-lane vectors
+        (state-tracking mode only).  The arguments are
         checked at call time, before the first vector is requested.
         """
         if not self.track_state:

@@ -2,10 +2,10 @@
 
 A :class:`BatchedMixedRadixState` carries one amplitude vector *per shot* as
 a ``(batch, dimension)`` matrix and evolves all of them in single NumPy
-calls.  It is the state backend of the vectorised state-tracking trajectory
-path: replaying a compiled circuit applies each op's embedded unitary to the
-whole batch at once, and the stochastic noise injections (Pauli strings,
-damping jumps) touch only the lanes whose error fired.
+calls; lane-masked applies touch only a subset of the lanes.  The module
+also owns what the trajectory engine's row tables (:mod:`repro.noise.kernel`)
+share with it: the per-apply data-movement plan (:func:`build_plan`), the
+wide-panel probe and the per-row marginal populations.
 
 Bit-exactness contract: every lane evolves **bit-identically** to a
 :class:`~repro.simulation.statevector.MixedRadixState` fed the same
@@ -30,11 +30,22 @@ import numpy as np
 
 #: Kraus branches below this squared-norm weight are treated as impossible
 #: jumps and leave the lane unchanged (same constant as the scalar class).
-_DEAD_BRANCH_WEIGHT = 1e-18
+DEAD_BRANCH_WEIGHT = 1e-18
 
 #: Lazily probed: True when this build's BLAS produces bit-identical
 #: columns whatever the GEMM panel width (see :func:`_wide_panels_bitstable`).
 _WIDE_PANEL_OK: bool | None = None
+
+#: ``(sub_dim, rest, lanes)`` GEMM shapes the wide-panel probe checks.  They
+#: span every target size 2-/4-level units give a one- or two-unit op
+#: (``sub_dim`` 2 to 16) and, per size, the narrowest wide ``rest`` (4) and
+#: the widest a 1024-amplitude register reaches (``1024 // sub_dim``).
+_PROBE_SHAPES = (
+    (2, 4, 5), (2, 8, 3), (2, 512, 3),
+    (4, 4, 7), (4, 16, 2), (4, 256, 3),
+    (8, 4, 5), (8, 8, 3), (8, 128, 3),
+    (16, 4, 5), (16, 64, 3),
+)
 
 
 def _wide_panels_bitstable() -> bool:
@@ -45,13 +56,14 @@ def _wide_panels_bitstable() -> bool:
     panel width.  That holds for the power-of-two panel shapes mixed-radix
     registers produce on the BLAS builds we test, but it is a kernel
     property, not a guarantee — so it is probed once per process on
-    deterministic data, and the wide path is disabled wholesale if any
-    representative shape diverges.  Cached in :data:`_WIDE_PANEL_OK`.
+    deterministic data over :data:`_PROBE_SHAPES`, and the wide path is
+    disabled wholesale if any shape diverges.  Cached in
+    :data:`_WIDE_PANEL_OK`.
     """
     global _WIDE_PANEL_OK
     if _WIDE_PANEL_OK is None:
         ok = True
-        for sub, rest, batch in ((2, 4, 5), (2, 8, 3), (4, 4, 7), (4, 16, 2), (8, 8, 3)):
+        for sub, rest, batch in _PROBE_SHAPES:
             cells = sub * sub
             operator = (
                 np.sin(np.arange(cells, dtype=np.float64) + 1.0)
@@ -97,7 +109,8 @@ class ApplyPlan:
 
     def shape(self, count: int) -> tuple[int, ...]:
         """The post-GEMM tensor shape for a ``count``-lane batch."""
-        return tuple(count if entry == 0 else entry for entry in self.shape_template)
+        cut = self.axes.index(0)
+        return self.shape_template[:cut] + (count,) + self.shape_template[cut + 1:]
 
     def operand(self, view: np.ndarray, count: int) -> np.ndarray:
         """``view`` (in ``axes`` order) reshaped, C-contiguous, for the GEMM."""
@@ -146,6 +159,17 @@ def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
     )
 
 
+def unit_populations(amps: np.ndarray, dims: tuple[int, ...], unit: int) -> np.ndarray:
+    """``(rows, dims[unit])`` marginal level populations of one unit, per row.
+
+    ``amps`` is a canonical ``(rows, dimension)`` matrix; the reduction is
+    the one the batched state and the trajectory row tables share.
+    """
+    tensor = np.abs(amps.reshape((amps.shape[0],) + dims)) ** 2
+    axes = tuple(axis + 1 for axis in range(len(dims)) if axis != unit)
+    return tensor.sum(axis=axes)
+
+
 class BatchedMixedRadixState:
     """A batch of state vectors over one register of qudits.
 
@@ -179,32 +203,6 @@ class BatchedMixedRadixState:
     def vectors(self) -> np.ndarray:
         """A ``(batch, dimension)`` copy of every lane's amplitude vector."""
         return self._amps.copy()
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The live ``(batch, dimension)`` amplitude matrix — no copy.
-
-        Kernel-executor plumbing (:mod:`repro.noise.kernel`): fused runs
-        evolve this array outside the class and hand the result back via
-        :meth:`replace_amplitudes`.  Mutating it bypasses every invariant
-        this class maintains; ordinary callers want :meth:`vectors`.
-        """
-        return self._amps
-
-    def replace_amplitudes(self, amps: np.ndarray) -> None:
-        """Adopt ``amps`` as the batch's amplitudes, exactly as given.
-
-        Unlike :meth:`set_vectors` this neither renormalises nor checks
-        norms — the kernel executor's output is bit-exact by construction
-        and must not be perturbed.  Shape and dtype are still enforced.
-        """
-        if amps.shape != (self.batch, self.dimension):
-            raise ValueError(
-                f"amplitude matrix must have shape ({self.batch}, {self.dimension})"
-            )
-        if amps.dtype != self._amps.dtype:
-            raise ValueError(f"amplitude matrix must have dtype {self._amps.dtype}")
-        self._amps = amps
 
     def set_vectors(self, matrix: np.ndarray, atol: float = 1e-3) -> None:
         """Replace every lane's amplitudes (renormalising small drift).
@@ -286,7 +284,7 @@ class BatchedMixedRadixState:
         weights = np.array(
             [float(np.vdot(row, row).real) for row in transformed], dtype=np.float64
         )
-        dead = weights < _DEAD_BRANCH_WEIGHT
+        dead = weights < DEAD_BRANCH_WEIGHT
         if dead.any():
             transformed[dead] = selected[dead]
         live = ~dead
@@ -310,9 +308,7 @@ class BatchedMixedRadixState:
         """``(batch, dims[unit])`` marginal level populations of one unit."""
         if not 0 <= unit < self.num_units:
             raise ValueError(f"unit index {unit} out of range")
-        tensor = np.abs(self._amps.reshape((self.batch,) + self.dims)) ** 2
-        axes = tuple(axis + 1 for axis in range(self.num_units) if axis != unit)
-        return tensor.sum(axis=axes)
+        return unit_populations(self._amps, self.dims, unit)
 
     def fidelities_with(self, vector: np.ndarray) -> np.ndarray:
         """Per-lane squared overlap ``|<vector | lane>|**2``.
@@ -325,26 +321,6 @@ class BatchedMixedRadixState:
             raise ValueError(f"vector must have shape ({self.dimension},)")
         return np.array(
             [float(abs(np.vdot(vector, row)) ** 2) for row in self._amps],
-            dtype=np.float64,
-        )
-
-    def fidelities_with_batch(self, other: "BatchedMixedRadixState") -> np.ndarray:
-        """Per-lane squared overlap ``|<other_lane | lane>|**2``.
-
-        Pairs lane ``i`` of this batch with lane ``i`` of ``other`` — the
-        dynamic trajectory path's per-shot ideal-vs-noisy fidelity, where
-        each lane followed its own branch decisions.  One ``np.vdot`` per
-        lane, bit-equal to the scalar path.
-        """
-        if other.dims != self.dims:
-            raise ValueError("batches live on different registers")
-        if other.batch != self.batch:
-            raise ValueError("batches must have the same number of lanes")
-        return np.array(
-            [
-                float(abs(np.vdot(other._amps[lane], self._amps[lane])) ** 2)
-                for lane in range(self.batch)
-            ],
             dtype=np.float64,
         )
 

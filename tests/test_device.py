@@ -1,10 +1,14 @@
 """Tests for the Device model."""
 
+import json
+import math
+
 import pytest
 
 from repro.arch import Device, grid_topology
 from repro.arch.device import DEFAULT_QUBIT_T1_US, DEFAULT_QUQUART_T1_US
 from repro.pulses import GateDurationTable
+from repro.runner.points import DeviceSpec
 
 
 class TestDefaults:
@@ -50,6 +54,19 @@ class TestDerivedDevices:
     def test_with_t1_scaled_validates(self):
         with pytest.raises(ValueError):
             Device(topology=grid_topology(2, 2)).with_t1_scaled(0.0)
+
+    def test_with_t1_scaled_rejects_nan_and_keeps_inf(self):
+        device = Device(topology=grid_topology(2, 2))
+        with pytest.raises(ValueError, match="nan"):
+            device.with_t1_scaled(math.nan)
+        # an infinite scale means "no decay" and stays valid
+        assert math.isinf(device.with_t1_scaled(math.inf).qubit_t1_us)
+
+    def test_nan_t1_scale_in_a_payload_never_builds(self):
+        # json accepts NaN, so a spooled device payload can carry one
+        payload = json.loads('{"kind": "grid", "t1_scale": NaN}')
+        with pytest.raises(ValueError):
+            DeviceSpec.from_payload(payload).build(4)
 
     def test_with_ququart_t1_ratio(self):
         device = Device(topology=grid_topology(2, 2)).with_ququart_t1_ratio(0.5)

@@ -145,23 +145,36 @@ def _fired_lanes(engine: TrajectoryEngine, seed: int, shots: int, runs=None) -> 
 
 
 class _RowSpy:
-    """Records the row count of every fused-run state the kernel builds."""
+    """Records the row tables the kernel evolves.
+
+    ``applied`` is the row count each whole-table GEMM sees; ``run_rows``
+    the noisy table's row count as each fused run ends (where the kernel
+    once expanded rows to lanes); ``tables`` every table built.
+    """
 
     def __init__(self, monkeypatch):
         self.applied: list[int] = []
-        self.restored: list[int] = []
-        apply_all, restore = kernel_module._LazyState.apply_all, kernel_module._LazyState.restore
+        self.run_rows: list[int] = []
+        self.tables: list[kernel_module.RowTable] = []
+        apply_all = kernel_module.RowTable.apply_all
+        execute_run = kernel_module.KernelSchedule.execute_run
+        init = kernel_module.RowTable.__init__
 
         def spied_apply_all(state, matrix, plan):
             self.applied.append(state.count)
             apply_all(state, matrix, plan)
 
-        def spied_restore(state):
-            self.restored.append(state.count)
-            return restore(state)
+        def spied_execute_run(schedule, run, state, *args):
+            execute_run(schedule, run, state, *args)
+            self.run_rows.append(state.count)
 
-        monkeypatch.setattr(kernel_module._LazyState, "apply_all", spied_apply_all)
-        monkeypatch.setattr(kernel_module._LazyState, "restore", spied_restore)
+        def spied_init(state, *args, **kwargs):
+            init(state, *args, **kwargs)
+            self.tables.append(state)
+
+        monkeypatch.setattr(kernel_module.RowTable, "apply_all", spied_apply_all)
+        monkeypatch.setattr(kernel_module.KernelSchedule, "execute_run", spied_execute_run)
+        monkeypatch.setattr(kernel_module.RowTable, "__init__", spied_init)
 
 
 class TestSharedRows:
@@ -173,7 +186,7 @@ class TestSharedRows:
         spy = _RowSpy(monkeypatch)
         assert engine.run(64, seed=11) == engine.run_reference(64, seed=11)
         fired = _fired_lanes(engine, 11, 64)
-        assert spy.restored == [1 + int(fired.sum())]
+        assert spy.run_rows == [1 + int(fired.sum())]
         assert fired.any() == (preset != "ideal")
 
     def test_every_lane_forks_and_orphans_the_trunk(self, monkeypatch):
@@ -184,7 +197,7 @@ class TestSharedRows:
         assert fired.all()
         spy = _RowSpy(monkeypatch)
         assert engine.run(64, seed=8) == engine.run_reference(64, seed=8)
-        assert spy.restored == [1 + 64]
+        assert spy.run_rows == [1 + 64]
 
     def test_kraus_idle_policy_matches_reference(self):
         engine = TrajectoryEngine(
@@ -217,7 +230,7 @@ class TestSharedRows:
         # the block enters the run as one shared row, and only lanes with
         # a fired gate event ever get a row of their own
         assert min(spy.applied) == 1
-        assert spy.restored == [1 + int(fired.sum())]
+        assert spy.run_rows == [1 + int(fired.sum())]
 
     def test_dynamic_block_shares_its_opening_run(self, monkeypatch):
         engine = _pooled_engine(3, "pessimistic")
@@ -227,8 +240,67 @@ class TestSharedRows:
         assert 0 < fired.sum() < 200
         spy = _RowSpy(monkeypatch)
         engine.run(200, seed=5)
-        # after the first mid-circuit measurement every lane is its own row
-        assert spy.restored[0] == 1 + int(fired.sum())
+        # the opening run ends with the trunk plus one row per forked lane
+        assert spy.run_rows[0] == 1 + int(fired.sum())
+
+    def test_dynamic_block_keeps_sharing_past_its_first_measurement(self, monkeypatch):
+        engine = _pooled_engine(3, "pessimistic")
+        segments = engine._schedule.segments
+        first_dynamic = next(i for i, s in enumerate(segments) if isinstance(s, int))
+        assert any(isinstance(s, FusedRun) for s in segments[first_dynamic:])
+        spy = _RowSpy(monkeypatch)
+        shots = 200
+        assert engine.run(shots, seed=5) == engine.run_reference(shots, seed=5)
+        # the noisy table outlives the measurement and stays far below one
+        # row per lane; the ideal table splits only at dynamic ops
+        noisy, ideal = spy.tables
+        assert len(spy.run_rows) >= 2
+        assert spy.run_rows[-1] < shots
+        assert noisy.count < shots
+        assert ideal.count <= 8
+        assert len(set(noisy.lane_rows.tolist())) < shots
+
+    def test_worst_case_decay_splits_rows_by_jump(self):
+        spec = NoiseSpec.from_preset("table1", t1_scale=0.02)
+        engine = TrajectoryEngine(_pooled_compiled(0), spec, track_state=True)
+        shots, seed = 300, 13
+        _, state, _, idle_counts, _ = engine._evolve_block(seed, 0, shots)
+        draws = GeneratorLanes(seed, 0, shots).random_block(engine._draws)
+        jumps = draws[:, len(engine.compiled.ops):] < engine.idle_gammas
+        forked = _fired_lanes(engine, seed, shots)
+        assert (idle_counts == jumps.sum(axis=1)).all()
+        patterns = {tuple(row) for row in jumps[~forked]}
+        assert len(patterns) > 2 and forked.any() and not forked.all()
+        # one row per (row, jumped) group: lanes left on the trunk end on one
+        # row per jump pattern, lanes that forked keep the row they own
+        rows = state.lane_rows
+        assert len(set(rows[~forked].tolist())) == len(patterns)
+        for row in set(rows[~forked].tolist()):
+            assert len({tuple(j) for j in jumps[rows == row]}) == 1
+        assert len(set(rows[forked].tolist())) == int(forked.sum())
+        assert state.count == 1 + int(forked.sum()) + len(patterns) - 1
+        assert state.capacity == state.count  # sized exactly, up front
+
+    @pytest.mark.parametrize("spec_index", [0, 3], ids=["static", "dynamic"])
+    def test_run_never_builds_a_per_lane_batch(self, spec_index, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine.run built a BatchedMixedRadixState")
+
+        monkeypatch.setattr(batched_module.BatchedMixedRadixState, "__init__", refuse)
+        engine = _pooled_engine(spec_index, "pessimistic")
+        spy = _RowSpy(monkeypatch)
+        assert engine.run(64, seed=2) == engine.run_reference(64, seed=2)
+        assert len(spy.tables) == (2 if engine.is_dynamic else 1)
+
+    @pytest.mark.parametrize("spec_index", [3, 4], ids=["eqm", "qubit_only"])
+    def test_dynamic_kraus_one_lane_blocks_match_reference(self, spec_index, monkeypatch):
+        spec = NoiseSpec.from_preset("pessimistic").with_idle_policy("kraus")
+        engine = TrajectoryEngine(_pooled_compiled(spec_index), spec, track_state=True)
+        monkeypatch.setattr(
+            trajectory_module, "TRACKED_BLOCK_AMPLITUDES", engine.dimension
+        )
+        assert engine._tracked_block_shots() == 1
+        assert engine.run(16, seed=3) == engine.run_reference(16, seed=3)
 
     @pytest.mark.parametrize("spec_index", [1, 3])
     def test_final_vectors_are_independent_and_match_scalar(self, spec_index):

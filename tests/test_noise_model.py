@@ -42,6 +42,19 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(heterogeneity=1.0)
 
+    @pytest.mark.parametrize("knob,value", [
+        ("t1_scale", math.nan),
+        ("gate_error_scale", math.nan),
+        ("gate_error_scale", math.inf),
+    ])
+    def test_validation_rejects_nan_and_infinite_error_scales(self, knob, value):
+        with pytest.raises(ValueError):
+            NoiseSpec(**{knob: value})
+
+    def test_infinite_t1_scale_disables_decay(self, compiled_bv6):
+        model = NoiseSpec(t1_scale=math.inf).build(compiled_bv6.device)
+        assert (model.idle_decay_channels(compiled_bv6)[1] == 0.0).all()
+
     def test_payload_is_json_serialisable(self):
         for name in NOISE_PRESETS:
             payload = NoiseSpec.from_preset(name).payload()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulation.batched as batched_module
 from repro.pulses import embed_operator, qubit_gate
 from repro.pulses.unitaries import CX_MATRIX
 from repro.simulation import BatchedMixedRadixState, MixedRadixState
@@ -319,3 +320,39 @@ class TestBatchedState:
             batched.apply(CX_MATRIX, (0, 5))
         with pytest.raises(ValueError):
             batched.apply(CX_MATRIX, (0,))
+
+
+class TestWidePanelProbe:
+    """The once-per-process probe licensing the wide GEMM layout."""
+
+    def test_probe_passes_on_this_build(self, monkeypatch):
+        monkeypatch.setattr(batched_module, "_WIDE_PANEL_OK", None)
+        assert batched_module._wide_panels_bitstable() is True
+        assert batched_module._WIDE_PANEL_OK is True
+
+    def test_probe_covers_every_wide_plan_up_to_dim_1024(self):
+        probed: dict[int, list[int]] = {}
+        for sub, rest, _ in batched_module._PROBE_SHAPES:
+            probed.setdefault(sub, []).append(rest)
+        checked = 0
+        # sub_dim and rest depend only on how many units of each radix the
+        # register holds and which radices the (one- or two-unit) op targets
+        for ququarts in range(6):
+            for qubits in range(11 - 2 * ququarts):
+                dims = (4,) * ququarts + (2,) * qubits
+                if len(dims) < 1:
+                    continue
+                first_qubit = ququarts
+                targets = [(0,), (first_qubit,), (0, 1), (0, first_qubit),
+                           (first_qubit, first_qubit + 1)]
+                for units in targets:
+                    if max(units) >= len(dims) or len(set(units)) != len(units):
+                        continue
+                    plan = batched_module.build_plan(dims, units)
+                    if not plan.wide:
+                        continue
+                    checked += 1
+                    assert plan.sub_dim in probed, (dims, units)
+                    rests = probed[plan.sub_dim]
+                    assert min(rests) <= plan.rest <= max(rests), (dims, units)
+        assert checked > 50
