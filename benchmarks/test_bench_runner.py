@@ -42,4 +42,5 @@ def test_bench_engine_cached(benchmark, tmp_path):
 
     _header("runner cache reuse")
     print(f"plan: {PLAN.describe()}")
-    print(f"cache entries: {len(cache)} ({cache.size_bytes() / 1024.0:.1f} KiB)")
+    print(f"cache entries: {cache.store.stats().refs} "
+          f"({cache.store.size_bytes() / 1024.0:.1f} KiB)")

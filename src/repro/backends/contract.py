@@ -25,7 +25,7 @@ pure function of the backend class, never per-call state.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping
 
 from repro.noise.result import NoisyResult
@@ -101,15 +101,6 @@ class LRUMemo:
             self._entries.popitem(last=False)
 
 
-def memo_key(point: "SweepPoint") -> "SweepPoint":
-    """``point`` as a compile-memo key: its pinned store root removed.
-
-    Pinning only says where stored artifacts are read from; the compile
-    it names is the same wherever it is pinned.
-    """
-    return replace(point, cache_root=None) if point.cache_root is not None else point
-
-
 #: Integer counter fields every :class:`NoisyResult` must carry with sane
 #: values; checked by :func:`ensure_noisy_result` before results merge.
 _RESULT_COUNTERS = ("shots", "no_error_shots", "gate_events", "idle_events")
@@ -164,10 +155,10 @@ class ExecutionBackend:
     #: Whether ``execute(track_state=True)`` is supported.
     supports_track_state: ClassVar[bool] = False
     #: Whether this backend *reads* stored artifacts to answer points
-    #: (replay).  The executor and the sweep service pin such points to
-    #: the caller's store root (:func:`repro.runner.points.pin_store_root`)
-    #: so lookups resolve against the configured store, not the process
-    #: default.  Pinning never changes content keys.
+    #: (replay).  The executor and the sweep service never dispatch such
+    #: a point after their own store has missed it: they raise
+    #: :class:`ReplayMissError` naming that store instead
+    #: (:func:`repro.runner.points.refuse_store_miss`).
     reads_store: ClassVar[bool] = False
 
     #: Compiled handles kept per process: enough for a default EPS
@@ -175,7 +166,7 @@ class ExecutionBackend:
     HANDLE_CAPACITY = 64
 
     def __init__(self) -> None:
-        #: Compiled handles by :func:`memo_key`.
+        #: Compiled handles by compile point.
         self.handles = LRUMemo(self.HANDLE_CAPACITY)
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -201,8 +192,7 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     def compile_point(self, point: "SweepPoint") -> CompiledHandle:
         """Compile one declarative point through :meth:`compile` (memoised)."""
-        key = memo_key(point)
-        handle = self.handles.get(key)
+        handle = self.handles.get(point)
         if handle is None:
             from repro.compression import get_strategy
 
@@ -212,7 +202,7 @@ class ExecutionBackend:
             kwargs = dict(point.compiler_kwargs)
             kwargs.update(self.compiler_overrides)
             handle = self.compile(circuit, device, strategy, compiler_kwargs=kwargs)
-            self.handles.put(key, handle)
+            self.handles.put(point, handle)
         return handle
 
     def run_compile_point(self, point: "SweepPoint") -> "StrategyResult":

@@ -1,18 +1,16 @@
 """The replay backend: answers points purely from the artifact store.
 
-Replay never compiles and never samples a shot — it resolves each point's
-content key against the :class:`~repro.store.ArtifactStore` rooted at the
-point's own ``cache_root`` (pinned by the executor / sweep service from
-the caller's configured store, see
-:func:`~repro.runner.points.pin_store_root`), falling back to the default
-cache directory (``$REPRO_CACHE_DIR`` or ``.repro_cache/``) for unpinned
-points, and returns the stored result verbatim.  Because its :attr:`content_name` is
+Replay never compiles and never samples a shot — it returns a point's
+stored result verbatim.  Because its :attr:`content_name` is
 ``"trajectory"``, a replay point's key equals the trajectory point's key:
 a warm sweep is served entirely as store hits (``executed == 0``), and the
-results are bit-identical to the original run.  A cold point raises
-:class:`~repro.backends.contract.ReplayMissError` instead of silently
-recomputing — replay is a free load-testing and audit scenario, not a
-fallback executor.
+results are bit-identical to the original run.  The executor and the sweep
+service look each point up in their own store and raise
+:class:`~repro.backends.contract.ReplayMissError` naming it on a miss
+(:func:`~repro.runner.points.refuse_store_miss`); only store-less calls
+reach this backend, which reads the default cache directory
+(``$REPRO_CACHE_DIR`` or ``.repro_cache/``).  A cold point never silently
+recomputes — replay is a load-testing and audit scenario, not a fallback.
 """
 
 from __future__ import annotations
@@ -28,6 +26,18 @@ from repro.backends.registry import register_backend
 from repro.noise.result import NoisyResult
 
 
+def store_miss(root, point) -> ReplayMissError:
+    """The error for a replay ``point`` the store at ``root`` has no result for."""
+    from repro.runner.cache import point_key
+
+    return ReplayMissError(
+        f"no stored result under {root} for this point "
+        f"(key {point_key(point)[:12]}…); run it on the "
+        "'trajectory' backend against the same store first, or "
+        "configure the replay run with the warm store's root"
+    )
+
+
 @register_backend("replay")
 class ReplayBackend(ExecutionBackend):
     """Store-served results only; executes zero shots, compiles nothing."""
@@ -39,8 +49,8 @@ class ReplayBackend(ExecutionBackend):
     #: Tracked results replay fine — trackedness is a property of the
     #: stored artifact, not of this backend.
     supports_track_state = True
-    #: Replay answers points by *reading* the store, so executors and the
-    #: sweep service pin its points to the caller's store root.
+    #: Replay answers points by *reading* the store, so the executor and
+    #: the sweep service never dispatch one their own store has missed.
     reads_store = True
 
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
@@ -65,21 +75,13 @@ class ReplayBackend(ExecutionBackend):
     # point-level lookups
     # ------------------------------------------------------------------
     def _lookup(self, point) -> object:
-        from pathlib import Path
-
         from repro.runner.cache import default_cache_dir, point_key
         from repro.store import ArtifactStore
 
-        root = getattr(point, "cache_root", None)
-        store = ArtifactStore(Path(root) if root else default_cache_dir())
+        store = ArtifactStore(default_cache_dir())
         result = store.get_object(point_key(point))
         if result is None:
-            raise ReplayMissError(
-                f"no stored result under {store.root} for this point "
-                f"(key {point_key(point)[:12]}…); run it on the "
-                "'trajectory' backend against the same store first, or "
-                "configure the replay run with the warm store's root"
-            )
+            raise store_miss(store.root, point)
         return result
 
     def run_compile_point(self, point):

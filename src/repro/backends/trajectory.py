@@ -16,7 +16,6 @@ from repro.backends.contract import (
     ExecutionBackend,
     LRUMemo,
     ensure_noisy_result,
-    memo_key,
 )
 from repro.backends.registry import register_backend
 from repro.noise.result import NoisyResult
@@ -64,7 +63,7 @@ class TrajectoryBackend(ExecutionBackend):
         circuit build the engine (op probabilities, idle channels) once per
         process, from the compiled handle memo.
         """
-        key = (memo_key(point.compile_point), point.noise, point.track_state)
+        key = (point.compile_point, point.noise, point.track_state)
         engine = self.engines.get(key)
         if engine is None:
             handle = self.compile_point(point.compile_point)

@@ -15,9 +15,9 @@ writing Python::
     python -m repro crosscheck --shots 2000 --json results/crosscheck.json
     python -m repro table1
     python -m repro figure --name fig12 --output results/fig12.csv
-    python -m repro cache --info
     python -m repro submit --benchmarks bv ghz --sizes 4 6 --spool .spool --wait
     python -m repro serve --spool .spool --store .repro_cache --workers 4
+    python -m repro store stats --dir .repro_cache
     python -m repro store verify --json
     python -m repro store gc
 
@@ -25,6 +25,9 @@ Every subcommand prints a plain-text table; ``--output`` additionally writes
 a CSV file and ``--json`` a JSON file.  ``--workers N`` fans the sweep out
 over N processes through :mod:`repro.runner`; ``--workers 1`` (the default)
 is the serial reproducibility path and produces identical numbers.
+``--backend replay`` serves every point from the ``--cache-dir`` store (the
+default cache directory without one) and exits 2, naming that store, on the
+first point it has no result for.
 """
 
 from __future__ import annotations
@@ -308,17 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--poll-interval", type=float, default=1.0,
                               help="seconds between spool scans when looping")
 
-    cache_parser = subparsers.add_parser(
-        "cache", help="inspect or clear the on-disk compile cache"
-    )
-    cache_parser.add_argument("--dir", dest="cache_dir", default=None,
-                              help=f"cache directory (default: {default_cache_dir()})")
-    cache_parser.add_argument("--clear", action="store_true",
-                              help="delete every cached compile result")
-    cache_parser.add_argument("--info", action="store_true",
-                              help="print entry count and size (the default action; "
-                                   "with --clear, prints the post-clear state)")
-
     return parser
 
 
@@ -348,16 +340,14 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 
 def _cache_from_args(args: argparse.Namespace) -> CompileCache | None:
     cache_dir = getattr(args, "cache_dir", None)
-    if getattr(args, "backend", None) == "replay":
-        # replay answers points from a store: always attach the cache so
-        # the executor pins every dispatched point to this root (the
-        # requested --cache-dir, or the default directory) — lookup and
-        # cache agree on one root with no process-wide env mutation
-        root = Path(cache_dir) if cache_dir else default_cache_dir()
-        return CompileCache.from_store(ArtifactStore(root))
-    if cache_dir is None:
+    # replay answers points from a store, so it always gets one (the
+    # requested --cache-dir, or the default directory): the executor looks
+    # every point up there and refuses a miss
+    if cache_dir is None and getattr(args, "backend", None) != "replay":
         return None
-    return CompileCache.from_store(ArtifactStore(Path(cache_dir)))
+    return CompileCache.from_store(
+        ArtifactStore(Path(cache_dir) if cache_dir else default_cache_dir())
+    )
 
 
 # ----------------------------------------------------------------------
@@ -765,6 +755,10 @@ def _store_from_args(args: argparse.Namespace):
 
 
 def _run_store(args: argparse.Namespace) -> int:
+    if args.lint and args.action != "verify":
+        print(f"error: --lint applies only to 'store verify', not "
+              f"'store {args.action}'", file=sys.stderr)
+        return 2
     store = _store_from_args(args)
     if args.action == "stats":
         stats = store.stats()
@@ -887,21 +881,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cache(args: argparse.Namespace) -> int:
-    root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    cache = CompileCache.from_store(ArtifactStore(root))
-    if args.clear:
-        removed = cache.clear()
-        print(f"removed {removed} cached results from {cache.root}")
-    if args.info or not args.clear:
-        print(format_table(["property", "value"], [
-            ["directory", str(cache.root)],
-            ["entries", len(cache)],
-            ["size (KiB)", cache.size_bytes() / 1024.0],
-        ]))
-    return 0
-
-
 def _run_table1(_args: argparse.Namespace) -> int:
     rows = []
     for group, gates in table1_durations().items():
@@ -988,7 +967,6 @@ _HANDLERS = {
     "crosscheck": _run_crosscheck,
     "table1": _run_table1,
     "figure": _run_figure,
-    "cache": _run_cache,
     "store": _run_store,
     "submit": _run_submit,
     "serve": _run_serve,

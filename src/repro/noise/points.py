@@ -43,17 +43,15 @@ def prime_compiled(point: SweepPoint, compiled: CompiledCircuit) -> None:
     already holds is left as it is.
     """
     from repro.backends import CompiledHandle, get_backend
-    from repro.backends.contract import memo_key
 
     if point.backend != "trajectory":
         return  # other backends' chunks never read this memo
     backend = get_backend("trajectory")
-    key = memo_key(point)
-    if backend.handles.get(key) is None:
+    if backend.handles.get(point) is None:
         from repro.metrics.eps import evaluate_eps
 
         backend.handles.put(
-            key, CompiledHandle(backend.name, compiled, evaluate_eps(compiled))
+            point, CompiledHandle(backend.name, compiled, evaluate_eps(compiled))
         )
 
 
@@ -84,11 +82,6 @@ class NoisePoint:
     def backend(self) -> str:
         """The execution backend this chunk runs on (the compile point's)."""
         return self.compile_point.backend
-
-    @property
-    def cache_root(self) -> str | None:
-        """Pinned store root (the compile point's; see ``pin_store_root``)."""
-        return self.compile_point.cache_root
 
     def key(self) -> str:
         """Stable content digest (see :func:`~repro.runner.cache.point_key`)."""

@@ -1,15 +1,14 @@
 """Compile cache: content keying for plan points over the artifact store.
 
-Since PR 6 the on-disk format is the content-addressed
+The on-disk format is the content-addressed
 :class:`~repro.store.ArtifactStore` (``blobs/<sha256[:2]>/<sha256>`` plus a
-``refs/`` index and ``manifests/``), not a flat directory of pickles.
-:class:`CompileCache` is the compatibility shim that keeps the ``get``/
-``put``/``stats`` API working over the store: writes are atomic (temp file
-+ ``os.replace``), safe under concurrent writers, deduplicated by content,
-and every read is hash-verified — a truncated or corrupt entry is detected
-and served as a miss instead of crashing ``pickle.load``.  Build it with
-:meth:`CompileCache.from_store`; the legacy directory-path constructor
-emits a :class:`DeprecationWarning`.
+``refs/`` index and ``manifests/``).  :class:`CompileCache` is the
+point-keyed ``get``/``put``/``stats`` view the executor uses over one
+store: writes are atomic (temp file + ``os.replace``), safe under
+concurrent writers, deduplicated by content, and every read is
+hash-verified — a truncated or corrupt entry is detected and served as a
+miss instead of crashing ``pickle.load``.  Build it with
+:meth:`CompileCache.from_store`.
 
 This module also owns *keying*: :func:`point_key` digests a plan point's
 canonical JSON payload together with a fingerprint of the whole ``repro``
@@ -26,7 +25,6 @@ import functools
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,11 +90,6 @@ class CacheStats:
     misses: int = 0
     writes: int = 0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
 
 class CompileCache:
     """Point-keyed view over an :class:`~repro.store.ArtifactStore`.
@@ -107,39 +100,18 @@ class CompileCache:
     worker processes, or on two machines sharing a filesystem — serve and
     publish a single consistent set of artifacts.
 
-    Build one with :meth:`from_store`; the legacy directory-path
-    constructor still works but is deprecated — the store, not a bare
-    path, is the native currency since PR 6.
+    Build one with :meth:`from_store`.
     """
 
-    def __init__(self, root: Path | str | None = None, *,
-                 store: ArtifactStore | None = None) -> None:
-        if store is not None:
-            if root is not None:
-                raise ValueError("pass either a store or a root path, not both")
-        else:
-            warnings.warn(
-                "constructing CompileCache from a directory path is "
-                "deprecated; build a repro.store.ArtifactStore and use "
-                "CompileCache.from_store(store)",
-                DeprecationWarning, stacklevel=2,
-            )
-            store = ArtifactStore(Path(root) if root is not None else default_cache_dir())
+    def __init__(self, *, store: ArtifactStore) -> None:
         self.store = store
         self.root = Path(store.root)
         self.stats = CacheStats()
 
     @classmethod
     def from_store(cls, store: ArtifactStore) -> "CompileCache":
-        """Store-native constructor: wrap an existing :class:`ArtifactStore`."""
+        """Wrap an existing :class:`ArtifactStore`."""
         return cls(store=store)
-
-    # ------------------------------------------------------------------
-    # keying
-    # ------------------------------------------------------------------
-    def key(self, point: SweepPoint) -> str:
-        """Stable content digest for one point (see :func:`point_key`)."""
-        return point_key(point)
 
     # ------------------------------------------------------------------
     # lookup / store
@@ -151,7 +123,7 @@ class CompileCache:
         Unreadable entries (truncated blobs, hash mismatches, pickle-format
         drift) are removed and counted as misses rather than raised.
         """
-        result = self.store.get_object(self.key(point))
+        result = self.store.get_object(point_key(point))
         if result is None:
             self.stats.misses += 1
             return None
@@ -161,21 +133,7 @@ class CompileCache:
     def put(self, point: SweepPoint, result: StrategyResult) -> Path:
         """Publish ``result`` under the point's key; return the blob path."""
         digest = self.store.put_object(
-            self.key(point), result, payload=point.payload()
+            point_key(point), result, payload=point.payload()
         )
         self.stats.writes += 1
         return self.store.blob_path(digest)
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return sum(1 for _ in self.store.iter_ref_paths())
-
-    def size_bytes(self) -> int:
-        """Total bytes used by the store rooted at this cache directory."""
-        return self.store.size_bytes()
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of results removed."""
-        return self.store.clear()

@@ -8,7 +8,9 @@ it with no shared mutable state — ``workers=1`` is the reference path and
 ``tests/test_runner.py`` pins by comparing serial and parallel reports.
 When a :class:`~repro.runner.cache.CompileCache` is attached, cache hits
 are redeemed from the artifact store and only the misses are dispatched;
-the merged result list is indistinguishable from an uncached run.
+the merged result list is indistinguishable from an uncached run.  A
+replay miss is never dispatched: it raises ``ReplayMissError`` naming the
+attached store (:func:`~repro.runner.points.refuse_store_miss`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.runner.cache import CompileCache
 from repro.runner.plan import SweepPlan
-from repro.runner.points import SweepPoint, execute_point, pin_store_root
+from repro.runner.points import SweepPoint, execute_point, refuse_store_miss
 
 
 @dataclass
@@ -71,17 +73,12 @@ class ParallelExecutor:
             cached = self.cache.get(point) if self.cache is not None else None
             if cached is not None:
                 results[index] = cached
-            else:
-                pending.append(index)
-        if pending:
-            # store-reading backends (replay) must resolve against *this*
-            # run's store, not the process default — pin the root onto the
-            # dispatched copies (content keys are unchanged, so the cache
-            # bookkeeping below still uses the original points).
-            to_run = [points[index] for index in pending]
+                continue
             if self.cache is not None:
-                to_run = [pin_store_root(point, self.cache.root) for point in to_run]
-            computed = self._execute(to_run)
+                refuse_store_miss(point, self.cache.root)
+            pending.append(index)
+        if pending:
+            computed = self._execute([points[index] for index in pending])
             for index, result in zip(pending, computed):
                 results[index] = result
                 if self.cache is not None:

@@ -204,13 +204,6 @@ class SweepPoint:
     qasm: str | None = None
     #: Execution backend this point runs on (see :mod:`repro.backends`).
     backend: str = DEFAULT_BACKEND
-    #: Store root a store-reading backend (replay) resolves this point
-    #: against; ``None`` falls back to the process default
-    #: (``$REPRO_CACHE_DIR`` or ``.repro_cache/``).  Deliberately **not**
-    #: part of :meth:`payload`: where an artifact is read from must never
-    #: change what the point *is* — replay keys must stay equal to the
-    #: trajectory keys they serve.  See :func:`pin_store_root`.
-    cache_root: str | None = None
 
     @classmethod
     def from_qasm(
@@ -317,12 +310,15 @@ class SweepPoint:
             "compiler_kwargs": [list(pair) for pair in self.compiler_kwargs],
             "qasm": self.qasm,
             "backend": self.backend,
-            "cache_root": self.cache_root,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SweepPoint":
-        """Rebuild a point from :meth:`spec` output."""
+        """Rebuild a point from :meth:`spec` output.
+
+        Keys it does not know are ignored, so specs that older spools
+        wrote with a store-root entry still load.
+        """
         return cls(
             benchmark=spec["benchmark"],
             num_qubits=spec["num_qubits"],
@@ -337,7 +333,6 @@ class SweepPoint:
             ),
             qasm=spec.get("qasm"),
             backend=spec.get("backend", DEFAULT_BACKEND),
-            cache_root=spec.get("cache_root"),
         )
 
     def build_circuit(self):
@@ -366,42 +361,21 @@ class StrategyResult:
     compiled: CompiledCircuit
 
 
-def pin_store_root(point, root) -> object:
-    """Pin ``point`` to resolve stored artifacts against ``root``.
+def refuse_store_miss(point, root) -> None:
+    """Raise ``ReplayMissError`` naming ``root`` if ``point`` reads the store.
 
-    Only points whose backend declares
+    The executor and the sweep service call this on each point their store
+    at ``root`` has missed.  A point whose backend
     :attr:`~repro.backends.contract.ExecutionBackend.reads_store` (replay)
-    are touched — everything else is returned unchanged.  Pinning sets
-    :attr:`SweepPoint.cache_root` (through ``compile_point`` for a
-    :class:`~repro.noise.points.NoisePoint`), which the backend's lookup
-    honours instead of the process-default cache directory.  The pinned
-    point's :meth:`~SweepPoint.payload` — and therefore its content key —
-    is identical to the original's, so cache bookkeeping done with either
-    point agrees.
+    keys like the trajectory point it serves, so nothing else can answer
+    it; every other point passes.
     """
-    import dataclasses
-
-    target = point
-    compile_point = getattr(point, "compile_point", None)
-    if compile_point is not None:
-        target = compile_point
-    if not isinstance(target, SweepPoint):
-        return point
     from repro.backends import get_backend
+    from repro.backends.replay import store_miss
 
-    try:
-        backend = get_backend(target.backend)
-    except KeyError:
-        return point
-    if not backend.reads_store:
-        return point
-    root = str(root)
-    if target.cache_root == root:
-        return point
-    pinned = dataclasses.replace(target, cache_root=root)
-    if target is point:
-        return pinned
-    return dataclasses.replace(point, compile_point=pinned)
+    backend = getattr(point, "backend", None)
+    if backend is not None and get_backend(backend).reads_store:
+        raise store_miss(root, point)
 
 
 def execute_point(point) -> object:

@@ -16,7 +16,8 @@ Every point is resolved through exactly one of three paths, in order:
    on that execution's future instead of recomputing it;
 3. **execute** — this job claims the key, computes the result, publishes
    it to the store *and then* resolves the shared future, so borrowers
-   always find the blob on disk.
+   always find the blob on disk.  A replay point never gets here: the job
+   fails with ``ReplayMissError`` naming the service's store instead.
 
 On completion each job writes one schema-validated run manifest to the
 store recording the plan fingerprint, code fingerprint, per-point blob
@@ -34,7 +35,7 @@ from typing import Literal
 
 from repro.runner.cache import code_fingerprint, point_key
 from repro.runner.executor import execute_plan
-from repro.runner.points import pin_store_root
+from repro.runner.points import refuse_store_miss
 from repro.store import ArtifactStore, build_manifest, plan_fingerprint
 
 #: Seconds a job waits on another job's in-flight execution before failing;
@@ -200,6 +201,7 @@ class SweepService:
                 with self._lock:
                     future = self._inflight.get(key)
                     if future is None:
+                        refuse_store_miss(point, self.store.root)
                         future = Future()
                         self._inflight[key] = future
                         owned_futures[key] = future
@@ -207,30 +209,18 @@ class SweepService:
                     else:
                         borrowed[index] = future
             self._update(job, cache_hits=cache_hits)
-            try:
-                # the service executes with no cache attached, so pin
-                # store-reading points (replay) to the service's own store
-                # here; the put_object below keeps using the original
-                # points (pinning never changes keys or payloads)
-                computed = execute_plan(
-                    [
-                        pin_store_root(job.points[index], self.store.root)
-                        for index in owned
-                    ],
-                    workers=self.workers, chunksize=self.chunksize,
+            computed = execute_plan(
+                [job.points[index] for index in owned],
+                workers=self.workers, chunksize=self.chunksize,
+            )
+            for index, result in zip(owned, computed):
+                # publish before resolving: a borrower woken by the
+                # future must find the blob already installed
+                self.store.put_object(
+                    keys[index], result, payload=job.points[index].payload()
                 )
-                for index, result in zip(owned, computed):
-                    # publish before resolving: a borrower woken by the
-                    # future must find the blob already installed
-                    self.store.put_object(
-                        keys[index], result, payload=job.points[index].payload()
-                    )
-                    job.results[index] = result
-                    self._resolve(keys[index], owned_futures, result=result)
-            except BaseException as error:
-                for key in list(owned_futures):
-                    self._resolve(key, owned_futures, error=error)
-                raise
+                job.results[index] = result
+                self._resolve(keys[index], owned_futures, result=result)
             for index, future in borrowed.items():
                 job.results[index] = future.result(timeout=BORROW_TIMEOUT_S)
             manifest = self._write_manifest(
@@ -243,6 +233,10 @@ class SweepService:
                 seconds=time.perf_counter() - started,
             )
         except BaseException as error:  # noqa: BLE001 - job boundary
+            # release every slot this job claimed but never resolved, so
+            # borrowers see the failure instead of waiting out their timeout
+            for key in list(owned_futures):
+                self._resolve(key, owned_futures, error=error)
             self._update(
                 job, state="failed", error=f"{type(error).__name__}: {error}",
                 executed=len(owned), deduped=len(borrowed),

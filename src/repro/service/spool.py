@@ -37,7 +37,7 @@ from pathlib import Path
 
 from repro.runner.plan import SweepPlan
 from repro.runner.points import SweepPoint
-from repro.service.queue import SweepService
+from repro.service.queue import JobStatus, SweepService
 from repro.store import ArtifactStore
 
 #: Bump when the job / status document layout changes incompatibly.
@@ -139,7 +139,9 @@ def serve_once(
     All claimed jobs run through one :class:`SweepService`, so identical
     points submitted by different clients execute once.  Safe to run from
     several server processes at once: the atomic claim step partitions the
-    backlog between them.
+    backlog between them.  A job file that cannot be loaded fails alone:
+    it gets a ``failed`` status (job id = file stem) and leaves
+    ``running/``, and the rest of the backlog is still served.
     """
     jobs_dir, running_dir, status_dir = _spool_dirs(spool)
     claimed: list[Path] = []
@@ -156,7 +158,16 @@ def serve_once(
     with SweepService(store, workers=workers, chunksize=chunksize) as service:
         submitted: list[tuple[str, str, Path]] = []
         for path in claimed:
-            spool_job_id, kind, plan = load_job(path)
+            try:
+                spool_job_id, kind, plan = load_job(path)
+            except Exception as error:  # noqa: BLE001 - one bad file fails alone
+                failed = JobStatus(path.stem, "failed", total_points=0,
+                                   error=f"{type(error).__name__}: {error}")
+                document = {"schema": SPOOL_SCHEMA_VERSION, **failed.as_dict()}
+                _atomic_write_json(status_dir / f"{path.stem}.json", document)
+                path.unlink(missing_ok=True)
+                statuses.append(document)
+                continue
             service_job_id = service.submit(plan, kind=kind)
             _atomic_write_json(status_dir / f"{spool_job_id}.json", {
                 "schema": SPOOL_SCHEMA_VERSION, "job_id": spool_job_id,

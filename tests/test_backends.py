@@ -9,7 +9,6 @@ cross-backend verification harness.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -228,8 +227,6 @@ class TestCompileMemo:
         backend.compile_point(first)  # hit: "first" is now the most recent
         backend.compile_point(third)  # evicts "second" only
         assert len(compiled) == 3
-        backend.compile_point(dataclasses.replace(first, cache_root="/elsewhere"))
-        assert len(compiled) == 3  # pinning a store root is the same compile
         backend.compile_point(second)
         assert len(compiled) == 4
 
@@ -262,23 +259,6 @@ class TestExecutionPointProtocol:
         with SweepService(ArtifactStore(tmp_path)) as service:
             with pytest.raises(TypeError, match="not an ExecutionPoint"):
                 service.submit(SweepPlan((_NotAPoint(),)))
-
-
-class TestCompileCacheDeprecation:
-    def test_path_constructor_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="ArtifactStore"):
-            cache = CompileCache(tmp_path)
-        assert cache.root == tmp_path
-
-    def test_from_store_does_not_warn(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        assert cache.root == tmp_path
-
-    def test_store_and_root_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            CompileCache(tmp_path, store=ArtifactStore(tmp_path))
 
 
 class TestContentKeys:

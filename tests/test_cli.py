@@ -314,16 +314,6 @@ class TestCommands:
         capsys.readouterr()
         assert json.loads(serial.read_text()) == json.loads(parallel.read_text())
 
-    def test_cache_info_and_clear(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        main(["sweep", "--benchmarks", "bv", "--sizes", "6",
-              "--strategies", "qubit_only", "--cache-dir", str(cache_dir)])
-        capsys.readouterr()
-        assert main(["cache", "--dir", str(cache_dir)]) == 0
-        assert "entries" in capsys.readouterr().out
-        assert main(["cache", "--dir", str(cache_dir), "--clear"]) == 0
-        assert "removed 1 cached results" in capsys.readouterr().out
-
 
 class TestValidateEpsShotGuard:
     def test_zero_shots_is_a_clean_error(self, capsys):
@@ -396,6 +386,16 @@ class TestStoreServiceVerbs:
                             extra=("--wait", "--timeout", "0.2", "--quiet"))
         assert code == 1
         assert "is a server running?" in capsys.readouterr().err
+
+    def test_lint_is_rejected_outside_store_verify(self, capsys, tmp_path):
+        for action in ("stats", "gc"):
+            assert main(["store", action, "--dir", str(tmp_path), "--lint"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == (
+                f"error: --lint applies only to 'store verify', not 'store {action}'"
+            )
+        assert main(["store", "verify", "--dir", str(tmp_path), "--lint"]) == 0
 
     def test_store_verify_fails_on_corruption(self, capsys, tmp_path):
         spool, store = tmp_path / "spool", tmp_path / "store"

@@ -4,9 +4,11 @@ The bug under test: ``ReplayBackend._lookup`` used to hardcode the
 process-default cache directory, so library callers against a non-default
 store silently missed (or were served another store's artifacts), and the
 CLI papered over it by mutating ``os.environ[CACHE_DIR_ENV]``
-process-wide.  Now the executor and the sweep service pin replay points
-to the caller's store root (:func:`repro.runner.points.pin_store_root`)
-— with content keys unchanged and no environment mutation anywhere.
+process-wide.  Now the executor and the sweep service look every replay
+point up in the caller's store themselves and refuse a miss there
+(:func:`repro.runner.points.refuse_store_miss`) before anything is
+dispatched — with content keys unchanged and no environment mutation
+anywhere.
 """
 
 import dataclasses
@@ -15,17 +17,16 @@ import os
 
 import pytest
 
-from repro.backends import ReplayMissError, get_backend
+from repro.backends import ReplayMissError
 from repro.cli import main
 from repro.evaluation import validate_eps
-from repro.noise import NoisePoint, NoiseSpec, shot_plan
+from repro.noise import NoiseSpec, shot_plan
 from repro.runner import (
     CompileCache,
     ParallelExecutor,
     SweepPoint,
     execute_plan,
 )
-from repro.runner.points import pin_store_root
 from repro.service import SweepService
 from repro.store import ArtifactStore
 
@@ -44,86 +45,36 @@ def clean_env(monkeypatch):
     return dict(os.environ)
 
 
-class TestPinStoreRoot:
-    """The pinning helper: replay points only, content keys untouched."""
-
-    def test_pins_replay_points_without_changing_the_key(self, tmp_path):
-        point = SweepPoint("bv", 4, "eqm", backend="replay")
-        pinned = pin_store_root(point, tmp_path)
-        assert pinned.cache_root == str(tmp_path)
-        assert pinned.key() == point.key()
-        assert pinned.payload() == point.payload()
-        assert "cache_root" not in pinned.payload()
-
-    def test_leaves_non_store_reading_backends_alone(self, tmp_path):
-        for backend in ("trajectory", "external-sim"):
-            point = SweepPoint("bv", 4, "eqm", backend=backend)
-            assert pin_store_root(point, tmp_path) is point
-            assert not get_backend(backend).reads_store
-        assert get_backend("replay").reads_store
-
-    def test_pins_noise_points_through_the_compile_point(self, tmp_path):
-        compile_point = SweepPoint("bv", 4, "eqm", backend="replay")
-        noise_point = NoisePoint(compile_point=compile_point, noise=TABLE1,
-                                 shots=100, seed=3)
-        pinned = pin_store_root(noise_point, tmp_path)
-        assert isinstance(pinned, NoisePoint)
-        assert pinned.cache_root == str(tmp_path)
-        assert pinned.key() == noise_point.key()
-
-    def test_repinning_the_same_root_is_a_noop(self, tmp_path):
-        point = SweepPoint("bv", 4, "eqm", backend="replay")
-        pinned = pin_store_root(point, tmp_path)
-        assert pin_store_root(pinned, tmp_path) is pinned
-
-    def test_spec_round_trips_the_pin(self, tmp_path):
-        point = pin_store_root(SweepPoint("bv", 4, "eqm", backend="replay"), tmp_path)
-        rebuilt = SweepPoint.from_spec(point.spec())
-        assert rebuilt == point
-
-
 class TestReplayBackendLookup:
-    """The backend honours a point's pinned root, falling back to default."""
+    """Replay resolves against the caller's store before any dispatch."""
 
-    def test_pinned_point_serves_from_a_custom_root(self, tmp_path, clean_env,
-                                                    monkeypatch):
-        monkeypatch.chdir(tmp_path)  # make the cold default root local
-        store_root = tmp_path / "warm"
-        point = SweepPoint("bv", 4, "eqm")
-        _, [warm] = _warm_store(store_root, point)
-        replay = dataclasses.replace(point, backend="replay")
-        pinned = pin_store_root(replay, store_root)
-        served = pinned.execute()
-        assert served.report == warm.report
-        # the unpinned twin must miss: the default root is cold
-        with pytest.raises(ReplayMissError, match="no stored result"):
-            replay.execute()
-        assert "REPRO_CACHE_DIR" not in os.environ
-
-    def test_pinned_miss_names_the_pinned_root(self, tmp_path):
-        replay = pin_store_root(
-            SweepPoint("bv", 4, "eqm", backend="replay"), tmp_path / "nowhere"
-        )
-        with pytest.raises(ReplayMissError, match="nowhere"):
-            replay.execute()
-
-    def test_executor_pins_pending_replay_points(self, tmp_path, clean_env,
-                                                 monkeypatch):
+    def test_executor_refuses_a_cold_store_without_dispatching(
+        self, tmp_path, clean_env, monkeypatch
+    ):
         monkeypatch.chdir(tmp_path)
-        store_root = tmp_path / "warm"
-        point = SweepPoint("ghz", 4, "eqm")
-        cache, [warm] = _warm_store(store_root, point)
-        replay = dataclasses.replace(point, backend="replay")
-        # drop the cache layer's hit so the executor must dispatch the
-        # point — the pinned lookup inside the backend has to serve it
-        class NoHitCache(CompileCache):
-            def get(self, _point):
-                return None
-        executor = ParallelExecutor(cache=NoHitCache.from_store(ArtifactStore(store_root)))
-        [served] = executor.run([replay])
-        assert executor.last_stats.executed == 1
-        assert served.report == warm.report
-        assert "REPRO_CACHE_DIR" not in os.environ
+        # warm the default root: only the executor's own store may answer
+        _warm_store(tmp_path / ".repro_cache", SweepPoint("bv", 4, "eqm"))
+        dispatched = []
+
+        class SpyExecutor(ParallelExecutor):
+            def _execute(self, points):
+                dispatched.append(list(points))
+                return super()._execute(points)
+
+        cold = tmp_path / "cold_store"
+        executor = SpyExecutor(
+            workers=2, cache=CompileCache.from_store(ArtifactStore(cold))
+        )
+        plan = [SweepPoint("bv", 4, strategy, backend="replay")
+                for strategy in ("eqm", "qubit_only")]
+        with pytest.raises(ReplayMissError, match="cold_store"):
+            executor.run(plan)
+        assert dispatched == []
+
+    def test_spec_with_an_old_cache_root_entry_still_loads(self):
+        point = SweepPoint("bv", 4, "eqm", backend="replay")
+        spec = {**point.spec(), "cache_root": "/old/spool/store"}
+        assert SweepPoint.from_spec(spec) == point
 
     def test_shot_chunks_replay_from_a_custom_root(self, tmp_path, clean_env,
                                                    monkeypatch):

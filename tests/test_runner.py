@@ -17,6 +17,7 @@ from repro.runner import (
     execute_point,
     freeze_kwargs,
     make_device,
+    point_key,
 )
 
 
@@ -107,26 +108,24 @@ class TestCompileCache:
         assert cached.report == result.report
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert len(cache) == 1
+        assert cache.store.stats().refs == 1
 
-    def test_key_changes_with_strategy_kwargs_and_device(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+    def test_key_changes_with_strategy_kwargs_and_device(self):
         base = self._point()
-        assert cache.key(base) == cache.key(self._point())
-        assert cache.key(base) != cache.key(self._point(strategy_kwargs=(("max_pairs", 1),)))
-        assert cache.key(base) != cache.key(self._point(device=DeviceSpec(kind="ring")))
-        assert cache.key(base) != cache.key(
+        assert point_key(base) == point_key(self._point())
+        assert point_key(base) != point_key(self._point(strategy_kwargs=(("max_pairs", 1),)))
+        assert point_key(base) != point_key(self._point(device=DeviceSpec(kind="ring")))
+        assert point_key(base) != point_key(
             self._point(device=DeviceSpec(kind="grid", t1_scale=2.0))
         )
-        assert cache.key(base) != cache.key(self._point(seed=1))
+        assert point_key(base) != point_key(self._point(seed=1))
 
-    def test_key_changes_when_code_changes(self, tmp_path, monkeypatch):
+    def test_key_changes_when_code_changes(self, monkeypatch):
         import repro.runner.cache as cache_module
 
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        before = cache.key(self._point())
+        before = point_key(self._point())
         monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "different-code")
-        after = cache.key(self._point())
+        after = point_key(self._point())
         assert before != after
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
@@ -141,9 +140,9 @@ class TestCompileCache:
         cache = CompileCache.from_store(ArtifactStore(tmp_path))
         point = self._point()
         cache.put(point, execute_point(point))
-        assert cache.size_bytes() > 0
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        assert cache.store.size_bytes() > 0
+        assert cache.store.clear() == 1
+        assert cache.store.stats().refs == 0
 
 
 BELL_QASM = (
@@ -166,13 +165,12 @@ class TestQasmPoints:
         assert BELL_QASM not in str(payload)
         assert SweepPoint("bv", 6, "eqm").payload()["qasm_sha256"] is None
 
-    def test_identical_text_shares_a_key_and_edits_invalidate(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+    def test_identical_text_shares_a_key_and_edits_invalidate(self):
         base = SweepPoint.from_qasm(BELL_QASM, "eqm", name="bell")
         twin = SweepPoint.from_qasm(BELL_QASM, "eqm", name="bell")
         edited = SweepPoint.from_qasm(BELL_QASM + "x q[0];\n", "eqm", name="bell")
-        assert cache.key(base) == cache.key(twin)
-        assert cache.key(base) != cache.key(edited)
+        assert point_key(base) == point_key(twin)
+        assert point_key(base) != point_key(edited)
 
     def test_qasm_points_execute_and_cache(self, tmp_path):
         cache = CompileCache.from_store(ArtifactStore(tmp_path))

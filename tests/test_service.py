@@ -244,6 +244,20 @@ class TestSpool:
         with pytest.raises(TimeoutError, match="unclaimed"):
             wait_for_job(spool, job_id, timeout=0.1, poll=0.02)
 
+    def test_unreadable_job_fails_alone(self, tmp_path):
+        spool, store = tmp_path / "spool", ArtifactStore(tmp_path / "store")
+        good_id = submit_job(spool, SweepPlan.single("bv", 4, "qubit_only"))
+        (spool / "jobs" / "000bad.json").write_text('{"schema": 1, "job_id": "000b')
+        statuses = {document["job_id"]: document
+                    for document in serve_once(spool, store)}
+        assert statuses[good_id]["state"] == "done"
+        assert read_status(spool, good_id)["state"] == "done"
+        bad = read_status(spool, "000bad")
+        assert bad == statuses["000bad"]
+        assert bad["state"] == "failed"
+        assert bad["error"].startswith("JSONDecodeError: ")
+        assert list((spool / "running").iterdir()) == []
+
     def test_failed_spool_job_reports_the_error(self, tmp_path):
         spool, store = tmp_path / "spool", ArtifactStore(tmp_path / "store")
         job_id = submit_job(spool, SweepPlan.single("bv", 4, "qubit_only"))
