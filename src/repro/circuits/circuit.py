@@ -355,21 +355,6 @@ class QuantumCircuit:
                 clone._gates[index] = replace(gate, name=name)
         return clone
 
-    def remove_final_measurements(self) -> "QuantumCircuit":
-        """Return a copy with terminal measurements removed.
-
-        Mid-circuit measurements — anything a later gate depends on, via
-        either the measured qubit or the written classical bit, or that is
-        itself conditioned — are preserved.
-        """
-        clone = QuantumCircuit(self.num_qubits, self.name)
-        clone._cregs = list(self._cregs)
-        for index, gate in enumerate(self._gates):
-            if gate.is_measurement and self._is_terminal_measure(index):
-                continue
-            clone.append(gate)
-        return clone
-
     # ------------------------------------------------------------------
     # interchange
     # ------------------------------------------------------------------

@@ -5,10 +5,11 @@ This module compiles each :class:`~repro.compiler.result.CompiledCircuit`
 loops execute without per-op Python dispatch:
 
 * Every op carries its :class:`~repro.simulation.batched.ApplyPlan` —
-  target axis order, GEMM operand shape, wide-panel eligibility — built
-  at compile by :func:`~repro.simulation.batched.build_plan`, the same
-  function the eager :class:`~repro.simulation.batched.BatchedMixedRadixState`
-  calls per apply, so the hot loop does pure data movement plus GEMMs.
+  target axis order, GEMM operand shape, wide-panel eligibility — taken
+  at compile from :func:`~repro.simulation.batched.build_plan`'s process
+  memo, the same plans the eager
+  :class:`~repro.simulation.batched.BatchedMixedRadixState` applies with,
+  so the hot loop does pure data movement plus GEMMs.
 * :class:`FusedRun` is a maximal stretch of non-dynamic ops compiled into
   a flat schedule of :class:`UnitaryStep` and :class:`NoiseSite` items.
   Executing a run keeps the amplitudes in a **lazily-permuted layout**:
@@ -62,7 +63,7 @@ keys: they change how results are computed, not what they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -479,15 +480,11 @@ def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSch
 
 
 def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    # memoised per schedule, so equal plans and Paulis are shared objects
-    @cache
-    def plan_for(units: tuple[int, ...]) -> ApplyPlan:
-        return build_plan(dims, units)
-
-    @cache
+    # embeddings and plans come from their process-wide memos
+    # (embed_on_slots, build_plan), so equal ones are shared objects
     def pauli_for(unit: int, slot: int, code: int) -> tuple[np.ndarray, ApplyPlan]:
         matrix, units = embed_on_slots(dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),))
-        return matrix, plan_for(units)
+        return matrix, build_plan(dims, units)
 
     def site_for(index: int, op) -> NoiseSite | None:
         if not op.slots:
@@ -508,7 +505,7 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
         if embedded is None:
             return None
         matrix, units = embedded
-        return UnitaryStep(index, matrix, plan_for(tuple(units)))
+        return UnitaryStep(index, matrix, build_plan(dims, units))
 
     segments: list[FusedRun | int] = []
     dynamic: dict[int, DynamicOp] = {}

@@ -59,6 +59,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
 from repro.noise.kernel import (
+    _PAULI_NAMES,
     KernelSchedule,
     RowTable,
     build_event_kernel,
@@ -79,8 +80,14 @@ from repro.simulation.verify import (
     register_dims,
 )
 
-#: Pauli codes used when a depolarizing event fires (0 = identity).
-_PAULI_NAMES = ("i", "x", "y", "z")
+#: Amplitude-damping jump K1 ∝ |0><1| on one encoded qubit.
+_DAMPING_JUMP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+#: Measurement projectors |0><0| and |1><1| on one encoded qubit.
+_PROJECTORS = (
+    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
+)
 
 #: Shots per vectorised block in the event-only path.  Bounds the RNG
 #: lanes' per-block buffers while keeping the batch large enough that
@@ -99,6 +106,11 @@ TRACKED_BLOCK_AMPLITUDES = 1 << 18
 #: materialise as one list (O(shots x dimension) complex128 memory).
 #: Larger requests must stream :meth:`TrajectoryEngine.iter_final_vectors`.
 FINAL_VECTORS_MAX_SHOTS = 4096
+
+
+def _damping_survival(gamma: float) -> np.ndarray:
+    """The no-jump damping operator K0 = diag(1, sqrt(1-gamma))."""
+    return np.array([[1.0, 0.0], [0.0, np.sqrt(max(0.0, 1.0 - gamma))]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -158,12 +170,6 @@ class TrajectoryEngine:
         self._draws = len(compiled.ops) + len(self.idle_qubits)
         self._ideal_vector: np.ndarray | None = None
         self._op_unitaries: list[tuple[np.ndarray, tuple[int, ...]] | None] = []
-        self._pauli_cache: dict[tuple[int, int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
-        self._projector_cache: dict[
-            tuple[int, int, int], tuple[np.ndarray, tuple[int, ...]]
-        ] = {}
-        self._jump_cache: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
-        self._plans: dict[tuple[int, ...], ApplyPlan] = {}
         self._event_kernel = build_event_kernel(self.op_probs, self.idle_gammas)
         self._schedule: KernelSchedule | None = None
         if self.track_state:
@@ -200,27 +206,18 @@ class TrajectoryEngine:
                 state.apply(*embedded)
         self._ideal_vector = state.vector
 
-    def _embedded_pauli(self, unit: int, slot: int, code: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        key = (unit, slot, code)
-        cached = self._pauli_cache.get(key)
-        if cached is None:
-            matrix = qubit_gate(_PAULI_NAMES[code])
-            cached = embed_on_slots(self.dims, matrix, ((unit, slot),))
-            self._pauli_cache[key] = cached
-        return cached
-
-    def _embedded_projector(
-        self, unit: int, slot: int, outcome: int
+    def _embedded(
+        self, matrix: np.ndarray, unit: int, slot: int
     ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Measurement projector ``|outcome><outcome|`` at ``(unit, slot)``."""
-        key = (unit, slot, outcome)
-        cached = self._projector_cache.get(key)
-        if cached is None:
-            matrix = np.zeros((2, 2), dtype=complex)
-            matrix[outcome, outcome] = 1.0
-            cached = embed_on_slots(self.dims, matrix, ((unit, slot),))
-            self._projector_cache[key] = cached
-        return cached
+        """``matrix`` embedded on the encoded qubit at ``(unit, slot)``."""
+        return embed_on_slots(self.dims, matrix, ((unit, slot),))
+
+    def _embedded_planned(
+        self, matrix: np.ndarray, unit: int, slot: int
+    ) -> tuple[np.ndarray, ApplyPlan]:
+        """:meth:`_embedded` with the unit's :class:`ApplyPlan` for row tables."""
+        embedded, units = self._embedded(matrix, unit, slot)
+        return embedded, build_plan(self.dims, units)
 
     @staticmethod
     def _condition_met(creg: int, condition: tuple[tuple[int, ...], int]) -> bool:
@@ -240,25 +237,6 @@ class TrajectoryEngine:
             return (1,)
         return (2, 3) if slot == 0 else (1, 3)
 
-    def _embedded_damping_jump(self, unit: int, slot: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The jump operator K1 ∝ |0><1|, embedded at ``(unit, slot)``."""
-        cached = self._jump_cache.get((unit, slot))
-        if cached is None:
-            jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-            cached = self._jump_cache[(unit, slot)] = embed_on_slots(
-                self.dims, jump, ((unit, slot),)
-            )
-        return cached
-
-    def _embedded_damping_survival(
-        self, unit: int, slot: int, gamma: float
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The no-jump operator K0 = diag(1, sqrt(1-gamma)), embedded."""
-        k0 = np.array(
-            [[1.0, 0.0], [0.0, np.sqrt(max(0.0, 1.0 - gamma))]], dtype=complex
-        )
-        return embed_on_slots(self.dims, k0, ((unit, slot),))
-
     def _excited_population(self, state: MixedRadixState, unit: int, slot: int) -> float:
         """Population of the encoded qubit's |1> level at (unit, slot)."""
         populations = state.unit_populations(unit)
@@ -268,28 +246,50 @@ class TrajectoryEngine:
             total = total + populations[level]
         return float(total)
 
-    def _apply_damping_jump(self, state: MixedRadixState, unit: int, slot: int) -> None:
-        """Project the encoded qubit's |1> amplitude to |0> and renormalise.
-
-        If the qubit carries no excited amplitude the jump cannot fire
-        physically and the state is left unchanged (the shot is still
-        counted as failed under the worst-case policy).
-        """
-        state.apply_kraus(*self._embedded_damping_jump(unit, slot))
-
-    def _apply_damping_survival(self, state: MixedRadixState, unit: int, slot: int, gamma: float) -> None:
-        """Apply the no-jump Kraus operator K0 = diag(1, sqrt(1-gamma))."""
-        state.apply_kraus(*self._embedded_damping_survival(unit, slot, gamma))
-
     # ------------------------------------------------------------------
     # scalar sampling (the _reference implementation, and state tracking)
     # ------------------------------------------------------------------
+    def _inject_pauli(
+        self, state: MixedRadixState, rng: np.random.Generator, slots
+    ) -> None:
+        """Draw a non-identity Pauli string over ``slots`` and apply it (scalar path)."""
+        string = int(rng.integers(1, 4 ** len(slots)))
+        for position, (unit, slot) in enumerate(slots):
+            code = (string >> (2 * (len(slots) - 1 - position))) & 3
+            if code:
+                state.apply(*self._embedded(qubit_gate(_PAULI_NAMES[code]), unit, slot))
+
+    def _shot_idle_decay(self, state: MixedRadixState, draws: np.ndarray) -> int:
+        """Apply one shot's idle decay per logical qubit at its final position.
+
+        ``draws`` holds the shot's idle-decay uniforms; returns the jump
+        count.  A jump on a qubit with no excited amplitude cannot fire
+        physically and leaves the state unchanged (the shot still counts
+        as failed under the worst-case policy).
+        """
+        events = 0
+        for position, qubit in enumerate(self.idle_qubits):
+            gamma = float(self.idle_gammas[position])
+            if gamma <= 0.0:
+                continue
+            unit, slot = self.compiled.final_placement[qubit]
+            draw = float(draws[position])
+            if self.model.idle_policy == "worst_case":
+                jumped = draw < gamma
+            else:  # kraus: jump probability scales with the excited population
+                jumped = draw < gamma * self._excited_population(state, unit, slot)
+            if jumped:
+                events += 1
+                state.apply_kraus(*self._embedded(_DAMPING_JUMP, unit, slot))
+            elif self.model.idle_policy == "kraus":
+                state.apply_kraus(*self._embedded(_damping_survival(gamma), unit, slot))
+        return events
+
     def _run_shot(self, rng: np.random.Generator) -> _ShotOutcome:
         draws = rng.random(self._draws) if self._draws else np.empty(0)
         num_ops = len(self.compiled.ops)
         gate_mask = draws[:num_ops] < self.op_probs
         gate_events = int(gate_mask.sum())
-        idle_events = 0
         if not self.track_state:
             # the constructor guarantees the worst_case policy here
             idle_events = int((draws[num_ops:] < self.idle_gammas).sum())
@@ -303,30 +303,8 @@ class TrajectoryEngine:
             if embedded is not None:
                 state.apply(*embedded)
             if gate_mask[index] and op.slots:
-                string = int(rng.integers(1, 4 ** len(op.slots)))
-                for position, (unit, slot) in enumerate(op.slots):
-                    code = (string >> (2 * (len(op.slots) - 1 - position))) & 3
-                    if code == 0:
-                        continue
-                    state.apply(*self._embedded_pauli(unit, slot, code))
-        # idle decay, applied per logical qubit at its final position
-        for position, qubit in enumerate(self.idle_qubits):
-            gamma = float(self.idle_gammas[position])
-            if gamma <= 0.0:
-                continue
-            unit, slot = self.compiled.final_placement[qubit]
-            draw = float(draws[num_ops + position])
-            if self.model.idle_policy == "worst_case":
-                if draw < gamma:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_population(state, unit, slot)
-                if draw < jump_probability:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-                else:
-                    self._apply_damping_survival(state, unit, slot, gamma)
+                self._inject_pauli(state, rng, op.slots)
+        idle_events = self._shot_idle_decay(state, draws[num_ops:])
         return _ShotOutcome(gate_events, idle_events, state.vector)
 
     def _run_shot_dynamic(
@@ -349,7 +327,6 @@ class TrajectoryEngine:
         """
         num_ops = len(self.compiled.ops)
         gate_events = int(gate_mask.sum())
-        idle_events = 0
         state = MixedRadixState(self.dims)
         ideal = MixedRadixState(self.dims)
         alive = True
@@ -360,7 +337,7 @@ class TrajectoryEngine:
                 unit, slot = op.slots[0]
                 draw = float(rng.random())
                 outcome = int(draw < self._excited_population(state, unit, slot))
-                projector, units = self._embedded_projector(unit, slot, outcome)
+                projector, units = self._embedded(_PROJECTORS[outcome], unit, slot)
                 state.apply_kraus(projector, units)
                 if alive:
                     alive = ideal.apply_kraus(projector, units) > 0.0
@@ -368,7 +345,7 @@ class TrajectoryEngine:
                     bit = int(op.cbits[0])
                     creg = (creg & ~(1 << bit)) | (outcome << bit)
                 elif outcome:  # reset: flip the sampled |1> back to |0>
-                    flip = self._embedded_pauli(unit, slot, 1)
+                    flip = self._embedded(qubit_gate("x"), unit, slot)
                     state.apply(*flip)
                     if alive:
                         ideal.apply(*flip)
@@ -379,30 +356,8 @@ class TrajectoryEngine:
                     if alive:
                         ideal.apply(*embedded)
             if gate_mask[index] and executed and op.slots:
-                string = int(rng.integers(1, 4 ** len(op.slots)))
-                for position, (unit, slot) in enumerate(op.slots):
-                    code = (string >> (2 * (len(op.slots) - 1 - position))) & 3
-                    if code == 0:
-                        continue
-                    state.apply(*self._embedded_pauli(unit, slot, code))
-        # idle decay, applied per logical qubit at its final position
-        for position, qubit in enumerate(self.idle_qubits):
-            gamma = float(self.idle_gammas[position])
-            if gamma <= 0.0:
-                continue
-            unit, slot = self.compiled.final_placement[qubit]
-            draw = float(draws[num_ops + position])
-            if self.model.idle_policy == "worst_case":
-                if draw < gamma:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_population(state, unit, slot)
-                if draw < jump_probability:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-                else:
-                    self._apply_damping_survival(state, unit, slot, gamma)
+                self._inject_pauli(state, rng, op.slots)
+        idle_events = self._shot_idle_decay(state, draws[num_ops:])
         if alive:
             fidelity = float(abs(np.vdot(ideal.vector, state.vector)) ** 2)
         else:
@@ -417,8 +372,7 @@ class TrajectoryEngine:
         contract.  The golden-equivalence tests assert ``run`` returns
         bit-identical chunks; production callers should use :meth:`run`.
         """
-        if shots < 0:
-            raise ValueError("shots must be non-negative")
+        check_shot_span(base_shot, shots)
         no_error = 0
         gate_events = 0
         idle_events = 0
@@ -491,14 +445,6 @@ class TrajectoryEngine:
         """Shots per state-tracking block, sized by the amplitude budget."""
         return max(1, min(EVENT_BLOCK_SHOTS, TRACKED_BLOCK_AMPLITUDES // self.dimension))
 
-    def _planned(self, embedded: tuple[np.ndarray, tuple[int, ...]]) -> tuple[np.ndarray, ApplyPlan]:
-        """``(matrix, units)`` with the units' :class:`ApplyPlan` in place of them."""
-        matrix, units = embedded
-        plan = self._plans.get(units)
-        if plan is None:
-            plan = self._plans[units] = build_plan(self.dims, units)
-        return matrix, plan
-
     def _excited_populations(self, state: RowTable, unit: int, slot: int) -> np.ndarray:
         """Per-row |1> population of the encoded qubit at ``(unit, slot)``."""
         populations = state.unit_populations(unit)
@@ -541,7 +487,7 @@ class TrajectoryEngine:
                 continue
             unit, slot = self.compiled.final_placement[qubit]
             column = draws[:, position]
-            jump = self._planned(self._embedded_damping_jump(unit, slot))
+            jump = self._embedded_planned(_DAMPING_JUMP, unit, slot)
             if self.model.idle_policy == "worst_case":
                 jumped = np.flatnonzero(column < gamma)
                 idle_counts[jumped] += 1
@@ -556,8 +502,8 @@ class TrajectoryEngine:
             if fired.any():
                 state.apply_kraus(*jump, np.unique(rows[fired]))
             if not fired.all():
-                survival = self._embedded_damping_survival(unit, slot, gamma)
-                state.apply_kraus(*self._planned(survival), np.unique(rows[~fired]))
+                survival = self._embedded_planned(_damping_survival(gamma), unit, slot)
+                state.apply_kraus(*survival, np.unique(rows[~fired]))
         return idle_counts
 
     def _apply_dynamic_op(
@@ -602,9 +548,7 @@ class TrajectoryEngine:
                     chosen = outcomes == outcome
                     if not chosen.any():
                         continue
-                    projector = self._planned(
-                        self._embedded_projector(unit, slot, int(outcome))
-                    )
+                    projector = self._embedded_planned(_PROJECTORS[outcome], unit, slot)
                     state.apply_kraus(*projector, np.unique(rows[chosen]))
                     targets, inverse = np.unique(ideal_rows[chosen], return_inverse=True)
                     weights = ideal.apply_kraus(*projector, targets)

@@ -25,6 +25,7 @@ operators.  Two implementation choices make that hold:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,9 +90,10 @@ class ApplyPlan:
     """Data-movement recipe for applying an operator to one target unit tuple.
 
     Depends only on ``dims`` and ``units``, so one plan serves every batch
-    size and lane subset: :class:`BatchedMixedRadixState` builds one per
-    apply, the fused kernel programs (:mod:`repro.noise.kernel`) one per
-    op at compile.
+    size and lane subset: :func:`build_plan` memoises one per
+    ``(dims, units)`` process-wide, and :class:`BatchedMixedRadixState`, the
+    fused kernel programs (:mod:`repro.noise.kernel`) and the trajectory
+    engine's row-table ops all share it.
     """
 
     units: tuple[int, ...]
@@ -119,7 +121,21 @@ class ApplyPlan:
         return view.reshape(count, self.sub_dim, -1)
 
 
+#: Distinct ``(dims, units)`` plans the memo behind :func:`build_plan` keeps.
+PLAN_MEMO_SIZE = 1024
+
+
 def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
+    """The :class:`ApplyPlan` for ``units`` on a ``dims`` register.
+
+    Memoised process-wide on the arguments normalised to int tuples, so
+    equal requests (lists or tuples alike) return the same frozen plan.
+    """
+    return _build_plan(tuple(int(d) for d in dims), tuple(int(u) for u in units))
+
+
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
     """Compute the :class:`ApplyPlan` for ``units`` on a ``dims`` register.
 
     Two layouts, both bit-identical per lane to the scalar 2-D product
@@ -142,8 +158,6 @@ def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
       issues the scalar path's exact per-lane call — trivially
       bit-identical at per-lane dispatch cost.
     """
-    dims = tuple(int(d) for d in dims)
-    units = tuple(int(u) for u in units)
     dimension = int(np.prod(dims))
     sub_dim = int(np.prod([dims[u] for u in units]))
     rest = dimension // sub_dim

@@ -25,6 +25,8 @@ pair on a unit that operates bare the rest of the time.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -108,6 +110,23 @@ def _embed_logical_state(
     return register
 
 
+#: Distinct embeddings the process-wide memo behind :func:`embed_on_slots`
+#: keeps; a whole tracked ``validate-eps`` run needs 65.
+EMBED_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=EMBED_MEMO_SIZE)
+def _memoised_embedding(
+    data: bytes, shape: tuple[int, ...], unit_dims: tuple[int, ...],
+    operands: tuple[tuple[int, int], ...],
+) -> np.ndarray:
+    """``embed_operator`` on a complex matrix given by its bytes, read-only."""
+    matrix = np.frombuffer(data, dtype=complex).reshape(shape)
+    embedded = embed_operator(matrix, unit_dims, list(operands))
+    embedded.flags.writeable = False
+    return embedded
+
+
 def embed_on_slots(
     dims: tuple[int, ...],
     matrix: np.ndarray,
@@ -117,28 +136,18 @@ def embed_on_slots(
 
     Returns the embedded operator together with the distinct physical units
     it acts on (in first-appearance order), ready for
-    :meth:`MixedRadixState.apply`.
+    :meth:`MixedRadixState.apply`.  Embeddings are memoised process-wide on
+    what ``embed_operator`` sees — the matrix's bytes and shape, the target
+    units' dims and the operands — so every engine, schedule and register
+    shares one read-only array per distinct operator.
     """
-    units: list[int] = []
-    for unit, _position in slots:
-        if unit not in units:
-            units.append(unit)
-    operands = []
-    for unit, position in slots:
-        operands.append((units.index(unit), position))
-    embedded = embed_operator(matrix, tuple(dims[u] for u in units), operands)
-    return embedded, tuple(units)
-
-
-def _apply_on_slots(
-    state: MixedRadixState,
-    dims: tuple[int, ...],
-    matrix: np.ndarray,
-    slots: tuple[tuple[int, int], ...],
-) -> None:
-    """Apply a k-qubit logical matrix onto encoded slots of the register."""
-    embedded, units = embed_on_slots(dims, matrix, slots)
-    state.apply(embedded, units)
+    units = tuple(dict.fromkeys(unit for unit, _position in slots))
+    operands = tuple((units.index(unit), position) for unit, position in slots)
+    matrix = np.asarray(matrix, dtype=complex)
+    embedded = _memoised_embedding(
+        matrix.tobytes(), matrix.shape, tuple(dims[u] for u in units), operands
+    )
+    return embedded, units
 
 
 def physical_op_unitary(

@@ -372,6 +372,55 @@ class TestKernelCompilation:
         assert lanes.served == 4  # one column per threshold, no more
 
 
+class TestOperatorMemos:
+    """Embedded operators and apply plans come from one process memo each."""
+
+    @staticmethod
+    def _compile_bv6():
+        from repro.arch import Device, grid_topology
+        from repro.compiler import QompressCompiler
+        from repro.compression import get_strategy
+        from repro.workloads import build_benchmark
+
+        compiler = QompressCompiler(
+            Device(topology=grid_topology(2, 3)), get_strategy("eqm"),
+            merge_single_qubit_gates=False,
+        )
+        return compiler.compile(build_benchmark("bv", 6))
+
+    def test_second_compile_of_a_gate_set_embeds_nothing(self, monkeypatch):
+        import repro.simulation.verify as verify_module
+
+        calls = []
+        real = verify_module.embed_operator
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, "embed_operator", spy)
+        verify_module._memoised_embedding.cache_clear()  # earlier tests may have warmed it
+        first, second = self._compile_bv6(), self._compile_bv6()
+        assert first is not second
+        TrajectoryEngine(first, TABLE1, track_state=True).run(64, seed=0)
+        assert calls, "the first engine must embed its operators"
+        before = len(calls)
+        TrajectoryEngine(second, TABLE1, track_state=True).run(64, seed=0)
+        assert len(calls) == before
+
+    def test_memoised_embeddings_are_read_only(self):
+        from repro.pulses.unitaries import qubit_gate
+        from repro.simulation.verify import embed_on_slots
+
+        matrix, units = embed_on_slots((2, 4), qubit_gate("x"), ((1, 0),))
+        assert units == (1,)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_build_plan_shares_one_plan_for_lists_and_tuples(self):
+        assert build_plan([2, 4, 2], [1, 0]) is build_plan((2, 4, 2), (1, 0))
+
+
 class _ColumnLanes:
     """Serves a fixed draw matrix to ``count_block`` one column at a time."""
 

@@ -438,6 +438,15 @@ class TestShotIndexRange:
         with pytest.raises(ValueError):
             engine.run(4, seed=0, base_shot=-1)
 
+    @pytest.mark.parametrize("base_shot, shots", [(-1, 2), (TOP, 2), (0, -1)])
+    def test_run_and_run_reference_refuse_the_same_spans(
+        self, compiled_bv6, base_shot, shots
+    ):
+        engine = TrajectoryEngine(compiled_bv6, TABLE1)
+        for run in (engine.run, engine.run_reference):
+            with pytest.raises(ValueError):
+                run(shots, seed=0, base_shot=base_shot)
+
     def test_engine_run_matches_reference_up_to_the_last_index(self, compiled_bv6):
         engine = TrajectoryEngine(compiled_bv6, TABLE1)
         base = self.TOP - 2
