@@ -36,8 +36,10 @@ invariants the compiler is supposed to maintain:
     :class:`~repro.noise.kernel.KernelSchedule` (and a structurally
     rebuilt one) must partition the op stream exactly: every dynamic op a
     bare segment, every fused item anchored to a non-dynamic op in
-    monotonic order, noise-site Pauli tables closed and apply-plans
-    consistent with the register dims.
+    monotonic order, noise-site Pauli tables closed, apply-plans
+    consistent with the register dims, and every move table (the
+    gather-with-phase form of a monomial operator) re-derived from its
+    matrix.
 
 What is provable here is *structural* legality; unitary equivalence to
 the source circuit still requires replay
@@ -53,7 +55,7 @@ import numpy as np
 from repro.analysis.report import AnalysisReport, Finding, FindingCollector
 from repro.compiler.result import CompiledCircuit, PhysicalOp
 from repro.gates.styles import GateStyle
-from repro.simulation.verify import register_dims
+from repro.simulation.verify import detect_moves, register_dims
 
 #: Strategy names compiled by the Full-Ququart baseline, whose initial
 #: per-pair ``enc`` ops legitimately open no bracket.
@@ -425,6 +427,66 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
     seen_dynamic: set[int] = set()
     last_index = -1
 
+    def moves_rederive(operator, what: str, index: int) -> None:
+        """Require ``operator``'s move table to be its matrix's, re-derived."""
+        derived = detect_moves(operator.matrix, tuple(dims[u] for u in operator.plan.units))
+        if operator.moves is None and derived is None:
+            return
+        if derived is None:
+            out.error(f"{label}: {what} carries a move table but its matrix is "
+                      "not monomial", op_index=index)
+        elif operator.moves is None or operator.moves.entries != derived.entries:
+            out.error(f"{label}: {what} move table does not re-derive from its "
+                      "matrix", op_index=index)
+
+    def check_site(site) -> None:
+        """Check one noise site's slots, bound, Pauli table, plans and moves."""
+        op = ops[site.op_index]
+        if tuple(site.slots) != tuple(op.slots):
+            out.error(
+                f"{label}: noise site slots {site.slots} disagree "
+                f"with op slots {op.slots}", op_index=site.op_index,
+            )
+        if site.bound != 4 ** len(site.slots):
+            out.error(
+                f"{label}: noise site Pauli bound {site.bound} != "
+                f"4**{len(site.slots)}", op_index=site.op_index,
+            )
+        if len(site.paulis) != len(site.slots) or any(
+            len(entry) != 3 for entry in site.paulis
+        ):
+            out.error(
+                f"{label}: noise site Pauli table is not closed "
+                "(expected 3 embedded Paulis per slot)",
+                op_index=site.op_index,
+            )
+            return
+        for (unit, _pos), entry in zip(site.slots, site.paulis):
+            for pauli in entry:
+                plan = pauli.plan
+                if plan != build_plan(dims, plan.units):
+                    out.error(
+                        f"{label}: noise-site apply-plan for unit "
+                        f"{unit} does not re-derive from the "
+                        "register dims", op_index=site.op_index,
+                    )
+                if unit not in plan.units:
+                    out.error(
+                        f"{label}: embedded Pauli for slot unit "
+                        f"{unit} targets units {plan.units}",
+                        op_index=site.op_index,
+                    )
+                moves_rederive(pauli, "noise-site Pauli", site.op_index)
+
+    def check_step(step) -> None:
+        """Check one unitary step's plan and move table."""
+        if step.plan != build_plan(dims, step.plan.units):
+            out.error(
+                f"{label}: unitary apply-plan does not re-derive "
+                "from the register dims", op_index=step.op_index,
+            )
+        moves_rederive(step, "unitary step", step.op_index)
+
     def monotonic(index: int, what: str) -> None:
         """Require partition items to reference ops in increasing order."""
         nonlocal last_index
@@ -452,50 +514,9 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
                         op_index=item.op_index,
                     )
                 if isinstance(item, NoiseSite):
-                    if tuple(item.slots) != tuple(op.slots):
-                        out.error(
-                            f"{label}: noise site slots {item.slots} disagree "
-                            f"with op slots {op.slots}", op_index=item.op_index,
-                        )
-                    if item.bound != 4 ** len(item.slots):
-                        out.error(
-                            f"{label}: noise site Pauli bound {item.bound} != "
-                            f"4**{len(item.slots)}", op_index=item.op_index,
-                        )
-                    if len(item.paulis) != len(item.slots) or any(
-                        len(entry) != 3 for entry in item.paulis
-                    ):
-                        out.error(
-                            f"{label}: noise site Pauli table is not closed "
-                            "(expected 3 embedded Paulis per slot)",
-                            op_index=item.op_index,
-                        )
-                        continue
-                    for (unit, _pos), entry in zip(item.slots, item.paulis):
-                        for matrix, plan in entry:
-                            if plan != build_plan(dims, plan.units):
-                                out.error(
-                                    f"{label}: noise-site apply-plan for unit "
-                                    f"{unit} does not re-derive from the "
-                                    "register dims", op_index=item.op_index,
-                                )
-                            if unit not in plan.units:
-                                out.error(
-                                    f"{label}: embedded Pauli for slot unit "
-                                    f"{unit} targets units {plan.units}",
-                                    op_index=item.op_index,
-                                )
+                    check_site(item)
                 elif isinstance(item, UnitaryStep):
-                    if item.plan != build_plan(dims, item.plan.units):
-                        out.error(
-                            f"{label}: unitary apply-plan does not re-derive "
-                            "from the register dims", op_index=item.op_index,
-                        )
-            if segment.unitaries != tuple(
-                i for i in segment.items if type(i) is UnitaryStep
-            ):
-                out.error(f"{label}: a fused run's unitary shortcut list does "
-                          "not match its items")
+                    check_step(item)
         else:
             index = int(segment)
             monotonic(index, "dynamic segment")
@@ -509,6 +530,14 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
                     out.error(f"{label}: dynamic op {index} partitioned twice",
                               op_index=index)
                 seen_dynamic.add(index)
+                parts = schedule.dynamic.get(index)
+                if parts is not None:
+                    if parts.step is not None:
+                        check_step(parts.step)
+                    if parts.site is not None:
+                        check_site(parts.site)
+                    if parts.flip is not None:
+                        moves_rederive(parts.flip, "reset flip", index)
     expected_dynamic = {i for i, op in enumerate(ops) if op.is_dynamic}
     missing = expected_dynamic - seen_dynamic
     if missing:

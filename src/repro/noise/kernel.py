@@ -9,15 +9,24 @@ loops execute without per-op Python dispatch:
   at compile from :func:`~repro.simulation.batched.build_plan`'s process
   memo, the same plans the eager
   :class:`~repro.simulation.batched.BatchedMixedRadixState` applies with,
-  so the hot loop does pure data movement plus GEMMs.
+  and, when its matrix is monomial (one unit-phase entry per row and
+  column: Paulis, CX, CZ, SWAP, ``enc``/``dec``, ``swap4``), its
+  :class:`~repro.simulation.statevector.MoveTable` from
+  :func:`~repro.simulation.verify.monomial_moves`' process memo.  The hot
+  loop does pure data movement, exact gathers with phases and GEMMs for
+  the dense ops only.
 * :class:`FusedRun` is a maximal stretch of non-dynamic ops compiled into
   a flat schedule of :class:`UnitaryStep` and :class:`NoiseSite` items.
   Executing a run keeps the amplitudes in a **lazily-permuted layout**:
-  each unitary's GEMM leaves the tensor in that op's permuted layout,
-  and the next op gathers directly from there — the per-op scatter pass
-  back to the canonical layout is skipped entirely.  Adjacent ops on the
-  same unit tuple share a layout, so their GEMMs run back to back with
-  **zero** copies between them.
+  each dense unitary's GEMM leaves the tensor in that op's permuted
+  layout, and the next op gathers directly from there — the per-op
+  scatter pass back to the canonical layout is skipped entirely.
+  Adjacent ops on the same unit tuple share a layout, so their GEMMs run
+  back to back with **zero** copies between them.  A monomial step is one
+  strided pass with no GEMM: it reads the rows in their current layout
+  and writes them C-contiguous straight into the layout the next dense
+  step needs.  A fired Pauli is a gather along its unit's axis on the
+  forked rows, folded into the fork copy where the fork copies.
 * A tracked block is a :class:`RowTable` from its first op to its last:
   it evolves **distinct trajectories, not shots**.  Every lane of a
   fresh block starts in |0…0>, so the block starts as one row that all
@@ -40,10 +49,14 @@ loops execute without per-op Python dispatch:
 Bit-equality invariant: the fused program performs the **same arithmetic
 on the same values in the same order** as the scalar
 :class:`~repro.simulation.statevector.MixedRadixState` pipeline, for
-every lane.  Layout transitions compose transposes — exact index
-bookkeeping — and every GEMM operand is materialised C-contiguous
-exactly where the eager pipeline's reshape copy would have materialised
-it.  A shared row holds exactly the values each of its lanes would hold,
+every lane, byte for byte.  Layout transitions compose transposes —
+exact index bookkeeping — and every GEMM operand is materialised
+C-contiguous exactly where the eager pipeline's reshape copy would have
+materialised it.  A monomial operator is an exact gather in both: the
+scalar oracle applies the same move table through the same
+:func:`~repro.simulation.statevector.gather_moves` (a GEMM would give the
+same values but may flip the sign of an exact zero).  A shared row holds
+exactly the values each of its lanes would hold,
 and a fork copies them bit for bit, so evolving one row instead of ``k``
 equal lanes changes only how many columns a GEMM sees: the stacked
 layout issues one call per row, exactly as per lane, and the wide layout
@@ -74,7 +87,8 @@ from repro.simulation.batched import (
     build_plan,
     unit_populations,
 )
-from repro.simulation.verify import embed_on_slots
+from repro.simulation.statevector import MoveTable, gather_moves, permute_moves
+from repro.simulation.verify import embed_on_slots, monomial_moves
 
 #: Pauli codes used when a depolarizing event fires (0 = identity).
 _PAULI_NAMES = ("i", "x", "y", "z")
@@ -84,28 +98,41 @@ _PAULI_NAMES = ("i", "x", "y", "z")
 # program items
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class UnitaryStep:
-    """One embedded op unitary with its precomputed plan."""
+class Operator:
+    """One embedded operator with its precomputed plan and move table.
 
-    op_index: int
+    ``moves`` is the matrix's :class:`~repro.simulation.statevector.MoveTable`
+    when it is monomial — a row table then applies it as one gather with
+    phases, no GEMM — and ``None`` when it is dense.
+    """
+
     matrix: np.ndarray
     plan: ApplyPlan
+    moves: MoveTable | None
+
+
+@dataclass(frozen=True)
+class UnitaryStep(Operator):
+    """One op's embedded unitary."""
+
+    op_index: int
 
 
 @dataclass(frozen=True)
 class NoiseSite:
     """One op's depolarizing error site, Pauli operators pre-embedded.
 
-    ``paulis[position][code - 1]`` is the embedded ``(matrix, plan)`` for
+    ``paulis[position][code - 1]`` is the embedded :class:`Operator` for
     Pauli ``code`` (1=X, 2=Y, 3=Z) on slot ``position`` — the per-op dict
     lookups and re-embeddings of the eager path, done once at compile.
+    Embedded Paulis are monomial, so each carries its move table.
     """
 
     op_index: int
     slots: tuple[tuple[int, int], ...]
     #: Exclusive upper bound of the Pauli-string draw (``4 ** len(slots)``).
     bound: int
-    paulis: tuple[tuple[tuple[np.ndarray, ApplyPlan], ...], ...]
+    paulis: tuple[tuple[Operator, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -113,13 +140,11 @@ class FusedRun:
     """A maximal stretch of non-dynamic ops, executed in lazy layout."""
 
     items: tuple[UnitaryStep | NoiseSite, ...]
-    #: The unitary steps alone — the noise-free pass a dynamic program's
-    #: parallel ideal batch takes through the same stretch.
-    unitaries: tuple[UnitaryStep, ...]
-    #: Per item, the layout the rows take next: the next unitary step's,
-    #: or canonical past the run's last one.  A noise site whose forks
-    #: must widen a wide-layout tensor widens it straight into this layout,
-    #: so one copy serves as both the fork and the next layout change.
+    #: Per item, the layout the rows take next: the next *dense* unitary
+    #: step's, or canonical past the run's last one.  A monomial step
+    #: gathers straight into it, and a noise site whose forks must widen a
+    #: wide-layout tensor widens it straight into it, so the next GEMM's
+    #: operand is already laid out when it runs.
     ahead: tuple[tuple[int, ...], ...]
 
 
@@ -129,11 +154,13 @@ class DynamicOp:
 
     ``step`` is the conditioned op's unitary (``None`` for mid-circuit
     measurement and reset), ``site`` its depolarizing error site (``None``
-    when the op touches no encoded qubit).
+    when the op touches no encoded qubit), ``flip`` the X a ``reset``
+    applies to rows that measured |1> (``None`` for every other op).
     """
 
     step: UnitaryStep | None
     site: NoiseSite | None
+    flip: Operator | None
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +170,12 @@ class DynamicOp:
 def _permutation(source: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
     """The transpose taking a tensor held in ``source`` axis order to ``target``."""
     return tuple(source.index(axis) for axis in target)
+
+
+@lru_cache(maxsize=1024)
+def _unit_axes(layout: tuple[int, ...], units: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each of ``units``' axes sits in a tensor held in ``layout`` order."""
+    return tuple(layout.index(unit + 1) for unit in units)
 
 
 @lru_cache(maxsize=1024)
@@ -237,7 +270,13 @@ class RowTable:
     # ------------------------------------------------------------------
     # splitting
     # ------------------------------------------------------------------
-    def _copy_rows(self, sources: np.ndarray, ahead: tuple[int, ...] | None = None) -> np.ndarray:
+    def _copy_rows(
+        self,
+        sources: np.ndarray,
+        ahead: tuple[int, ...] | None = None,
+        keys: np.ndarray | None = None,
+        operators: tuple[Operator, ...] = (),
+    ) -> np.ndarray:
         """Append copies of rows ``sources``; return the new rows' indices.
 
         The copies hold the same values, so every later GEMM sees the
@@ -245,43 +284,82 @@ class RowTable:
         axis leading the layout they land in spare capacity; otherwise the
         tensor is rebuilt wider in owned storage — in layout ``ahead``
         when given, so the rebuild doubles as the next layout change.
+
+        With ``keys``, the copy of ``sources[i]`` is written already
+        transformed by the monomial ``operators[keys[i] - 1]`` (key 0: a
+        plain copy): the copy *is* that operator's gather.  The copies are
+        laid out grouped by key, so each group is one contiguous block.
         """
         start = self.count
-        total = start + sources.size
+        count = sources.size
+        total = start + count
         self._reserve(total)
         tensor = self.tensor
         axis = self.layout.index(0)
+        target = self.layout if axis == 0 or ahead is None else ahead
+        lead = (slice(None),) * target.index(0)
         if axis == 0:
-            spare = self._front[start * self.dimension: total * self.dimension]
-            np.take(tensor, sources, axis=0, mode="clip",
-                    out=spare.reshape((sources.size,) + tensor.shape[1:]))
+            copies = self._front[start * self.dimension: total * self.dimension].reshape(
+                (count,) + tensor.shape[1:])
         else:
-            target = self.layout if ahead is None else ahead
             grown = self._view(self._back, target, total)
-            lead = (slice(None),) * target.index(0)
             np.copyto(grown[lead + (slice(0, start),)], self._to_layout(tensor, target))
-            np.copyto(grown[lead + (slice(start, total),)],
-                      self._to_layout(np.take(tensor, sources, axis=axis), target))
+            copies = grown[lead + (slice(start, total),)]
+        rows = np.arange(start, total)
+        if keys is None:
+            if axis == 0:
+                np.take(tensor, sources, axis=0, mode="clip", out=copies)
+            else:
+                np.copyto(copies, self._to_layout(np.take(tensor, sources, axis=axis), target))
+        else:
+            order = np.argsort(keys, kind="stable")
+            rows[order] = np.arange(start, total)
+            taken = self._to_layout(np.take(tensor, sources[order], axis=axis), target)
+            bounds = np.searchsorted(keys[order], np.arange(len(operators) + 2))
+            for key in range(len(operators) + 1):
+                if bounds[key] == bounds[key + 1]:
+                    continue
+                block = lead + (slice(bounds[key], bounds[key + 1]),)
+                if key == 0:
+                    np.copyto(copies[block], taken[block])
+                else:
+                    operator = operators[key - 1]
+                    gather_moves(operator.moves, _unit_axes(target, operator.plan.units),
+                                 taken[block], copies[block])
+        if axis != 0:
             self._front, self._back = self._back, self._front
             self.layout = target
         self.count = total
-        return np.arange(start, total)
+        return rows
 
-    def fork(self, lanes: np.ndarray, ahead: tuple[int, ...] | None = None) -> np.ndarray:
-        """Give every lane in ``lanes`` a row only it reads; return those rows.
+    def fork(
+        self,
+        lanes: np.ndarray,
+        keys: np.ndarray,
+        operators: tuple[Operator, ...],
+        ahead: tuple[int, ...] | None = None,
+    ) -> np.ndarray:
+        """Give every lane in ``lanes`` a row only it reads, transformed by its key.
 
         The gate-error split, keyed by the lane itself: each fired lane
         draws its own Pauli string, so a lane sharing its row gets a copy
         and a lane alone on its row keeps it.  The trunk (row 0) is never
         handed to one lane, so a static block ends its run with exactly
-        one row more than it has forked lanes.  ``ahead`` is passed on to
-        :meth:`_copy_rows`.
+        one row more than it has forked lanes.  Each lane's row then takes
+        the monomial ``operators[key - 1]`` (key 0: none) — folded into
+        the copy for a lane that gets one (:meth:`_copy_rows`, towards
+        layout ``ahead``), gathered in place for a lane that keeps its
+        row.  Returns the lanes' rows.
         """
         rows = self.lane_rows[lanes]
         shared = (np.bincount(self.lane_rows, minlength=self.count)[rows] > 1) | (rows == 0)
         if shared.any():
-            rows[shared] = self._copy_rows(rows[shared], ahead)
+            rows[shared] = self._copy_rows(rows[shared], ahead, keys[shared], operators)
             self.lane_rows[lanes] = rows
+        for key, operator in enumerate(operators, start=1):
+            group = rows[~shared & (keys == key)]
+            if group.size:
+                self.apply_to_rows(operator, group)
         return rows
 
     def split(self, lanes: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
@@ -309,6 +387,20 @@ class RowTable:
     # ------------------------------------------------------------------
     # evolution
     # ------------------------------------------------------------------
+    def apply(self, operator: Operator, ahead: tuple[int, ...]) -> None:
+        """Apply ``operator`` to every row: a gather into ``ahead`` if monomial, else a GEMM."""
+        if operator.moves is None:
+            self.apply_all(operator.matrix, operator.plan)
+        else:
+            self.gather_all(operator.moves, operator.plan, ahead)
+
+    def apply_to_rows(self, operator: Operator, rows: np.ndarray) -> None:
+        """Apply ``operator`` to the distinct ``rows``, keeping the current layout."""
+        if operator.moves is None:
+            self.apply_rows(operator.matrix, operator.plan, rows)
+        else:
+            self.gather_rows(operator.moves, operator.plan, rows)
+
     def apply_all(self, matrix: np.ndarray, plan: ApplyPlan) -> None:
         """Apply ``matrix`` to every row, leaving the rows in ``plan``'s layout."""
         # the same values in the same layout the eager pre-GEMM copy produces
@@ -317,6 +409,23 @@ class RowTable:
         operand = plan.operand(self._front[:size].reshape(plan.shape(self.count)), self.count)
         np.matmul(matrix, operand, out=self._back[:size].reshape(operand.shape))
         self._front, self._back = self._back, self._front
+
+    def gather_all(self, moves: MoveTable, plan: ApplyPlan, target: tuple[int, ...]) -> None:
+        """Apply a monomial operator to every row in one pass, into ``target`` layout.
+
+        Each move reads the rows in their current layout and writes them
+        C-contiguous in ``target`` order: no relayout, no GEMM.  When the
+        rows already sit in ``target`` order the moves run in place and
+        only the blocks that change are touched.
+        """
+        if self.layout == target:
+            permute_moves(moves, _unit_axes(target, plan.units), self.tensor, self._back)
+            return
+        gather_moves(moves, _unit_axes(target, plan.units),
+                     self._to_layout(self.tensor, target),
+                     self._view(self._back, target, self.count))
+        self._front, self._back = self._back, self._front
+        self.layout = target
 
     def apply_rows(self, matrix: np.ndarray, plan: ApplyPlan, rows: np.ndarray) -> None:
         """Apply ``matrix`` to a row subset, preserving the current layout.
@@ -331,10 +440,18 @@ class RowTable:
         selected = np.take(tensor, rows, axis=batch_axis)
         view = self._to_layout(selected, plan.axes)
         count = int(rows.size)
-        product = matrix @ plan.operand(view, count)
+        product = np.matmul(matrix, plan.operand(view, count))
         permuted = product.reshape(plan.shape(count))
         index = (slice(None),) * batch_axis + (rows,)
         tensor[index] = permuted.transpose(_permutation(plan.axes, self.layout))
+
+    def gather_rows(self, moves: MoveTable, plan: ApplyPlan, rows: np.ndarray) -> None:
+        """Apply a monomial operator to a row subset, in the current layout."""
+        tensor = self.tensor
+        index = (slice(None),) * self.layout.index(0) + (rows,)
+        selected = tensor[index]
+        permute_moves(moves, _unit_axes(self.layout, plan.units), selected)
+        tensor[index] = selected
 
     def apply_kraus(self, matrix: np.ndarray, plan: ApplyPlan, rows: np.ndarray) -> np.ndarray:
         """Apply a Kraus operator to the distinct ``rows`` and renormalise them.
@@ -401,20 +518,21 @@ def inject_noise(
     ``fired`` are the lanes whose gate error fired at ``site``; each draws
     its string from its own stream (``rng_lanes``, the block's
     :class:`~repro.noise.rng.GeneratorLanes`) at exactly the position the
-    scalar loop would use.  The lanes fork (:meth:`RowTable.fork`, towards
-    layout ``ahead``), and slot by slot, in the scalar loop's order, the
-    rows drawing each Pauli take it in one row-subset apply.
+    scalar loop would use.  Slot by slot, in the scalar loop's order, the
+    rows drawing each Pauli take it as one gather along that slot's unit
+    axis: the first slot's Pauli rides on the fork
+    (:meth:`RowTable.fork`, towards layout ``ahead``), each later slot's
+    is one row-subset gather per Pauli.
     """
     strings = rng_lanes.integers(fired, 1, site.bound)
-    rows = state.fork(fired, ahead)
     width = len(site.slots)
-    for position in range(width):
-        codes = (strings >> (2 * (width - 1 - position))) & 3
+    codes = [(strings >> (2 * (width - 1 - position))) & 3 for position in range(width)]
+    rows = state.fork(fired, codes[0], site.paulis[0], ahead)
+    for position in range(1, width):
         for code in (1, 2, 3):
-            group = rows[codes == code]
+            group = rows[codes[position] == code]
             if group.size:
-                matrix, plan = site.paulis[position][code - 1]
-                state.apply_rows(matrix, plan, group)
+                state.apply_to_rows(site.paulis[position][code - 1], group)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +567,7 @@ class KernelSchedule:
         """
         for item, ahead in zip(run.items, run.ahead):
             if type(item) is UnitaryStep:
-                state.apply_all(item.matrix, item.plan)
+                state.apply(item, ahead)
             else:
                 fired = np.flatnonzero(gate_mask[:, item.op_index])
                 if fired.size:
@@ -461,8 +579,9 @@ class KernelSchedule:
         The dynamic program's noise-free pass: its ideal table splits only
         at dynamic ops, so within a run every row takes every unitary.
         """
-        for step in run.unitaries:
-            state.apply_all(step.matrix, step.plan)
+        for item, ahead in zip(run.items, run.ahead):
+            if type(item) is UnitaryStep:
+                state.apply(item, ahead)
 
 
 def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
@@ -480,11 +599,19 @@ def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSch
 
 
 def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    # embeddings and plans come from their process-wide memos
-    # (embed_on_slots, build_plan), so equal ones are shared objects
-    def pauli_for(unit: int, slot: int, code: int) -> tuple[np.ndarray, ApplyPlan]:
-        matrix, units = embed_on_slots(dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),))
-        return matrix, build_plan(dims, units)
+    # embeddings, move tables and plans come from their process-wide memos
+    # (embed_on_slots, monomial_moves, build_plan), so equal ones are
+    # shared objects; one slot's three Paulis are built once per schedule
+    def operator_for(matrix: np.ndarray, units: tuple[int, ...]) -> Operator:
+        moves = monomial_moves(matrix, tuple(dims[unit] for unit in units))
+        return Operator(matrix, build_plan(dims, units), moves)
+
+    @lru_cache(maxsize=None)
+    def paulis_for(unit: int, slot: int) -> tuple[Operator, ...]:
+        return tuple(
+            operator_for(*embed_on_slots(dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),)))
+            for code in (1, 2, 3)
+        )
 
     def site_for(index: int, op) -> NoiseSite | None:
         if not op.slots:
@@ -494,18 +621,15 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
             op_index=index,
             slots=slots,
             bound=4 ** len(slots),
-            paulis=tuple(
-                tuple(pauli_for(unit, slot, code) for code in (1, 2, 3))
-                for unit, slot in slots
-            ),
+            paulis=tuple(paulis_for(unit, slot) for unit, slot in slots),
         )
 
     def step_for(index: int) -> UnitaryStep | None:
         embedded = op_unitaries[index]
         if embedded is None:
             return None
-        matrix, units = embedded
-        return UnitaryStep(index, matrix, build_plan(dims, units))
+        operator = operator_for(*embedded)
+        return UnitaryStep(operator.matrix, operator.plan, operator.moves, op_index=index)
 
     segments: list[FusedRun | int] = []
     dynamic: dict[int, DynamicOp] = {}
@@ -517,15 +641,9 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
             layout = tuple(range(len(dims) + 1))
             for item in reversed(items):
                 ahead.append(layout)
-                if type(item) is UnitaryStep:
+                if type(item) is UnitaryStep and item.moves is None:
                     layout = item.plan.axes
-            segments.append(
-                FusedRun(
-                    items=tuple(items),
-                    unitaries=tuple(i for i in items if type(i) is UnitaryStep),
-                    ahead=tuple(reversed(ahead)),
-                )
-            )
+            segments.append(FusedRun(items=tuple(items), ahead=tuple(reversed(ahead))))
             items.clear()
 
     for index, op in enumerate(compiled.ops):
@@ -534,7 +652,9 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
             segments.append(index)
             measures = op.gate in ("measure_mid", "reset")
             dynamic[index] = DynamicOp(
-                step=None if measures else step_for(index), site=site_for(index, op)
+                step=None if measures else step_for(index),
+                site=site_for(index, op),
+                flip=paulis_for(*op.slots[0])[0] if op.gate == "reset" else None,
             )
             continue
         step = step_for(index)

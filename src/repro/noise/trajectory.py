@@ -48,6 +48,13 @@ idle decay, dynamic ops and fidelities act on rows too, each distinct row
 once.  Each row is bit-identical to the vector its lanes would hold on
 their own, so sharing is invisible in the results: the batched path is
 asserted bit-identical to the scalar ``run_reference``, chunk for chunk.
+
+Monomial operators — fired Paulis, ``reset`` flips, CX, SWAP,
+``enc``/``dec``, ``swap4`` — are applied as exact gathers with phases
+(their memoised move tables), dense ones by GEMM, in the kernel and in
+the scalar oracle alike (:meth:`TrajectoryEngine._apply_embedded`), so
+the two agree byte for byte; the ideal vector is the one GEMM-only
+replay, equal to them under ``==``.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ from repro.simulation.statevector import MixedRadixState
 from repro.simulation.verify import (
     VerificationError,
     embed_on_slots,
+    monomial_moves,
     physical_op_unitary,
     register_dims,
 )
@@ -219,6 +227,22 @@ class TrajectoryEngine:
         embedded, units = self._embedded(matrix, unit, slot)
         return embedded, build_plan(self.dims, units)
 
+    def _apply_embedded(
+        self, state: MixedRadixState, embedded: tuple[np.ndarray, tuple[int, ...]]
+    ) -> None:
+        """Apply one embedded operator to a scalar state, as the kernel would.
+
+        A monomial operator goes through its memoised move table — the
+        gather the fused kernel applies to rows, so the oracle and the
+        kernel agree byte for byte — and a dense one through the GEMM.
+        """
+        matrix, units = embedded
+        moves = monomial_moves(matrix, tuple(self.dims[unit] for unit in units))
+        if moves is None:
+            state.apply(matrix, units)
+        else:
+            state.apply_moves(moves, units)
+
     @staticmethod
     def _condition_met(creg: int, condition: tuple[tuple[int, ...], int]) -> bool:
         """Evaluate a classical control against one shot's register value."""
@@ -257,7 +281,8 @@ class TrajectoryEngine:
         for position, (unit, slot) in enumerate(slots):
             code = (string >> (2 * (len(slots) - 1 - position))) & 3
             if code:
-                state.apply(*self._embedded(qubit_gate(_PAULI_NAMES[code]), unit, slot))
+                self._apply_embedded(
+                    state, self._embedded(qubit_gate(_PAULI_NAMES[code]), unit, slot))
 
     def _shot_idle_decay(self, state: MixedRadixState, draws: np.ndarray) -> int:
         """Apply one shot's idle decay per logical qubit at its final position.
@@ -301,7 +326,7 @@ class TrajectoryEngine:
         for index, op in enumerate(self.compiled.ops):
             embedded = self._op_unitaries[index]
             if embedded is not None:
-                state.apply(*embedded)
+                self._apply_embedded(state, embedded)
             if gate_mask[index] and op.slots:
                 self._inject_pauli(state, rng, op.slots)
         idle_events = self._shot_idle_decay(state, draws[num_ops:])
@@ -346,15 +371,15 @@ class TrajectoryEngine:
                     creg = (creg & ~(1 << bit)) | (outcome << bit)
                 elif outcome:  # reset: flip the sampled |1> back to |0>
                     flip = self._embedded(qubit_gate("x"), unit, slot)
-                    state.apply(*flip)
+                    self._apply_embedded(state, flip)
                     if alive:
-                        ideal.apply(*flip)
+                        self._apply_embedded(ideal, flip)
             elif executed:
                 embedded = self._op_unitaries[index]
                 if embedded is not None:
-                    state.apply(*embedded)
+                    self._apply_embedded(state, embedded)
                     if alive:
-                        ideal.apply(*embedded)
+                        self._apply_embedded(ideal, embedded)
             if gate_mask[index] and executed and op.slots:
                 self._inject_pauli(state, rng, op.slots)
         idle_events = self._shot_idle_decay(state, draws[num_ops:])
@@ -559,13 +584,11 @@ class TrajectoryEngine:
                         outcomes.astype(np.int64) << bit
                     )
                 elif outcomes.any():  # reset: flip the sampled |1> rows back to |0>
-                    flip, plan = parts.site.paulis[0][0]
-                    state.apply_rows(flip, plan, np.unique(rows[outcomes]))
-                    ideal.apply_rows(flip, plan, np.unique(ideal_rows[outcomes]))
+                    state.apply_to_rows(parts.flip, np.unique(rows[outcomes]))
+                    ideal.apply_to_rows(parts.flip, np.unique(ideal_rows[outcomes]))
         elif parts.step is not None and exec_idx.size:
-            step = parts.step
-            state.apply_rows(step.matrix, step.plan, np.unique(state.split(exec_idx)))
-            ideal.apply_rows(step.matrix, step.plan, np.unique(ideal.split(exec_idx)))
+            state.apply_to_rows(parts.step, np.unique(state.split(exec_idx)))
+            ideal.apply_to_rows(parts.step, np.unique(ideal.split(exec_idx)))
         if parts.site is not None:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:

@@ -33,7 +33,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit, PhysicalOp
 from repro.gates.styles import GateStyle
 from repro.pulses.unitaries import SWAP_MATRIX, embed_operator, qubit_gate
-from repro.simulation.statevector import MixedRadixState
+from repro.simulation.statevector import MixedRadixState, MoveTable
 
 
 class VerificationError(Exception):
@@ -148,6 +148,55 @@ def embed_on_slots(
         matrix.tobytes(), matrix.shape, tuple(dims[u] for u in units), operands
     )
     return embedded, units
+
+
+#: The unit phases a monomial operator's nonzero entries may take.
+_UNIT_PHASES = (1, -1, 1j, -1j)
+
+
+def detect_moves(matrix: np.ndarray, unit_dims: tuple[int, ...]) -> MoveTable | None:
+    """``matrix``'s :class:`MoveTable` when it is monomial, else ``None``.
+
+    Monomial means every row and every column holds exactly one nonzero
+    entry, and that entry is exactly 1, -1, 1j or -1j.  ``unit_dims`` are
+    the dims of the units the matrix acts on, in its tensor order; the
+    table's levels are given per unit.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    size = int(np.prod(unit_dims))
+    if matrix.shape != (size, size):
+        return None
+    nonzero = matrix != 0
+    if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+        return None
+    sources = nonzero.argmax(axis=1)
+    phases = matrix[np.arange(size), sources]
+    if not np.isin(phases, _UNIT_PHASES).all():
+        return None
+    levels = [tuple(int(level) for level in np.unravel_index(index, unit_dims))
+              for index in range(size)]
+    return MoveTable(entries=tuple(
+        (levels[out], levels[source], None if phase == 1 else complex(phase))
+        for out, (source, phase) in enumerate(zip(sources.tolist(), phases.tolist()))
+    ))
+
+
+@lru_cache(maxsize=EMBED_MEMO_SIZE)
+def _memoised_moves(data: bytes, unit_dims: tuple[int, ...]) -> MoveTable | None:
+    """:func:`detect_moves` on a complex matrix given by its bytes."""
+    size = int(np.prod(unit_dims))
+    return detect_moves(np.frombuffer(data, dtype=complex).reshape(size, size), unit_dims)
+
+
+def monomial_moves(matrix: np.ndarray, unit_dims: tuple[int, ...]) -> MoveTable | None:
+    """The memoised :func:`detect_moves` of an embedded operator.
+
+    Keyed, like the embedding memo beside it, on the matrix's bytes (and
+    its units' dims), so each distinct operator is tested once per process
+    and every schedule and oracle that applies it shares one table.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    return _memoised_moves(matrix.tobytes(), tuple(int(d) for d in unit_dims))
 
 
 def physical_op_unitary(

@@ -145,6 +145,46 @@ class TestCorruptFixtures:
         assert not report.ok
         assert error_passes(report) == {"kernel"}
 
+    @pytest.mark.parametrize("corruption", ["foreign-table", "dense-with-table", "dropped"])
+    def test_corrupt_move_table_is_an_error_at_its_op(self, corruption):
+        from repro.noise import NoiseSpec, TrajectoryEngine
+        from repro.noise.kernel import FusedRun, UnitaryStep
+
+        compiled = compile_benchmark("bv", 3, merge_single_qubit_gates=False)
+        dims = register_dims(compiled)
+        TrajectoryEngine(compiled, NoiseSpec.from_preset("table1"), track_state=True)
+        key = ("trajectory-kernel", dims)
+        schedule = compiled._schedule_memo[key]
+        assert verify_compiled(compiled).ok
+        (run,) = schedule.segments
+        assert isinstance(run, FusedRun)
+        steps = [item for item in run.items if type(item) is UnitaryStep]
+        dense = next(step for step in steps if step.moves is None)
+        monomial = [step for step in steps if step.moves is not None]
+        # two monomial steps with different tables: a CX and an X, say
+        first = monomial[0]
+        other = next(s for s in monomial if s.plan.sub_dim != first.plan.sub_dim
+                     or s.moves.entries != first.moves.entries)
+        victim, moves = {
+            "foreign-table": (first, other.moves),
+            "dense-with-table": (dense, first.moves),
+            "dropped": (first, None),
+        }[corruption]
+        items = tuple(
+            dataclasses.replace(item, moves=moves) if item is victim else item
+            for item in run.items
+        )
+        compiled._schedule_memo = {
+            key: dataclasses.replace(
+                schedule, segments=(dataclasses.replace(run, items=items),)
+            )
+        }
+        report = verify_compiled(compiled)
+        assert not report.ok
+        assert error_passes(report) == {"kernel"}
+        assert {f.op_index for f in report.errors} == {victim.op_index}
+        assert all("move table" in f.message for f in report.errors)
+
 
 class TestCleanPrograms:
     @pytest.mark.parametrize("strategy", ["eqm", "rb", "fq"])

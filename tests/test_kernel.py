@@ -11,7 +11,7 @@ whose gate error fired.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.noise.kernel as kernel_module
@@ -28,9 +28,17 @@ from repro.noise.kernel import (
     compile_schedule,
 )
 from repro.noise.rng import GeneratorLanes, uniform_streams
-from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
+from repro.noise.trajectory import _DAMPING_JUMP, _PROJECTORS, FINAL_VECTORS_MAX_SHOTS
+from repro.pulses.unitaries import CX_MATRIX, CZ_MATRIX, SWAP_MATRIX, qubit_gate
 from repro.runner import SweepPoint
-from repro.simulation.verify import VerificationError
+from repro.simulation.statevector import MixedRadixState
+from repro.simulation.verify import (
+    _DOUBLE_SWAP,
+    VerificationError,
+    detect_moves,
+    embed_on_slots,
+    monomial_moves,
+)
 
 TABLE1 = NoiseSpec.from_preset("table1")
 
@@ -147,9 +155,10 @@ def _fired_lanes(engine: TrajectoryEngine, seed: int, shots: int, runs=None) -> 
 class _RowSpy:
     """Records the row tables the kernel evolves.
 
-    ``applied`` is the row count each whole-table GEMM sees; ``run_rows``
-    the noisy table's row count as each fused run ends (where the kernel
-    once expanded rows to lanes); ``tables`` every table built.
+    ``applied`` is the row count each whole-table apply sees — a dense
+    step's GEMM or a monomial step's gather; ``run_rows`` the noisy
+    table's row count as each fused run ends (where the kernel once
+    expanded rows to lanes); ``tables`` every table built.
     """
 
     def __init__(self, monkeypatch):
@@ -157,12 +166,17 @@ class _RowSpy:
         self.run_rows: list[int] = []
         self.tables: list[kernel_module.RowTable] = []
         apply_all = kernel_module.RowTable.apply_all
+        gather_all = kernel_module.RowTable.gather_all
         execute_run = kernel_module.KernelSchedule.execute_run
         init = kernel_module.RowTable.__init__
 
         def spied_apply_all(state, matrix, plan):
             self.applied.append(state.count)
             apply_all(state, matrix, plan)
+
+        def spied_gather_all(state, moves, plan, target):
+            self.applied.append(state.count)
+            gather_all(state, moves, plan, target)
 
         def spied_execute_run(schedule, run, state, *args):
             execute_run(schedule, run, state, *args)
@@ -173,6 +187,7 @@ class _RowSpy:
             self.tables.append(state)
 
         monkeypatch.setattr(kernel_module.RowTable, "apply_all", spied_apply_all)
+        monkeypatch.setattr(kernel_module.RowTable, "gather_all", spied_gather_all)
         monkeypatch.setattr(kernel_module.KernelSchedule, "execute_run", spied_execute_run)
         monkeypatch.setattr(kernel_module.RowTable, "__init__", spied_init)
 
@@ -302,17 +317,193 @@ class TestSharedRows:
         assert engine._tracked_block_shots() == 1
         assert engine.run(16, seed=3) == engine.run_reference(16, seed=3)
 
-    @pytest.mark.parametrize("spec_index", [1, 3])
+    @pytest.mark.parametrize("spec_index", range(len(_POOL_SPECS)))
     def test_final_vectors_are_independent_and_match_scalar(self, spec_index):
         engine = _pooled_engine(spec_index, "table1")
         vectors = list(engine.iter_final_vectors(40, seed=3))
         for shot, vector in enumerate(vectors):
             scalar = engine._run_shot(np.random.default_rng((3, shot))).vector
             assert (vector == scalar).all()
+            # byte for byte: the oracle gathers monomial ops as the kernel
+            # does, so even the signs of exact zeros agree
+            assert vector.tobytes() == scalar.tobytes()
         snapshot = [vector.copy() for vector in vectors]
         vectors[0][:] = 0.0
         for vector, before in zip(vectors[1:], snapshot[1:]):
             assert (vector == before).all()
+
+
+#: The monomial gates the gather path must reproduce, by operand count.
+_MONOMIAL_GATES = {
+    "x": qubit_gate("x"), "y": qubit_gate("y"), "z": qubit_gate("z"),
+    "cx": CX_MATRIX, "cz": CZ_MATRIX, "swap": SWAP_MATRIX, "swap4": _DOUBLE_SWAP,
+}
+
+
+def _is_monomial(matrix: np.ndarray) -> bool:
+    """One nonzero unit phase per row and column: checked without the kernel."""
+    nonzero = matrix != 0
+    return bool(
+        (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+        and np.isin(matrix[nonzero], (1, -1, 1j, -1j)).all()
+    )
+
+
+def _table_holding(dims: tuple[int, ...], rows: np.ndarray, layout) -> kernel_module.RowTable:
+    """A row table holding ``rows`` (canonical ``(count, dimension)``) in ``layout``."""
+    count = rows.shape[0]
+    table = kernel_module.RowTable(dims, count, capacity=count)
+    table._front[: rows.size] = rows.ravel()
+    table.count = count
+    table._relayout(tuple(layout))
+    return table
+
+
+@st.composite
+def _monomial_cases(draw):
+    """A register, a monomial gate on distinct random slots, rows and layouts."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=4)))
+    slots = [(unit, slot) for unit, dim in enumerate(dims) for slot in range(dim // 2)]
+    names = [name for name, matrix in _MONOMIAL_GATES.items()
+             if matrix.shape[0].bit_length() - 1 <= len(slots)]
+    name = draw(st.sampled_from(names))
+    width = _MONOMIAL_GATES[name].shape[0].bit_length() - 1
+    chosen = tuple(draw(st.permutations(slots))[:width])
+    count = draw(st.integers(1, 6))
+    start = tuple(draw(st.permutations(range(len(dims) + 1))))
+    target = tuple(draw(st.permutations(range(len(dims) + 1))))
+    subset = draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True))
+    seed = draw(st.integers(0, 2**16))
+    return dims, name, chosen, count, start, target, np.array(sorted(subset)), seed
+
+
+def _random_rows(count: int, dimension: int, seed: int) -> np.ndarray:
+    """Random complex rows with some exact zeros (of both signs) mixed in."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, dimension)) + 1j * rng.normal(size=(count, dimension))
+    rows[rng.random((count, dimension)) < 0.3] = 0.0
+    rows[rng.random((count, dimension)) < 0.1] = complex(-0.0, -0.0)
+    return rows
+
+
+class TestMonomialGather:
+    """Monomial operators applied as one gather equal the GEMM exactly."""
+
+    @given(case=_monomial_cases())
+    @example(case=((4, 2, 2, 4), "swap4", ((3, 1), (0, 0), (3, 0), (0, 1)), 3,
+                   (0, 1, 2, 3, 4), (1, 4, 0, 2, 3), np.array([0, 2]), 1))
+    @example(case=((2,), "x", ((0, 0),), 2, (0, 1), (1, 0), np.array([1]), 2))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_gather_equals_gemm(self, case):
+        dims, name, slots, count, start, target, subset, seed = case
+        matrix, units = embed_on_slots(dims, _MONOMIAL_GATES[name], slots)
+        plan = build_plan(dims, units)
+        moves = monomial_moves(matrix, tuple(dims[u] for u in units))
+        assert moves is not None
+        rows = _random_rows(count, int(np.prod(dims)), seed)
+        # whole table: one gather into ``target`` against relayout + GEMM
+        gathered = _table_holding(dims, rows, start)
+        gathered.gather_all(moves, plan, target)
+        assert gathered.layout == target
+        multiplied = _table_holding(dims, rows, start)
+        multiplied.apply_all(matrix, plan)
+        assert (gathered.canonical() == multiplied.canonical()).all()
+        # already in the target layout: the moves run in place, byte for
+        # byte what the out-of-place gather writes
+        in_place = _table_holding(dims, rows, target)
+        in_place.gather_all(moves, plan, target)
+        assert in_place.canonical().tobytes() == gathered.canonical().tobytes()
+        # a row subset, in the current layout
+        gathered = _table_holding(dims, rows, start)
+        gathered.gather_rows(moves, plan, subset)
+        multiplied = _table_holding(dims, rows, start)
+        multiplied.apply_rows(matrix, plan, subset)
+        assert gathered.layout == multiplied.layout == start
+        assert (gathered.canonical() == multiplied.canonical()).all()
+        # the scalar oracle's gather against its own GEMM
+        for row in rows:
+            scalar, reference = MixedRadixState(dims), MixedRadixState(dims)
+            scalar._vector = row.copy()
+            reference._vector = row.copy()
+            scalar.apply_moves(moves, units)
+            reference.apply(matrix, units)
+            assert (scalar.vector == reference.vector).all()
+
+    def test_examples_cover_wide_and_stacked_plans(self):
+        wide = build_plan((4, 2, 2, 4), (3, 0))
+        stacked = build_plan((2,), (0,))
+        assert wide.wide and not stacked.wide
+
+    @pytest.mark.parametrize("name", sorted(_MONOMIAL_GATES) + ["s", "sdg"])
+    def test_detection_accepts_monomial_gates(self, name):
+        matrix = _MONOMIAL_GATES.get(name)
+        if matrix is None:
+            matrix = qubit_gate(name)
+        width = matrix.shape[0].bit_length() - 1  # operand count
+        assert detect_moves(matrix, (2,) * width) is not None
+        # embedded on ququart slots, two operands per unit
+        dims = (4,) * ((width + 1) // 2)
+        slots = tuple((unit, slot) for unit in range(len(dims)) for slot in (0, 1))[:width]
+        embedded, units = embed_on_slots(dims, matrix, slots)
+        assert detect_moves(embedded, tuple(dims[u] for u in units)) is not None
+
+    @pytest.mark.parametrize("name", ["h", "rz", "damping_jump", "project_0", "project_1"])
+    @pytest.mark.parametrize("dims, slot", [((2,), (0, 0)), ((4,), (0, 1))])
+    def test_detection_rejects_dense_and_non_unitary(self, name, dims, slot):
+        matrix = {
+            "h": qubit_gate("h"),
+            "rz": qubit_gate("rz", (0.3,)),
+            "damping_jump": _DAMPING_JUMP,
+            "project_0": _PROJECTORS[0],
+            "project_1": _PROJECTORS[1],
+        }[name]
+        embedded, units = embed_on_slots(dims, matrix, (slot,))
+        assert detect_moves(embedded, tuple(dims[u] for u in units)) is None
+        assert monomial_moves(embedded, tuple(dims[u] for u in units)) is None
+
+    def test_detection_rejects_non_unit_phases(self):
+        assert detect_moves(qubit_gate("t"), (2,)) is None
+        assert detect_moves(2.0 * qubit_gate("x"), (2,)) is None
+
+    @pytest.mark.parametrize("spec_index", [0, 1, 2])
+    def test_ideal_fused_vectors_equal_the_gemm_ideal_vector(self, spec_index):
+        # the ideal vector is replayed with GEMMs only; the fused kernel
+        # gathers every monomial step, and the two agree under ==
+        engine = _pooled_engine(spec_index, "ideal")
+        for vector in engine.iter_final_vectors(6, seed=1):
+            assert (vector == engine._ideal_vector).all()
+
+    def test_static_run_multiplies_only_dense_steps(self, monkeypatch):
+        engine = TrajectoryEngine(
+            _pooled_compiled(2), NoiseSpec.from_preset("pessimistic"), track_state=True
+        )
+        (run,) = engine._schedule.segments
+        steps = [item for item in run.items if type(item) is kernel_module.UnitaryStep]
+        sites = [item for item in run.items if type(item) is NoiseSite]
+        dense = [step for step in steps if not _is_monomial(step.matrix)]
+        monomial = {id(step.matrix) for step in steps if _is_monomial(step.matrix)}
+        paulis = {id(p.matrix) for site in sites for entry in site.paulis for p in entry}
+        assert dense and monomial and paulis
+        shots = 64
+        assert engine._tracked_block_shots() >= shots  # one block
+        assert _fired_lanes(engine, 0, shots).any()
+        multiplied = []
+        matmul = np.matmul
+
+        def spied_matmul(matrix, *args, **kwargs):
+            multiplied.append(id(matrix))
+            return matmul(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spied_matmul)
+        chunk = engine.run(shots, seed=0)
+        monkeypatch.undo()
+        assert chunk == engine.run_reference(shots, seed=0)
+        # each dense step multiplies the whole table once; no monomial
+        # step and no fired Pauli ever reaches a GEMM
+        assert not set(multiplied) & (monomial | paulis)
+        dense_ids = [id(step.matrix) for step in dense]
+        assert sorted(i for i in multiplied if i in set(dense_ids)) == sorted(dense_ids)
 
 
 class TestKernelCompilation:
