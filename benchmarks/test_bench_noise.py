@@ -57,14 +57,25 @@ LARGE_TRACKED_REFERENCE_SHOTS = 300
 #: Minimum fused / scalar-reference throughput ratio on the dim >= 512
 #: tracked workload (6-12x measured on a 2-core Xeon VM).
 KERNEL_SPEEDUP_FLOOR = 3.0
+#: Seed of the event-only pedantic round, and of the first best-of-N
+#: repeat (repeat ``r`` runs ``FIRST_TIMED_SEED + r``).  No other run in
+#: this module uses them, so every timed event-only run draws its streams
+#: cold instead of reading a prefix an earlier run stored.
+EVENT_ONLY_ROUND_SEED = 101
+FIRST_TIMED_SEED = 1001
 
 
 def _shots_per_second(runner, shots: int, repeats: int = 5) -> float:
-    """Best-of-N throughput of one engine entry point."""
+    """Best-of-N throughput of one engine entry point.
+
+    Each repeat runs its own seed: the event-only engine shares each
+    chunk's stored stream prefix across runs of one seed, and a timed
+    repeat must measure stream generation, not prefix reads.
+    """
     best = float("inf")
-    for _ in range(repeats):
+    for repeat in range(repeats):
         start = time.perf_counter()
-        runner(shots, seed=0)
+        runner(shots, seed=FIRST_TIMED_SEED + repeat)
         best = min(best, time.perf_counter() - start)
     return shots / best
 
@@ -75,7 +86,7 @@ def test_bench_trajectories_event_only(benchmark):
     benchmark.extra_info["shots"] = SHOTS
     benchmark.extra_info["engine"] = "vectorised"
     chunk = benchmark.pedantic(
-        lambda: engine.run(SHOTS, seed=0), rounds=1, iterations=1
+        lambda: engine.run(SHOTS, seed=EVENT_ONLY_ROUND_SEED), rounds=1, iterations=1
     )
     assert chunk.shots == SHOTS
     assert 0 < chunk.no_error_shots < SHOTS

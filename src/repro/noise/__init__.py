@@ -14,7 +14,8 @@ Layers:
 * :mod:`repro.noise.rng` — batched bit-exact replication of the per-shot
   ``default_rng((seed, shot))`` streams, the engine's vectorised core
   (:class:`GeneratorLanes` keeps lanes live for the tracked path's
-  bounded-integer draws).
+  bounded-integer draws; ``stream_prefix`` shares each chunk's first
+  uniform columns among the event-only engines of one seed).
 * :mod:`repro.noise.trajectory` — the trajectory sampler (chunk-batched
   event-only *and* state-tracking paths plus the scalar ``_reference``
   loop) and :func:`simulate_noisy`.

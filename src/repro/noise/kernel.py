@@ -43,8 +43,11 @@ loops execute without per-op Python dispatch:
   The table owns its storage: every layout copy, GEMM and fork writes
   into buffers allocated once per block.
 * :class:`EventKernel` is the event-only engine's program: one fused
-  threshold vector, compared column by column with the draws as the RNG
-  lanes make them, so no draw matrix is ever held.
+  threshold vector, compared column by column with the draws that a
+  :class:`~repro.noise.rng.StreamPrefix` serves.  No draw matrix is built
+  per block: the first columns come from a bounded, shared prefix that
+  every kernel over the same stream reads, and deeper columns are drawn
+  one at a time.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
 on the same values in the same order** as the scalar
@@ -685,21 +688,23 @@ class EventKernel:
     thresholds: np.ndarray
     num_ops: int
 
-    def count_block(self, lanes) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lane gate and idle event counts, drawing one column at a time.
+    def count_block(self, stream) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lane gate and idle event counts over the block's served columns.
 
-        ``lanes`` is the block's :class:`~repro.noise.rng.GeneratorLanes`.
-        Column ``j`` of every lane's stream is drawn with ``lanes.random()``,
-        compared with ``thresholds[j]`` and added into the lanes' counts, so
-        no ``(lanes, draws)`` matrix is ever built.  Afterwards the lanes
-        stand where ``random_block(len(thresholds))`` would leave them.
+        ``stream`` is the block's :class:`~repro.noise.rng.StreamPrefix`.
+        It serves exactly ``len(thresholds)`` columns; column ``j`` is
+        compared with ``thresholds[j]`` and added into the lanes' counts.
+        The stored prefix is shared with every other kernel over the same
+        stream and is only read, so no ``(lanes, draws)`` matrix is built
+        and a stored column is drawn again only after the memo evicts it.
         """
-        fired = np.empty(lanes.shots, dtype=bool)
+        columns = stream.columns(len(self.thresholds))
+        fired = np.empty(stream.shots, dtype=bool)
         counts = []
         for thresholds in (self.thresholds[: self.num_ops], self.thresholds[self.num_ops:]):
-            total = np.zeros(lanes.shots, dtype=np.int64)
+            total = np.zeros(stream.shots, dtype=np.int64)
             for threshold in thresholds:
-                np.less(lanes.random(), threshold, out=fired)
+                np.less(next(columns), threshold, out=fired)
                 np.add(total, fired, out=total)
             counts.append(total)
         return counts[0], counts[1]

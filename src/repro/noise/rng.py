@@ -20,11 +20,9 @@ re-implementation meaningful rather than fragile.  ``tests/test_trajectory.py``
 pins the equivalence against ``default_rng`` itself, draw for draw.
 
 :class:`GeneratorLanes` keeps one chunk's PCG64 lanes alive between
-draws.  ``random()`` advances every lane one word — the event-only engine
-draws its shots one column at a time this way and compares each column as
-it comes, never holding a draw matrix — and ``random_block`` stacks
-columns into the ``(shots, ndraws)`` matrix the state-tracking engine
-reads.  That engine's per-op Pauli draws call ``Generator.integers``
+draws.  ``random()`` advances every lane one word and ``random_block``
+stacks columns into the ``(shots, ndraws)`` matrix the state-tracking
+engine reads.  That engine's per-op Pauli draws call ``Generator.integers``
 *between* uniform draws, and only on the shots whose error fired, so
 ``random(lanes)`` and ``integers`` advance only the selected lanes,
 replicating NumPy's small-range bounded-integer path exactly (the 32-bit
@@ -34,9 +32,26 @@ runs the one in-place PCG64 step, :func:`_pcg_advance`, over
 preallocated limb buffers.  :func:`uniform_streams` is the one-burst
 convenience: row ``i`` of its matrix equals
 ``default_rng((seed, base_shot + i)).random(ndraws)`` bit for bit.
+
+The event-only engine reads uniform columns only, and every validation
+cell of one seed reads the *same* streams — they differ only in their
+thresholds and depths.  :func:`stream_prefix` is a process memo of the
+last :data:`PREFIX_STREAMS` chunks' :class:`StreamPrefix`: the first
+columns of the chunk's streams, drawn once, stored read-only up to
+:data:`PREFIX_BUDGET` floats, plus the lanes checkpointed where the stored
+prefix ends.  A request reads the stored columns, draws any the prefix
+still lacks below the budget (columns it needs anyway), and streams
+whatever lies past the budget from a copy of the checkpoint, one column
+at a time.  So a miss or an eviction never costs a PCG step that the
+unshared draw-and-compare pass would not take.
 """
 
 from __future__ import annotations
+
+import threading
+from functools import lru_cache
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -323,6 +338,16 @@ class GeneratorLanes:
             self._inc_hi[group] = inc_hi
             self._inc_lo[group] = inc_lo
 
+    def copy(self) -> GeneratorLanes:
+        """Independent lanes standing exactly where these stand.
+
+        Draws on the copy never move the original, nor the other way round.
+        """
+        twin = object.__new__(GeneratorLanes)
+        for name, value in vars(self).items():
+            setattr(twin, name, value.copy() if isinstance(value, np.ndarray) else value)
+        return twin
+
     # -- raw stream advancement ----------------------------------------
     def _next64(self, lanes) -> np.ndarray:
         """Advance the selected lanes one step; their next uint64 outputs."""
@@ -393,7 +418,7 @@ class GeneratorLanes:
         pattern of mid-circuit measurement, which samples only on the shots
         whose branch actually executes the measurement.  ``lanes=None``
         draws the next column of every lane in place, without gathering
-        state: the event-only engine's draw-and-compare pass.
+        state: how a :class:`StreamPrefix` draws its columns.
         """
         if lanes is None:
             return self._uniforms(np.empty(self.shots, dtype=np.float64))
@@ -448,3 +473,68 @@ def uniform_streams(seed: int, base_shot: int, shots: int, ndraws: int) -> np.nd
     if shots == 0 or ndraws == 0:
         return np.empty((shots, ndraws), dtype=np.float64)
     return GeneratorLanes(seed, base_shot, shots).random_block(ndraws)
+
+
+# ------------------------------------------------------------------
+# shared stream prefixes for the event-only engine
+# ------------------------------------------------------------------
+#: Floats one :class:`StreamPrefix` may store: 1 MiB of float64, which is
+#: 32 columns of a 4096-lane chunk.
+PREFIX_BUDGET = 1 << 17
+
+#: Chunks :func:`stream_prefix` keeps.  A cell-major validation plan
+#: alternates between two chunk positions (8000 shots in 4096-shot chunks).
+PREFIX_STREAMS = 2
+
+
+class StreamPrefix:
+    """The first uniform columns of one chunk's streams, drawn once, read-only.
+
+    Column ``j`` is the ``j``-th ``random()`` of
+    ``GeneratorLanes(seed, base_shot, shots)``: entry ``i`` equals the
+    ``j``-th ``default_rng((seed, base_shot + i)).random()``.  At most
+    ``depth = PREFIX_BUDGET // shots`` columns are stored; the lanes stand
+    where the stored prefix ends, so a deeper request continues from a copy
+    of them.  Storing a column and copying the lanes happen under one lock,
+    and a stored column is never written, so any number of threads can
+    read one prefix at once.
+    """
+
+    def __init__(self, seed: int, base_shot: int, shots: int) -> None:
+        self._lanes = GeneratorLanes(seed, base_shot, shots)
+        self.shots = shots
+        self.depth = PREFIX_BUDGET // shots if shots else 0
+        self._stored: list[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored columns (never above ``8 * PREFIX_BUDGET``)."""
+        return sum(column.nbytes for column in self._stored)
+
+    def columns(self, ndraws: int) -> Iterator[np.ndarray]:
+        """Columns ``0 .. ndraws - 1`` of every lane's stream, in order.
+
+        The first ``min(ndraws, depth)`` are the stored, read-only columns;
+        any of them no earlier request drew are drawn and stored now.  The
+        rest are drawn from a private copy of the checkpointed lanes, one
+        column per ``next``.
+        """
+        if ndraws < 0:
+            raise ValueError("ndraws must be non-negative")
+        with self._lock:
+            while len(self._stored) < min(ndraws, self.depth):
+                column = self._lanes.random()
+                column.flags.writeable = False
+                self._stored.append(column)
+            served = self._stored[:ndraws]
+            if ndraws == len(served):
+                return iter(served)
+            lanes = self._lanes.copy()
+        return chain(served, (lanes.random() for _ in range(ndraws - len(served))))
+
+
+@lru_cache(maxsize=PREFIX_STREAMS)
+def stream_prefix(seed: int, base_shot: int, shots: int) -> StreamPrefix:
+    """The process's shared :class:`StreamPrefix` of one chunk's streams."""
+    return StreamPrefix(seed, base_shot, shots)

@@ -21,12 +21,15 @@ chunked across workers.
 
 The event-only path (``track_state=False``, all the EPS estimate needs) is
 chunk-batched: the circuit's error-site schedule is pre-extracted into flat
-probability arrays once per engine, and all stochastic draws for a whole
-block of shots are generated in one vectorised pass through
-:mod:`repro.noise.rng` — an order of magnitude faster than one Python
-``Generator`` per shot, yet bit-identical to it.  The scalar loop is the
-``_reference`` implementation (:meth:`run_reference`), and the
-golden-equivalence tests compare the two draw for draw.
+probability arrays once per engine, and a whole block of shots draws its
+uniforms as vectorised columns through :mod:`repro.noise.rng` — an order
+of magnitude faster than one Python ``Generator`` per shot, yet
+bit-identical to it.  Every engine of one seed reads the same streams, so
+the columns come from :func:`~repro.noise.rng.stream_prefix`, a process
+memo that draws each stored column of a chunk once for all the cells
+that read it.  The scalar loop is the ``_reference`` implementation
+(:meth:`run_reference`), and the golden-equivalence tests compare the
+two draw for draw.
 
 Shots where *no* event fired estimate the analytic EPS; with
 ``track_state=True`` the engine additionally evolves the state vector and
@@ -75,7 +78,7 @@ from repro.noise.kernel import (
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
-from repro.noise.rng import GeneratorLanes, check_shot_span
+from repro.noise.rng import GeneratorLanes, check_shot_span, stream_prefix
 from repro.noise.rng import uniform_streams  # noqa: F401  (perfbench traces it here)
 from repro.pulses.unitaries import qubit_gate
 from repro.simulation.batched import ApplyPlan, build_plan
@@ -436,21 +439,22 @@ class TrajectoryEngine:
     def _run_event_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
         """Vectorised event-only sampling over blocks of shots.
 
-        Seeds every shot's private ``default_rng((seed, shot))`` stream as
-        one :class:`~repro.noise.rng.GeneratorLanes` block, which the
-        pre-built :class:`~repro.noise.kernel.EventKernel` draws one column
-        at a time and compares against the column's threshold.  The
-        thresholds and the draws are the same floats the scalar loop uses,
-        compared with the same IEEE predicates, so the event counts are
-        bit-identical at any block or chunk split.
+        Every shot's private ``default_rng((seed, shot))`` stream comes
+        from the block's shared :class:`~repro.noise.rng.StreamPrefix`,
+        whose columns the pre-built
+        :class:`~repro.noise.kernel.EventKernel` compares one at a time
+        against their thresholds.  The thresholds and the draws are the
+        same floats the scalar loop uses, compared with the same IEEE
+        predicates, so the event counts are bit-identical at any block or
+        chunk split, and whichever cells ran before in the process.
         """
         no_error = 0
         gate_events = 0
         idle_events = 0
         for start in range(0, shots, EVENT_BLOCK_SHOTS):
             count = min(EVENT_BLOCK_SHOTS, shots - start)
-            lanes = GeneratorLanes(seed, base_shot + start, count)
-            per_shot_gate, per_shot_idle = self._event_kernel.count_block(lanes)
+            stream = stream_prefix(seed, base_shot + start, count)
+            per_shot_gate, per_shot_idle = self._event_kernel.count_block(stream)
             no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
             gate_events += int(per_shot_gate.sum())
             idle_events += int(per_shot_idle.sum())

@@ -9,12 +9,16 @@ fresh block evolves one row all its lanes share, plus one row per lane
 whose gate error fired.
 """
 
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.noise.kernel as kernel_module
+import repro.noise.rng as rng_module
 import repro.noise.trajectory as trajectory_module
 import repro.simulation.batched as batched_module
 from repro.noise import NoiseSpec, TrajectoryEngine
@@ -27,7 +31,13 @@ from repro.noise.kernel import (
     build_plan,
     compile_schedule,
 )
-from repro.noise.rng import GeneratorLanes, uniform_streams
+from repro.noise.rng import (
+    PREFIX_BUDGET,
+    PREFIX_STREAMS,
+    GeneratorLanes,
+    stream_prefix,
+    uniform_streams,
+)
 from repro.noise.trajectory import _DAMPING_JUMP, _PROJECTORS, FINAL_VECTORS_MAX_SHOTS
 from repro.pulses.unitaries import CX_MATRIX, CZ_MATRIX, SWAP_MATRIX, qubit_gate
 from repro.runner import SweepPoint
@@ -556,11 +566,11 @@ class TestKernelCompilation:
         kernel = build_event_kernel(np.array([0.5, 0.0, 0.25]), np.array([0.125]))
         assert isinstance(kernel, EventKernel)
         draws = np.array([[0.4, 0.1, 0.2, 0.1], [0.6, 0.0, 0.3, 0.2]])
-        lanes = _ColumnLanes(draws)
-        gate, idle = kernel.count_block(lanes)
+        stream = _ColumnStream(draws)
+        gate, idle = kernel.count_block(stream)
         assert gate.tolist() == [2, 0]
         assert idle.tolist() == [1, 0]
-        assert lanes.served == 4  # one column per threshold, no more
+        assert stream.served == 4  # one column per threshold, no more
 
 
 class TestOperatorMemos:
@@ -612,7 +622,7 @@ class TestOperatorMemos:
         assert build_plan([2, 4, 2], [1, 0]) is build_plan((2, 4, 2), (1, 0))
 
 
-class _ColumnLanes:
+class _ColumnStream:
     """Serves a fixed draw matrix to ``count_block`` one column at a time."""
 
     def __init__(self, draws: np.ndarray) -> None:
@@ -620,19 +630,37 @@ class _ColumnLanes:
         self._draws = draws
         self.served = 0
 
-    def random(self) -> np.ndarray:
-        column = self._draws[:, self.served].copy()
-        self.served += 1
-        return column
+    def columns(self, ndraws: int):
+        for column in range(ndraws):
+            self.served += 1
+            yield self._draws[:, column].copy()
 
 
+def _event_sums(draws: np.ndarray, thresholds: np.ndarray, num_ops: int):
+    """Per-lane gate and idle counts of the whole draw matrix at once."""
+    events = draws[:, : len(thresholds)] < thresholds
+    return events[:, :num_ops].sum(axis=1).tolist(), events[:, num_ops:].sum(axis=1).tolist()
+
+
+@pytest.fixture
+def cold_prefixes():
+    """Empty the process's stream-prefix memo before and after a test."""
+    stream_prefix.cache_clear()
+    yield
+    stream_prefix.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_prefixes")
 class TestFusedEventCount:
-    """``count_block`` draws and compares column by column: the counts and
-    the stream position equal the draw-matrix computation exactly."""
+    """``count_block`` compares the columns a shared stream prefix serves:
+    the counts equal the draw-matrix computation exactly, whichever
+    requests reached the prefix before."""
 
     SEED = 7
     BASE = 123
     NDRAWS = 10
+    #: 8192 lanes store PREFIX_BUDGET // 8192 == 16 columns.
+    WIDE = 8192
 
     @classmethod
     def _thresholds(cls) -> np.ndarray:
@@ -654,24 +682,154 @@ class TestFusedEventCount:
         thresholds = self._thresholds()
         draws = uniform_streams(self.SEED, self.BASE, shots, self.NDRAWS + 3)
         kernel = build_event_kernel(thresholds[:num_ops], thresholds[num_ops:])
-        lanes = GeneratorLanes(self.SEED, self.BASE, shots)
-        gate, idle = kernel.count_block(lanes)
-        events = draws[:, : self.NDRAWS] < thresholds
-        assert gate.tolist() == events[:, :num_ops].sum(axis=1).tolist()
-        assert idle.tolist() == events[:, num_ops:].sum(axis=1).tolist()
-        # the lanes stand where random_block(len(thresholds)) leaves them
-        assert (lanes.random_block(3) == draws[:, self.NDRAWS:]).all()
+        stream = stream_prefix(self.SEED, self.BASE, shots)
+        gate, idle = kernel.count_block(stream)
+        assert (gate.tolist(), idle.tolist()) == _event_sums(draws, thresholds, num_ops)
+        # a deeper request continues the same streams
+        served = list(stream.columns(self.NDRAWS + 3))
+        assert all((served[column] == draws[:, column]).all() for column in range(13))
+
+    def _check_depth(self, ndraws: int, draws: np.ndarray) -> None:
+        thresholds = np.linspace(0.05, 0.95, ndraws)
+        num_ops = ndraws // 2
+        kernel = build_event_kernel(thresholds[:num_ops], thresholds[num_ops:])
+        gate, idle = kernel.count_block(stream_prefix(self.SEED, 0, self.WIDE))
+        assert (gate.tolist(), idle.tolist()) == _event_sums(draws, thresholds, num_ops)
+
+    @pytest.mark.parametrize("ndraws", [5, 16, 23])
+    def test_depths_below_at_and_above_the_prefix(self, ndraws):
+        stream = stream_prefix(self.SEED, 0, self.WIDE)
+        assert stream.depth == 16
+        self._check_depth(ndraws, uniform_streams(self.SEED, 0, self.WIDE, ndraws))
+        assert stream.nbytes == min(ndraws, 16) * self.WIDE * 8
+
+    @pytest.mark.parametrize("order", [(23, 5, 16), (5, 16, 23), (16, 23, 5, 23)])
+    def test_request_orders_all_count_exactly(self, order):
+        draws = uniform_streams(self.SEED, 0, self.WIDE, max(order))
+        for ndraws in order:
+            self._check_depth(ndraws, draws)
+        assert stream_prefix.cache_info().currsize == 1
+
+    def test_a_second_key_keeps_its_own_prefix(self):
+        first = stream_prefix(self.SEED, 0, self.WIDE)
+        second = stream_prefix(self.SEED, self.WIDE, 3904)
+        assert first is not second and second.depth == PREFIX_BUDGET // 3904
+        thresholds = self._thresholds()
+        kernel = build_event_kernel(thresholds[:4], thresholds[4:])
+        for stream, base in ((first, 0), (second, self.WIDE), (first, 0)):
+            draws = uniform_streams(self.SEED, base, stream.shots, self.NDRAWS)
+            gate, idle = kernel.count_block(stream)
+            assert (gate.tolist(), idle.tolist()) == _event_sums(draws, thresholds, 4)
+        assert stream_prefix(self.SEED, 0, self.WIDE) is first
+        assert stream_prefix.cache_info().currsize == 2
+
+    def test_served_columns_are_read_only(self):
+        stream = stream_prefix(self.SEED, self.BASE, 64)
+        served = list(stream.columns(3))
+        with pytest.raises(ValueError):
+            served[0][0] = 0.5
+        assert not any(column.flags.writeable for column in served)
+
+    def test_columns_past_the_prefix_equal_uniform_streams(self):
+        depth = PREFIX_BUDGET // self.WIDE
+        draws = uniform_streams(self.SEED, self.BASE, self.WIDE, depth + 6)
+        stream = stream_prefix(self.SEED, self.BASE, self.WIDE)
+        for _ in range(2):  # streaming past the prefix never moves its checkpoint
+            served = np.stack(list(stream.columns(depth + 6)), axis=1)
+            assert (served == draws).all()
+        assert stream.nbytes == depth * self.WIDE * 8
+
+    def test_a_second_engine_draws_only_past_the_prefix(self, monkeypatch):
+        engine = TrajectoryEngine(_pooled_compiled(0), TABLE1)
+        columns = len(engine._event_kernel.thresholds)
+        drawn = []
+        real = GeneratorLanes.random
+
+        def spy(lanes, *args):
+            drawn.append(lanes.shots)
+            return real(lanes, *args)
+
+        monkeypatch.setattr(GeneratorLanes, "random", spy)
+        first = engine.run(4096, seed=11)
+        assert len(drawn) == columns
+        del drawn[:]
+        again = TrajectoryEngine(_pooled_compiled(0), TABLE1).run(4096, seed=11)
+        assert again == first
+        assert len(drawn) == max(0, columns - PREFIX_BUDGET // 4096)
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 30), st.integers(0, 30)),
+        min_size=1, max_size=8,
+    ))
+    def test_request_sequences_count_like_fresh_draws(self, requests):
+        # a 48-float budget keeps every depth small, so the sequences
+        # cross the prefix end of all four keys
+        keys = ((3, 0, 1), (3, 9, 4), (3, 0, 7), (4, 0, 7))
+        thresholds = np.random.default_rng(1).random(30)
+        with mock.patch.object(rng_module, "PREFIX_BUDGET", 48):
+            stream_prefix.cache_clear()
+            for key_index, ndraws, num_ops in requests:
+                num_ops = min(num_ops, ndraws)
+                key = keys[key_index]
+                kernel = build_event_kernel(thresholds[:num_ops], thresholds[num_ops:ndraws])
+                stream = stream_prefix(*key)
+                gate, idle = kernel.count_block(stream)
+                draws = uniform_streams(*key, ndraws)
+                expected = _event_sums(draws, thresholds[:ndraws], num_ops)
+                assert (gate.tolist(), idle.tolist()) == expected
+                assert stream.nbytes <= 48 * 8
+        stream_prefix.cache_clear()
+
+    def test_stored_bytes_never_exceed_the_budget(self):
+        for base, shots in ((0, 1024), (5, 3000), (0, 4096), (1, 8193), (0, PREFIX_BUDGET + 1)):
+            stream = stream_prefix(self.SEED, base, shots)
+            for _ in stream.columns(stream.depth + 3):
+                pass
+            assert stream.nbytes <= 8 * PREFIX_BUDGET
+            assert stream.nbytes == 8 * shots * stream.depth
+            assert stream_prefix.cache_info().currsize <= PREFIX_STREAMS
+        assert stream.depth == 0  # a chunk wider than the budget stores nothing
+
+    def test_concurrent_kernels_share_one_stream(self):
+        thresholds = np.linspace(0.01, 0.5, 40)
+        kernels = (build_event_kernel(thresholds[:24], thresholds[24:]),
+                   build_event_kernel(thresholds[:10], thresholds[10:20]))
+        serial = []
+        for kernel in kernels:
+            stream_prefix.cache_clear()
+            serial.append(kernel.count_block(stream_prefix(self.SEED, 0, self.WIDE)))
+        for _ in range(4):
+            stream_prefix.cache_clear()
+            stream = stream_prefix(self.SEED, 0, self.WIDE)
+            barrier = threading.Barrier(len(kernels))
+            results = [None] * len(kernels)
+
+            def count(index):
+                barrier.wait()
+                results[index] = kernels[index].count_block(stream)
+
+            threads = [threading.Thread(target=count, args=(index,)) for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for (gate, idle), (want_gate, want_idle) in zip(results, serial):
+                assert (gate == want_gate).all() and (idle == want_idle).all()
 
     def test_later_draws_continue_the_stream(self):
-        kernel = build_event_kernel(np.full(6, 0.1), np.full(2, 0.01))
         lanes = GeneratorLanes(self.SEED, self.BASE, 64)
-        kernel.count_block(lanes)
+        lanes.random_block(5)
+        twin = lanes.copy()
+        ahead = twin.random_block(3)
         picked = np.array([1, 5, 40])
-        strings = lanes.integers(picked, 1, 16)
+        strings = twin.integers(picked, 1, 16)
         for position, lane in enumerate(picked):
             rng = np.random.default_rng((self.SEED, self.BASE + int(lane)))
             rng.random(8)
             assert int(rng.integers(1, 16)) == strings[position]
+        # the copy's draws never moved the original
+        assert (lanes.random_block(3) == ahead).all()
 
 
 class TestFinalVectorStreaming:
