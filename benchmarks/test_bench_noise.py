@@ -57,20 +57,23 @@ LARGE_TRACKED_REFERENCE_SHOTS = 300
 #: Minimum fused / scalar-reference throughput ratio on the dim >= 512
 #: tracked workload (6-12x measured on a 2-core Xeon VM).
 KERNEL_SPEEDUP_FLOOR = 3.0
-#: Seed of the event-only pedantic round, and of the first best-of-N
-#: repeat (repeat ``r`` runs ``FIRST_TIMED_SEED + r``).  No other run in
-#: this module uses them, so every timed event-only run draws its streams
+#: Seeds of the pedantic rounds, and of the first best-of-N repeat (repeat
+#: ``r`` runs ``FIRST_TIMED_SEED + r``).  Both engine modes share each
+#: chunk's stored stream prefix across runs of one seed, and no earlier run
+#: in this module uses these seeds, so every timed run draws its streams
 #: cold instead of reading a prefix an earlier run stored.
 EVENT_ONLY_ROUND_SEED = 101
+TRACKED_ROUND_SEED = 102
+TRACKED_LARGE_ROUND_SEED = 103
 FIRST_TIMED_SEED = 1001
 
 
 def _shots_per_second(runner, shots: int, repeats: int = 5) -> float:
     """Best-of-N throughput of one engine entry point.
 
-    Each repeat runs its own seed: the event-only engine shares each
-    chunk's stored stream prefix across runs of one seed, and a timed
-    repeat must measure stream generation, not prefix reads.
+    Each repeat runs its own seed: both engine modes share each chunk's
+    stored stream prefix across runs of one seed, and a timed repeat must
+    measure stream generation, not prefix reads.
     """
     best = float("inf")
     for repeat in range(repeats):
@@ -130,7 +133,7 @@ def test_bench_trajectories_tracked(benchmark):
     benchmark.extra_info["shots"] = TRACKED_SHOTS
     benchmark.extra_info["engine"] = "tracked"
     chunk = benchmark.pedantic(
-        lambda: engine.run(TRACKED_SHOTS, seed=0), rounds=1, iterations=1
+        lambda: engine.run(TRACKED_SHOTS, seed=TRACKED_ROUND_SEED), rounds=1, iterations=1
     )
     assert chunk.shots == TRACKED_SHOTS
     assert chunk.tracked
@@ -176,7 +179,8 @@ def test_bench_trajectories_tracked_large(benchmark):
     benchmark.extra_info["shots"] = LARGE_TRACKED_SHOTS
     benchmark.extra_info["engine"] = "tracked_large"
     chunk = benchmark.pedantic(
-        lambda: engine.run(LARGE_TRACKED_SHOTS, seed=0), rounds=1, iterations=1
+        lambda: engine.run(LARGE_TRACKED_SHOTS, seed=TRACKED_LARGE_ROUND_SEED),
+        rounds=1, iterations=1,
     )
     assert chunk.shots == LARGE_TRACKED_SHOTS
     assert chunk.tracked

@@ -513,21 +513,20 @@ def inject_noise(
     state: RowTable,
     site: NoiseSite,
     fired: np.ndarray,
-    rng_lanes,
+    strings: np.ndarray,
     ahead: tuple[int, ...] | None = None,
 ) -> None:
-    """Draw each fired lane's Pauli string and inject it into a row of its own.
+    """Inject each fired lane's Pauli string into a row of its own.
 
-    ``fired`` are the lanes whose gate error fired at ``site``; each draws
-    its string from its own stream (``rng_lanes``, the block's
-    :class:`~repro.noise.rng.GeneratorLanes`) at exactly the position the
-    scalar loop would use.  Slot by slot, in the scalar loop's order, the
-    rows drawing each Pauli take it as one gather along that slot's unit
-    axis: the first slot's Pauli rides on the fork
+    ``fired`` are the lanes whose gate error fired at ``site``, in lane
+    order, and ``strings`` the string each drew from its own stream at
+    the position the scalar loop draws it (see :class:`SiteStrings` and
+    :func:`strings_drawn_at_site`).  Slot by slot, in the scalar loop's
+    order, the rows drawing each Pauli take it as one gather along that
+    slot's unit axis: the first slot's Pauli rides on the fork
     (:meth:`RowTable.fork`, towards layout ``ahead``), each later slot's
     is one row-subset gather per Pauli.
     """
-    strings = rng_lanes.integers(fired, 1, site.bound)
     width = len(site.slots)
     codes = [(strings >> (2 * (width - 1 - position))) & 3 for position in range(width)]
     rows = state.fork(fired, codes[0], site.paulis[0], ahead)
@@ -536,6 +535,56 @@ def inject_noise(
             group = rows[codes[position] == code]
             if group.size:
                 state.apply_to_rows(site.paulis[position][code - 1], group)
+
+
+class SiteStrings:
+    """A static block's Pauli strings, all drawn before the block evolves.
+
+    A static program draws nothing between its up-front uniforms and its
+    last uniform but one string per fired op with slots, in op order.  So
+    every string can be drawn first, in lane-parallel rounds: round ``r``
+    draws the ``r``-th such op of every lane that has one, with one
+    ``integers`` call per distinct bound.  Each lane still draws its
+    strings in op order, at the stream positions the scalar loop uses.
+
+    Built from the block's :class:`~repro.noise.rng.GeneratorLanes`
+    (standing past the up-front uniforms), its ``(ops, lanes)`` gate-error
+    mask and the schedule's per-op :attr:`KernelSchedule.bounds`.  Called
+    as ``strings(site, fired)`` it returns the strings of the lanes that
+    fired at ``site``, in lane order.
+    """
+
+    __slots__ = ("_strings", "_starts")
+
+    def __init__(self, rng_lanes, fired: np.ndarray, bounds: np.ndarray) -> None:
+        ops, lanes = np.nonzero(fired & (bounds > 0)[:, None])
+        self._starts = np.searchsorted(ops, np.arange(bounds.size + 1))
+        self._strings = np.empty(ops.size, dtype=np.int64)
+        if not ops.size:
+            return
+        # pairs come op-major; a stable sort by lane ranks each lane's ops
+        by_lane = np.argsort(lanes, kind="stable")
+        in_lane_order = lanes[by_lane]
+        rounds = np.empty(ops.size, dtype=np.int64)
+        rounds[by_lane] = np.arange(ops.size) - np.searchsorted(in_lane_order, in_lane_order)
+        pair_bounds = bounds[ops]
+        order = np.lexsort((pair_bounds, rounds))
+        keys = rounds[order] * (int(bounds.max()) + 1) + pair_bounds[order]
+        for group in np.split(order, np.flatnonzero(np.diff(keys)) + 1):
+            self._strings[group] = rng_lanes.integers(
+                lanes[group], 1, int(pair_bounds[group[0]]))
+
+    def __call__(self, site: NoiseSite, fired: np.ndarray) -> np.ndarray:
+        return self._strings[self._starts[site.op_index]: self._starts[site.op_index + 1]]
+
+
+def strings_drawn_at_site(rng_lanes):
+    """Strings drawn at each site, for a program whose draws depend on the state.
+
+    A dynamic program's mid-circuit draws sit between its strings in every
+    lane's stream, so each site draws its fired lanes' strings as it runs.
+    """
+    return lambda site, fired: rng_lanes.integers(fired, 1, site.bound)
 
 
 # ----------------------------------------------------------------------
@@ -556,17 +605,20 @@ class KernelSchedule:
     segments: tuple[FusedRun | int, ...]
     num_ops: int
     dynamic: dict[int, DynamicOp]
+    #: Per op, the exclusive bound of its Pauli-string draw (0: no slots).
+    bounds: np.ndarray
 
     def execute_run(
-        self, run: FusedRun, state: RowTable, gate_mask: np.ndarray, rng_lanes
+        self, run: FusedRun, state: RowTable, gate_mask: np.ndarray, strings
     ) -> None:
         """Execute one fused run on ``state``, in place.
 
         Unitary steps touch every row once; at a noise site the fired
-        lanes fork and take their sampled Paulis (:func:`inject_noise`).
-        ``rng_lanes`` is the block's
-        :class:`~repro.noise.rng.GeneratorLanes`.  The rows stay in the
-        last op's layout: nothing is expanded or restored at the run's end.
+        lanes fork and take their sampled Paulis (:func:`inject_noise`),
+        whose strings ``strings(site, fired)`` gives: a static block's
+        :class:`SiteStrings` or a dynamic one's
+        :func:`strings_drawn_at_site`.  The rows stay in the last op's
+        layout: nothing is expanded or restored at the run's end.
         """
         for item, ahead in zip(run.items, run.ahead):
             if type(item) is UnitaryStep:
@@ -574,7 +626,7 @@ class KernelSchedule:
             else:
                 fired = np.flatnonzero(gate_mask[:, item.op_index])
                 if fired.size:
-                    inject_noise(state, item, fired, rng_lanes, ahead)
+                    inject_noise(state, item, fired, strings(item, fired), ahead)
 
     def execute_run_unitaries(self, run: FusedRun, state: RowTable) -> None:
         """Apply a run's unitaries to every row of ``state``, in place.
@@ -667,8 +719,12 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
         if site is not None:
             items.append(site)
     flush()
+    bounds = np.array([4 ** len(op.slots) if op.slots else 0 for op in compiled.ops],
+                      dtype=np.int64)
+    bounds.flags.writeable = False
     return KernelSchedule(
-        dims=dims, segments=tuple(segments), num_ops=len(compiled.ops), dynamic=dynamic
+        dims=dims, segments=tuple(segments), num_ops=len(compiled.ops), dynamic=dynamic,
+        bounds=bounds,
     )
 
 

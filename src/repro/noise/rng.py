@@ -21,29 +21,37 @@ pins the equivalence against ``default_rng`` itself, draw for draw.
 
 :class:`GeneratorLanes` keeps one chunk's PCG64 lanes alive between
 draws.  ``random()`` advances every lane one word and ``random_block``
-stacks columns into the ``(shots, ndraws)`` matrix the state-tracking
-engine reads.  That engine's per-op Pauli draws call ``Generator.integers``
-*between* uniform draws, and only on the shots whose error fired, so
-``random(lanes)`` and ``integers`` advance only the selected lanes,
-replicating NumPy's small-range bounded-integer path exactly (the 32-bit
-Lemire rejection sampler over ``next_uint32``, including the half-word
-buffer PCG64 keeps between 32-bit draws).  Every draw method
-runs the one in-place PCG64 step, :func:`_pcg_advance`, over
-preallocated limb buffers.  :func:`uniform_streams` is the one-burst
-convenience: row ``i`` of its matrix equals
+stacks columns into a ``(shots, ndraws)`` matrix.  A state-tracked shot
+draws its up-front uniforms, then one ``Generator.integers`` Pauli
+string per fired op (only on the shots whose error fired), then one last
+uniform — and a dynamic program's mid-circuit uniforms sit between its
+strings.  So ``random(lanes)`` and ``integers`` advance only the
+selected lanes, replicating NumPy's small-range bounded-integer path
+exactly (the 32-bit Lemire rejection sampler over ``next_uint32``,
+including the half-word buffer PCG64 keeps between 32-bit draws).  Every
+draw method runs the one in-place PCG64 step, :func:`_pcg_advance`,
+over preallocated limb buffers.  :meth:`GeneratorLanes.advance` jumps
+every lane ``k`` words at once, as ``PCG64.advance`` does: ``k`` LCG
+steps are ``state * A + inc * P (mod 2**128)`` for two scalars that an
+O(log k) loop finds (Brown's arbitrary-stride method), applied with the
+step's own lane-by-scalar product.  :func:`uniform_streams` is the
+one-burst convenience: row ``i`` of its matrix equals
 ``default_rng((seed, base_shot + i)).random(ndraws)`` bit for bit.
 
-The event-only engine reads uniform columns only, and every validation
-cell of one seed reads the *same* streams — they differ only in their
-thresholds and depths.  :func:`stream_prefix` is a process memo of the
-last :data:`PREFIX_STREAMS` chunks' :class:`StreamPrefix`: the first
-columns of the chunk's streams, drawn once, stored read-only up to
-:data:`PREFIX_BUDGET` floats, plus the lanes checkpointed where the stored
-prefix ends.  A request reads the stored columns, draws any the prefix
-still lacks below the budget (columns it needs anyway), and streams
-whatever lies past the budget from a copy of the checkpoint, one column
-at a time.  So a miss or an eviction never costs a PCG step that the
-unshared draw-and-compare pass would not take.
+Every validation cell of one seed reads the *same* streams — the cells
+differ only in their thresholds and depths.  :func:`stream_prefix` is a
+process memo of the last :data:`PREFIX_STREAMS` chunks'
+:class:`StreamPrefix`: the first columns of the chunk's streams, drawn
+once, stored read-only up to :data:`PREFIX_BUDGET` floats, plus the
+lanes checkpointed where the stored prefix ends and the seeded state
+words.  A request reads the stored columns, draws any the prefix still
+lacks below the budget (columns it needs anyway), and streams whatever
+lies past the budget from a copy of the checkpoint, one column at a
+time.  So a miss or an eviction never costs a PCG step that an unshared
+pass would not take.  The event-only engine reads columns only; the
+state-tracked engine reads its up-front columns the same way, then takes
+live lanes for its later draws from :meth:`StreamPrefix.lanes_at`, a
+jump from the seeded words, so no cell's draws move a shared lane.
 """
 
 from __future__ import annotations
@@ -69,10 +77,7 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 
 # --- PCG64 constants (numpy/random/src/pcg64) ----------------------------
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_PCG_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_PCG_MULT_LO_LO = np.uint64(_PCG_MULT & 0xFFFFFFFF)
-_PCG_MULT_LO_HI = np.uint64((_PCG_MULT >> 32) & 0xFFFFFFFF)
+_MASK128 = (1 << 128) - 1
 
 #: 53-bit uniform doubles: (word >> 11) * 2**-53, as next_double does.
 _TO_DOUBLE = 1.0 / 9007199254740992.0
@@ -159,6 +164,63 @@ _SHIFT11 = np.uint64(11)
 _WIDTH = np.uint64(64)
 
 
+def _scalar_limbs(value: int) -> tuple[np.uint64, np.uint64, np.uint64, np.uint64]:
+    """A 128-bit scalar as (high word, low word, low word's two 32-bit halves)."""
+    low = value & 0xFFFFFFFFFFFFFFFF
+    return (np.uint64(value >> 64), np.uint64(low),
+            np.uint64(low & 0xFFFFFFFF), np.uint64(low >> 32))
+
+
+_PCG_LIMBS = _scalar_limbs(_PCG_MULT)
+
+
+def _multiply_lanes(
+    high: np.ndarray,
+    low: np.ndarray,
+    limbs: tuple[np.uint64, np.uint64, np.uint64, np.uint64],
+    work: np.ndarray,
+) -> None:
+    """``(high, low) *= scalar (mod 2**128)`` on every lane, in place.
+
+    ``limbs`` is the scalar's :func:`_scalar_limbs`; ``work`` is
+    ``(4, lanes)`` uint64 scratch, so a product allocates nothing.  The
+    high word of ``low * (scalar mod 2**64)`` comes from 32-bit limb
+    products.
+    """
+    mult_hi, mult_lo, mult_lo_lo, mult_lo_hi = limbs
+    x_lo, x_hi, part, tmp = work
+    np.bitwise_and(low, _MASK32, out=x_lo)
+    np.right_shift(low, _SHIFT32, out=x_hi)
+    np.multiply(x_lo, mult_lo_lo, out=part)
+    np.right_shift(part, _SHIFT32, out=part)
+    np.multiply(x_lo, mult_lo_hi, out=x_lo)
+    np.add(x_lo, part, out=x_lo)
+    np.multiply(x_hi, mult_lo_lo, out=part)
+    np.bitwise_and(part, _MASK32, out=tmp)
+    np.add(x_lo, tmp, out=x_lo)  # the middle column, carries included
+    np.right_shift(part, _SHIFT32, out=part)
+    np.multiply(x_hi, mult_lo_hi, out=x_hi)
+    np.add(x_hi, part, out=x_hi)
+    np.right_shift(x_lo, _SHIFT32, out=x_lo)
+    np.add(x_hi, x_lo, out=x_hi)  # mulhi(low, scalar mod 2**64)
+    np.multiply(low, mult_hi, out=tmp)
+    np.add(x_hi, tmp, out=x_hi)
+    np.multiply(high, mult_lo, out=high)
+    np.add(high, x_hi, out=high)
+    np.multiply(low, mult_lo, out=low)
+
+
+def _add_lanes(
+    high: np.ndarray, low: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarray,
+    carry: np.ndarray,
+) -> None:
+    """``(high, low) += (add_hi, add_lo) (mod 2**128)`` on every lane, in place."""
+    np.add(high, add_hi, out=high)
+    np.add(low, add_lo, out=low)
+    np.less(low, add_lo, out=carry)
+    np.add(high, carry, out=high)
+
+
 def _pcg_advance(
     state_hi: np.ndarray,
     state_lo: np.ndarray,
@@ -171,33 +233,31 @@ def _pcg_advance(
 
     The one PCG64 step.  Every pass writes into ``state_*`` or into the
     caller's scratch — ``work`` is ``(4, lanes)`` uint64, ``carry`` is
-    ``lanes`` bool — so a step allocates nothing.  The high word of
-    ``state_lo * (PCG_MULT mod 2**64)`` comes from 32-bit limb products.
+    ``lanes`` bool — so a step allocates nothing.
     """
-    x_lo, x_hi, part, tmp = work
-    np.bitwise_and(state_lo, _MASK32, out=x_lo)
-    np.right_shift(state_lo, _SHIFT32, out=x_hi)
-    np.multiply(x_lo, _PCG_MULT_LO_LO, out=part)
-    np.right_shift(part, _SHIFT32, out=part)
-    np.multiply(x_lo, _PCG_MULT_LO_HI, out=x_lo)
-    np.add(x_lo, part, out=x_lo)
-    np.multiply(x_hi, _PCG_MULT_LO_LO, out=part)
-    np.bitwise_and(part, _MASK32, out=tmp)
-    np.add(x_lo, tmp, out=x_lo)  # the middle column, carries included
-    np.right_shift(part, _SHIFT32, out=part)
-    np.multiply(x_hi, _PCG_MULT_LO_HI, out=x_hi)
-    np.add(x_hi, part, out=x_hi)
-    np.right_shift(x_lo, _SHIFT32, out=x_lo)
-    np.add(x_hi, x_lo, out=x_hi)  # mulhi(state_lo, PCG_MULT mod 2**64)
-    np.multiply(state_lo, _PCG_MULT_HI, out=tmp)
-    np.add(x_hi, tmp, out=x_hi)
-    np.multiply(state_hi, _PCG_MULT_LO, out=state_hi)
-    np.add(state_hi, x_hi, out=state_hi)
-    np.add(state_hi, inc_hi, out=state_hi)
-    np.multiply(state_lo, _PCG_MULT_LO, out=state_lo)
-    np.add(state_lo, inc_lo, out=state_lo)
-    np.less(state_lo, inc_lo, out=carry)
-    np.add(state_hi, carry, out=state_hi)
+    _multiply_lanes(state_hi, state_lo, _PCG_LIMBS, work)
+    _add_lanes(state_hi, state_lo, inc_hi, inc_lo, carry)
+
+
+def _jump_scalars(steps: int) -> tuple[int, int]:
+    """``(A, P)``: ``steps`` PCG64 steps take ``state`` to ``state * A + inc * P``.
+
+    All arithmetic is mod 2**128.  Brown's O(log k) stride for a
+    power-of-two-modulus LCG (the loop behind NumPy's ``PCG64.advance``),
+    run with an increment of 1: the additive part of a jump is linear in
+    ``inc``, so one ``P`` serves every lane's own increment.
+    """
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT, 1
+    steps &= _MASK128
+    while steps:
+        if steps & 1:
+            mult = (mult * step_mult) & _MASK128
+            plus = (plus * step_mult + step_plus) & _MASK128
+        step_plus = ((step_mult + 1) * step_plus) & _MASK128
+        step_mult = (step_mult * step_mult) & _MASK128
+        steps >>= 1
+    return mult, plus
 
 
 def _pcg_output(
@@ -301,20 +361,8 @@ class GeneratorLanes:
 
     def __init__(self, seed: int, base_shot: int, shots: int) -> None:
         check_shot_span(base_shot, shots)
-        self.shots = shots
-        self._state_hi = np.empty(shots, dtype=np.uint64)
-        self._state_lo = np.empty(shots, dtype=np.uint64)
-        self._inc_hi = np.empty(shots, dtype=np.uint64)
-        self._inc_lo = np.empty(shots, dtype=np.uint64)
-        #: PCG64's buffered half word: ``next_uint32`` returns the low half
-        #: of a fresh 64-bit word and banks the high half for the next call.
-        self._buffered = np.zeros(shots, dtype=np.uint64)
-        self._has_buffer = np.zeros(shots, dtype=bool)
-        #: Scratch for the in-place step, sized for every lane; a draw on a
-        #: lane subset uses a prefix of it.
-        self._work = np.empty((4, shots), dtype=np.uint64)
-        self._carry = np.empty(shots, dtype=bool)
-        self._words = np.empty(shots, dtype=np.uint64)
+        words = [np.empty(shots, dtype=np.uint64) for _ in range(4)]
+        self._adopt(*words)
         if shots == 0:
             return
         # offsets first, so no index is ever formed past 2**64 - 1
@@ -332,11 +380,52 @@ class GeneratorLanes:
             columns.append(index_lo[group])
             if word_count == 2:
                 columns.append(index_hi[group])
-            state_hi, state_lo, inc_hi, inc_lo = _seeded_pcg_lanes(columns)
-            self._state_hi[group] = state_hi
-            self._state_lo[group] = state_lo
-            self._inc_hi[group] = inc_hi
-            self._inc_lo[group] = inc_lo
+            for target, seeded in zip(words, _seeded_pcg_lanes(columns)):
+                target[group] = seeded
+
+    def _adopt(
+        self,
+        state_hi: np.ndarray,
+        state_lo: np.ndarray,
+        inc_hi: np.ndarray,
+        inc_lo: np.ndarray,
+    ) -> None:
+        """Stand at the given PCG64 words, nothing banked, with fresh scratch.
+
+        Takes ``state_*`` as its own; the increments are only ever read, so
+        lanes of one chunk may share them.
+        """
+        shots = state_hi.size
+        self.shots = shots
+        self._state_hi, self._state_lo = state_hi, state_lo
+        self._inc_hi, self._inc_lo = inc_hi, inc_lo
+        #: PCG64's buffered half word: ``next_uint32`` returns the low half
+        #: of a fresh 64-bit word and banks the high half for the next call.
+        self._buffered = np.zeros(shots, dtype=np.uint64)
+        self._has_buffer = np.zeros(shots, dtype=bool)
+        #: Scratch for the in-place step, sized for every lane; a draw on a
+        #: lane subset uses a prefix of it.
+        self._work = np.empty((4, shots), dtype=np.uint64)
+        self._carry = np.empty(shots, dtype=bool)
+        self._words = np.empty(shots, dtype=np.uint64)
+
+    def advance(self, steps: int) -> None:
+        """Jump every lane ``steps`` 64-bit words ahead, like ``PCG64.advance``.
+
+        O(log steps) scalar work plus two lane-by-scalar products —
+        ``state * A + inc * P`` with the step's own multiply — however
+        large ``steps`` is; the lanes then stand where ``steps`` calls of
+        ``random()`` would leave them.  Like NumPy, the jump drops any
+        banked 32-bit half word.  ``steps`` counts forward only.
+        """
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        mult, plus = _jump_scalars(int(steps))
+        _multiply_lanes(self._state_hi, self._state_lo, _scalar_limbs(mult), self._work)
+        add_hi, add_lo = self._inc_hi.copy(), self._inc_lo.copy()
+        _multiply_lanes(add_hi, add_lo, _scalar_limbs(plus), self._work)
+        _add_lanes(self._state_hi, self._state_lo, add_hi, add_lo, self._carry)
+        self._has_buffer.fill(False)
 
     def copy(self) -> GeneratorLanes:
         """Independent lanes standing exactly where these stand.
@@ -502,6 +591,8 @@ class StreamPrefix:
 
     def __init__(self, seed: int, base_shot: int, shots: int) -> None:
         self._lanes = GeneratorLanes(seed, base_shot, shots)
+        #: The seeded state words, the origin of every :meth:`lanes_at` jump.
+        self._seeded = (self._lanes._state_hi.copy(), self._lanes._state_lo.copy())
         self.shots = shots
         self.depth = PREFIX_BUDGET // shots if shots else 0
         self._stored: list[np.ndarray] = []
@@ -532,6 +623,20 @@ class StreamPrefix:
                 return iter(served)
             lanes = self._lanes.copy()
         return chain(served, (lanes.random() for _ in range(ndraws - len(served))))
+
+    def lanes_at(self, depth: int) -> GeneratorLanes:
+        """Fresh lanes standing ``depth`` columns into the streams.
+
+        Jumped from the seeded state words (:meth:`GeneratorLanes.advance`),
+        so they need no column drawn and share nothing the caller may write:
+        the state-tracked engine reads its first ``depth`` columns here and
+        draws its bounded integers and last uniform from these lanes.
+        """
+        lanes = object.__new__(GeneratorLanes)
+        lanes._adopt(self._seeded[0].copy(), self._seeded[1].copy(),
+                     self._lanes._inc_hi, self._lanes._inc_lo)
+        lanes.advance(depth)
+        return lanes
 
 
 @lru_cache(maxsize=PREFIX_STREAMS)

@@ -39,9 +39,17 @@ whose encode/decode ops are modelled as slot transports (see
 :func:`repro.simulation.verify.physical_op_unitary`).
 
 The state-tracking path is chunk-batched too.  A block of shots is one
-:class:`~repro.noise.kernel.RowTable` from its first op to its last, and
-the per-shot RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`,
-which replicates ``Generator.integers``' 32-bit bounded path bit for bit.
+:class:`~repro.noise.kernel.RowTable` from its first op to its last.  Its
+up-front uniforms come from the same shared stream prefix, and its later
+draws from fresh :class:`repro.noise.rng.GeneratorLanes` jumped past them
+(:meth:`~repro.noise.rng.StreamPrefix.lanes_at`), which replicate
+``Generator.integers``' 32-bit bounded path bit for bit.  Each lane's
+stream order is the scalar loop's: uniforms, then one Pauli string per
+fired op in op order, then the final outcome uniform.  A static block
+draws all its strings right after the jump, in lane-parallel rounds
+(:class:`~repro.noise.kernel.SiteStrings`); a dynamic block draws each
+site's strings as the site runs, because its mid-circuit measurement
+draws depend on the state and sit between them.
 The table holds the block's distinct trajectories rather than its shots:
 a fresh block is one row every lane shares, and lanes split off a row
 only where they need a different op from the rest of it — a fired gate
@@ -72,9 +80,11 @@ from repro.noise.kernel import (
     _PAULI_NAMES,
     KernelSchedule,
     RowTable,
+    SiteStrings,
     build_event_kernel,
     compile_schedule,
     inject_noise,
+    strings_drawn_at_site,
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
@@ -497,7 +507,13 @@ class TrajectoryEngine:
         capacity = 1 + int(forked.sum())
         if self.model.idle_policy == "worst_case" and not forked.all():
             jumps = np.packbits(idle_draws[~forked] < self.idle_gammas, axis=1)
-            capacity += np.unique(jumps, axis=0).shape[0] - 1
+            words = max(1, -(-jumps.shape[1] // 8))
+            keys = np.zeros((jumps.shape[0], 8 * words), dtype=np.uint8)
+            keys[:, : jumps.shape[1]] = jumps
+            # one scalar key per lane: a uint64 up to 64 idle qubits, raw
+            # bytes past that; a 1-D unique sorts them without a row compare
+            scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+            capacity += np.unique(keys.view(scalar)[:, 0]).size - 1
         return capacity
 
     def _apply_idle_decay(self, state: RowTable, draws: np.ndarray) -> np.ndarray:
@@ -596,7 +612,7 @@ class TrajectoryEngine:
         if parts.site is not None:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:
-                inject_noise(state, parts.site, fired, lanes)
+                inject_noise(state, parts.site, fired, lanes.integers(fired, 1, parts.site.bound))
 
     def _fidelities(
         self, state: RowTable, ideal: RowTable | None, alive: np.ndarray | None
@@ -640,27 +656,38 @@ class TrajectoryEngine:
         table follows the same branches, and mid-stream draws touch only
         the lanes that execute the drawing op.  Every lane's stream
         position therefore matches its scalar ``default_rng((seed, shot))``
-        twin.
+        twin.  The up-front columns come from the chunk's shared
+        :func:`~repro.noise.rng.stream_prefix`, and the live lanes are
+        jumped past them; a static block then draws its Pauli strings
+        before its first op.
 
         Returns the live RNG lanes, the evolved row table, the per-lane
         gate/idle event counts and the per-lane ideal-vs-noisy fidelities.
         """
-        num_ops = len(self.compiled.ops)
-        lanes = GeneratorLanes(seed, base_shot, count)
-        draws = lanes.random_block(self._draws)
-        gate_mask = draws[:, :num_ops] < self.op_probs
-        idle_draws = draws[:, num_ops:]
+        stream = stream_prefix(seed, base_shot, count)
+        columns = stream.columns(self._draws)
+        fired = np.empty((len(self.compiled.ops), count), dtype=bool)
+        for row, threshold in zip(fired, self.op_probs):
+            np.less(next(columns), threshold, out=row)
+        idle_draws = np.empty((len(self.idle_qubits), count), dtype=np.float64)
+        for row in idle_draws:
+            row[:] = next(columns)
+        gate_mask, idle_draws = fired.T, idle_draws.T
+        lanes = stream.lanes_at(self._draws)
         state = RowTable(self.dims, count, self._row_capacity(gate_mask, idle_draws))
         ideal = alive = None
         if self.is_dynamic:
             ideal = RowTable(self.dims, count)
             alive = np.ones(count, dtype=bool)
             creg = np.zeros(count, dtype=np.int64)
+            strings = strings_drawn_at_site(lanes)
+        else:
+            strings = SiteStrings(lanes, fired, self._schedule.bounds)
         for segment in self._schedule.segments:
             if isinstance(segment, int):
                 self._apply_dynamic_op(segment, state, ideal, alive, creg, lanes, gate_mask)
                 continue
-            self._schedule.execute_run(segment, state, gate_mask, lanes)
+            self._schedule.execute_run(segment, state, gate_mask, strings)
             if self.is_dynamic:
                 self._schedule.execute_run_unitaries(segment, ideal)
         idle_counts = self._apply_idle_decay(state, idle_draws)

@@ -9,6 +9,7 @@ fresh block evolves one row all its lanes share, plus one row per lane
 whose gate error fired.
 """
 
+import pickle
 import threading
 from unittest import mock
 
@@ -830,6 +831,209 @@ class TestFusedEventCount:
             assert int(rng.integers(1, 16)) == strings[position]
         # the copy's draws never moved the original
         assert (lanes.random_block(3) == ahead).all()
+
+
+class TestJumpAhead:
+    """``GeneratorLanes.advance`` lands where NumPy's ``PCG64.advance`` does."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 179, 2**64 + 3])
+    @pytest.mark.parametrize("seed, base_shot", [
+        (0, 0), (7, 2**32 - 2), (2**40 + 3, 2**33 + 1),
+    ], ids=["low", "across-2**32", "two-word"])
+    def test_jump_is_bit_exact(self, seed, base_shot, steps):
+        shots = 4  # from 2**32 - 2, lanes on both sides of the boundary
+        lanes = GeneratorLanes(seed, base_shot, shots)
+        lanes.advance(steps)
+        uniforms = lanes.random_block(3)
+        strings = lanes.integers(np.arange(shots), 1, 16)
+        for lane in range(shots):
+            bits = np.random.PCG64(np.random.SeedSequence((seed, base_shot + lane)))
+            bits.advance(steps)
+            twin = np.random.Generator(bits)
+            assert twin.random(3).tobytes() == uniforms[lane].tobytes()
+            assert int(twin.integers(1, 16)) == strings[lane]
+
+    def test_jump_drops_the_banked_half_word(self):
+        lanes = GeneratorLanes(5, 0, 3)
+        first = lanes.integers(np.arange(3), 1, 4)  # banks a 32-bit half
+        lanes.advance(2)
+        after = lanes.integers(np.arange(3), 1, 4)
+        for lane in range(3):
+            bits = np.random.PCG64(np.random.SeedSequence((5, lane)))
+            twin = np.random.Generator(bits)
+            assert int(twin.integers(1, 4)) == first[lane]
+            bits.advance(2)
+            assert int(twin.integers(1, 4)) == after[lane]
+
+    @settings(max_examples=30, deadline=None)
+    @given(first=st.integers(0, 2**70), second=st.integers(0, 2**70))
+    @example(first=2**64 - 1, second=1)
+    def test_jumps_compose(self, first, second):
+        one = GeneratorLanes(3, 2**32 - 1, 3)
+        one.advance(first)
+        one.advance(second)
+        both = GeneratorLanes(3, 2**32 - 1, 3)
+        both.advance(first + second)
+        assert one.random_block(2).tobytes() == both.random_block(2).tobytes()
+
+    def test_negative_steps_raise(self):
+        lanes = GeneratorLanes(0, 0, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            lanes.advance(-1)
+
+    @pytest.mark.usefixtures("cold_prefixes")
+    @pytest.mark.parametrize("depth", [0, 5, 40])
+    def test_prefix_lanes_start_where_their_columns_end(self, depth):
+        # a 16-column budget: depths below and past the stored prefix
+        with mock.patch.object(rng_module, "PREFIX_BUDGET", 16 * 8):
+            stream = stream_prefix(2, 2**32 - 4, 8)
+            served = list(stream.columns(depth))
+            lanes = stream.lanes_at(depth)
+            draws = uniform_streams(2, 2**32 - 4, 8, depth + 3)
+            assert all((column == draws[:, j]).all() for j, column in enumerate(served))
+            assert lanes.random_block(3).tobytes() == draws[:, depth:].tobytes()
+            # the jumped lanes share nothing the prefix goes on to draw from
+            again = np.stack(list(stream.columns(depth + 3)), axis=1)
+            assert (again == draws).all()
+
+
+def _old_row_capacity(engine, gate_mask: np.ndarray, idle_draws: np.ndarray) -> int:
+    """The row-compare formula ``_row_capacity`` replaced, for comparison."""
+    forked = gate_mask.any(axis=1)
+    capacity = 1 + int(forked.sum())
+    if engine.model.idle_policy == "worst_case" and not forked.all():
+        jumps = np.packbits(idle_draws[~forked] < engine.idle_gammas, axis=1)
+        capacity += np.unique(jumps, axis=0).shape[0] - 1
+    return capacity
+
+
+class TestRowCapacity:
+    """A static block's table is sized from its up-front draws, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lanes=st.integers(1, 40),
+        ops=st.integers(0, 6),
+        idle=st.sampled_from([0, 1, 7, 8, 9, 64, 65, 70]),
+        seed=st.integers(0, 2**16),
+        policy=st.sampled_from(["worst_case", "kraus"]),
+    )
+    def test_capacity_equals_the_row_compare_formula(self, lanes, ops, idle, seed, policy):
+        rng = np.random.default_rng(seed)
+        gate_mask = rng.random((lanes, ops)) < 0.1
+        idle_draws = rng.random((lanes, idle))
+        engine = mock.Mock(model=mock.Mock(idle_policy=policy),
+                           idle_gammas=rng.random(idle) * 0.5)
+        got = TrajectoryEngine._row_capacity(engine, gate_mask, idle_draws)
+        assert got == _old_row_capacity(engine, gate_mask, idle_draws)
+
+    @pytest.mark.parametrize("spec_index", [0, 1, 2])
+    @pytest.mark.parametrize("t1_scale", [1.0, 0.02])
+    def test_static_worst_case_block_never_regrows(self, spec_index, t1_scale, monkeypatch):
+        spec = NoiseSpec.from_preset("pessimistic", t1_scale=t1_scale)
+        engine = TrajectoryEngine(_pooled_compiled(spec_index), spec, track_state=True)
+        assert engine.model.idle_policy == "worst_case" and not engine.is_dynamic
+        grown = []
+        reserve = kernel_module.RowTable._reserve
+
+        def spied_reserve(state, rows):
+            before = state.capacity
+            reserve(state, rows)
+            grown.append(state.capacity != before)
+
+        monkeypatch.setattr(kernel_module.RowTable, "_reserve", spied_reserve)
+        _, state, _, _, _ = engine._evolve_block(17, 0, 200)
+        assert grown and not any(grown)
+        assert state.count == state.capacity
+
+
+class _DrawSpy:
+    """Records, in call order, each ``integers`` draw and each noise injection."""
+
+    def __init__(self, monkeypatch):
+        self.events: list[tuple[str, int]] = []
+        integers = GeneratorLanes.integers
+        inject = kernel_module.inject_noise
+
+        def spied_integers(lanes, picked, low, high):
+            self.events.append(("draw", int(high)))
+            return integers(lanes, picked, low, high)
+
+        def spied_inject(state, site, fired, strings, *args):
+            self.events.append(("inject", site.bound))
+            return inject(state, site, fired, strings, *args)
+
+        monkeypatch.setattr(GeneratorLanes, "integers", spied_integers)
+        monkeypatch.setattr(kernel_module, "inject_noise", spied_inject)
+        monkeypatch.setattr(trajectory_module, "inject_noise", spied_inject)
+
+    def count(self, kind: str) -> int:
+        return sum(1 for event, _ in self.events if event == kind)
+
+
+class TestPredrawnStrings:
+    """A static block draws every Pauli string before it evolves, in rounds."""
+
+    SEED = 23
+    SHOTS = 200
+
+    def _slotted_fires(self, engine: TrajectoryEngine) -> np.ndarray:
+        """Per lane of one block, its fired ops that carry a Pauli draw."""
+        draws = GeneratorLanes(self.SEED, 0, self.SHOTS).random_block(engine._draws)
+        gate_mask = draws[:, : len(engine.compiled.ops)] < engine.op_probs
+        return gate_mask & (engine._schedule.bounds > 0)
+
+    @pytest.mark.parametrize("spec_index", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["table1", "pessimistic"])
+    def test_static_block_draws_in_rounds_before_evolving(
+        self, spec_index, preset, monkeypatch
+    ):
+        engine = _pooled_engine(spec_index, preset)
+        fires = self._slotted_fires(engine)
+        bounds = engine._schedule.bounds
+        spy = _DrawSpy(monkeypatch)
+        engine._evolve_block(self.SEED, 0, self.SHOTS)
+        rounds = int(fires.sum(axis=1).max())
+        distinct = len(set(bounds[fires.any(axis=0)].tolist()))
+        assert 0 < spy.count("draw") <= rounds * distinct
+        # every string is drawn before the first injection
+        first_inject = [event for event, _ in spy.events].index("inject")
+        assert spy.count("draw") == first_inject
+        assert spy.count("inject") == int(fires.any(axis=0).sum())
+
+    @pytest.mark.parametrize("spec_index", [3, 4], ids=["eqm", "qubit_only"])
+    def test_dynamic_block_draws_at_each_site(self, spec_index, monkeypatch):
+        engine = _pooled_engine(spec_index, "pessimistic")
+        spy = _DrawSpy(monkeypatch)
+        engine._evolve_block(self.SEED, 0, self.SHOTS)
+        assert spy.count("inject") > 0
+        # one draw right before each injection, with the site's bound
+        assert len(spy.events) == 2 * spy.count("inject")
+        for (draw, bound), (inject, site_bound) in zip(spy.events[::2], spy.events[1::2]):
+            assert (draw, inject) == ("draw", "inject") and bound == site_bound
+
+    @pytest.mark.usefixtures("cold_prefixes")
+    @pytest.mark.parametrize("spec_index", range(len(_POOL_SPECS)))
+    @pytest.mark.parametrize("warm", [None, -3, 5], ids=["cold", "shallower", "deeper"])
+    def test_fused_equals_reference_byte_for_byte(self, spec_index, warm, monkeypatch):
+        engine = _pooled_engine(spec_index, "pessimistic")
+        shots, seed = 30, 31
+        reference = engine.run_reference(shots, seed)
+        for block in (shots, 7):  # one block, then blocks of 7 lanes
+            monkeypatch.setattr(trajectory_module, "TRACKED_BLOCK_AMPLITUDES",
+                                engine.dimension * block)
+            # a small budget ends the stored prefix inside the engine's depth
+            monkeypatch.setattr(rng_module, "PREFIX_BUDGET", block * (engine._draws // 2))
+            stream_prefix.cache_clear()
+            if warm is not None:  # an earlier cell of another depth read the stream
+                for _ in stream_prefix(seed, 0, min(shots, block)).columns(
+                        max(0, engine._draws + warm)):
+                    pass
+            assert pickle.dumps(engine.run(shots, seed)) == pickle.dumps(reference)
+        vectors = list(engine.iter_final_vectors(6, seed))
+        for shot, vector in enumerate(vectors):
+            scalar = engine._run_shot(np.random.default_rng((seed, shot))).vector
+            assert vector.tobytes() == scalar.tobytes()
 
 
 class TestFinalVectorStreaming:
