@@ -37,6 +37,10 @@ class QuantumCircuit:
         # Pure serialisation metadata (QASM register names); never part of
         # circuit equality.
         self._cregs: list[tuple[str, int]] = []
+        # Derived ASAP layering (see :meth:`moments`): built on first query,
+        # dropped by every mutation, never pickled or compared.  Circuits
+        # unpickled from older blobs simply lack the attribute.
+        self._layers: tuple[tuple[int, ...], ...] | None = None
 
     # ------------------------------------------------------------------
     # container protocol
@@ -60,6 +64,12 @@ class QuantumCircuit:
             return NotImplemented
         return self.num_qubits == other.num_qubits and self._gates == other._gates
 
+    def __getstate__(self) -> dict:
+        """Pickle every field but the derived layering cache."""
+        state = dict(self.__dict__)
+        state.pop("_layers", None)
+        return state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QuantumCircuit(name={self.name!r}, num_qubits={self.num_qubits}, "
@@ -77,6 +87,7 @@ class QuantumCircuit:
                 f"only has {self.num_qubits} qubits"
             )
         self._gates.append(gate)
+        self._layers = None
         return self
 
     def add(
@@ -200,13 +211,19 @@ class QuantumCircuit:
 
         Used by the QASM frontends: one conditioned source statement may
         macro-expand into several gates, all of which inherit the condition
-        (sound because macro bodies are unitary).
+        (sound because macro bodies are unitary).  Atomic: every gate in
+        the range is checked before any is replaced, so a gate that cannot
+        take the condition leaves the circuit unchanged.
         """
+        self._layers = None
+        conditioned: list[tuple[int, Gate]] = []
         for index in range(start_index, len(self._gates)):
             gate = self._gates[index]
             if gate.condition is not None and gate.condition != condition:
                 raise ValueError("gate is already conditioned on different bits")
-            self._gates[index] = replace(gate, condition=condition)
+            conditioned.append((index, replace(gate, condition=condition)))
+        for index, gate in conditioned:
+            self._gates[index] = gate
         return self
 
     @property
@@ -255,38 +272,55 @@ class QuantumCircuit:
         serialise conservatively: any two gates touching the same classical
         bit (a measurement writing it or a conditioned gate reading it)
         never share a moment.
+
+        The layering is computed once and cached until the circuit changes;
+        each call returns fresh lists the caller may mutate.
         """
+        return [list(layer) for layer in self._layering()]
+
+    def depth(self) -> int:
+        """Circuit depth measured in moments."""
+        return len(self._layering())
+
+    def gate_timesteps(self) -> dict[int, int]:
+        """Map each gate index to its 1-based ASAP timestep.
+
+        This is the ``s(o)`` function of the paper's interaction-weight
+        formula (Section 4.2): earlier gates carry a higher weight.  Read
+        from the cached layering; the dict is the caller's own.
+        """
+        steps: dict[int, int] = {}
+        for layer_index, layer in enumerate(self._layering(), start=1):
+            for gate_index in layer:
+                steps[gate_index] = layer_index
+        return steps
+
+    def _layering(self) -> tuple[tuple[int, ...], ...]:
+        """The cached ASAP layering, built on first use after a mutation."""
+        layers = getattr(self, "_layers", None)
+        if layers is None:
+            layers = self._layers = self._asap_layers()
+        return layers
+
+    def _asap_layers(self) -> tuple[tuple[int, ...], ...]:
+        """One greedy ASAP pass over the gate list (see :meth:`moments`)."""
         layers: list[list[int]] = []
         frontier: dict[int, int] = defaultdict(int)  # qubit -> first free layer
         clbit_frontier: dict[int, int] = defaultdict(int)  # classical bit -> first free layer
         for index, gate in enumerate(self._gates):
             start = max((frontier[q] for q in gate.qubits), default=0)
-            for bit in gate.clbits_touched:
+            # Only measurements write bits and only conditions read them.
+            touched = gate.clbits_touched if gate.cbits or gate.condition is not None else ()
+            for bit in touched:
                 start = max(start, clbit_frontier[bit])
             while len(layers) <= start:
                 layers.append([])
             layers[start].append(index)
             for q in gate.qubits:
                 frontier[q] = start + 1
-            for bit in gate.clbits_touched:
+            for bit in touched:
                 clbit_frontier[bit] = start + 1
-        return layers
-
-    def depth(self) -> int:
-        """Circuit depth measured in moments."""
-        return len(self.moments())
-
-    def gate_timesteps(self) -> dict[int, int]:
-        """Map each gate index to its 1-based ASAP timestep.
-
-        This is the ``s(o)`` function of the paper's interaction-weight
-        formula (Section 4.2): earlier gates carry a higher weight.
-        """
-        steps: dict[int, int] = {}
-        for layer_index, layer in enumerate(self.moments(), start=1):
-            for gate_index in layer:
-                steps[gate_index] = layer_index
-        return steps
+        return tuple(tuple(layer) for layer in layers)
 
     # ------------------------------------------------------------------
     # transformations

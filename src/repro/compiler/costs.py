@@ -42,6 +42,8 @@ class CostModel:
         self._adjacency: dict[Slot, list[tuple[Slot, float]]] = {}
         #: ``source -> (distances, previous)`` of completed searches.
         self._searches: dict[Slot, tuple[dict[Slot, float], dict[Slot, Slot]]] = {}
+        #: ``(control, target) -> cx_cost``: static for the same reason.
+        self._cx_costs: dict[tuple[Slot, Slot], float] = {}
 
     # ------------------------------------------------------------------
     # unit / slot structure
@@ -130,9 +132,13 @@ class CostModel:
         return self.op_cost(gate, (slot_a[0], slot_b[0]))
 
     def cx_cost(self, control: Slot, target: Slot) -> float:
-        """``-log S`` of the CX between two adjacent (or co-located) slots."""
-        gate = self.cx_gate(control, target)
-        return self.op_cost(gate, (control[0], target[0]))
+        """``-log S`` of the CX between two adjacent (or co-located) slots, memoised."""
+        key = (control, target)
+        cost = self._cx_costs.get(key)
+        if cost is None:
+            cost = self.op_cost(self.cx_gate(control, target), (control[0], target[0]))
+            self._cx_costs[key] = cost
+        return cost
 
     # ------------------------------------------------------------------
     # distances (Eq. 4 aggregated over best paths)

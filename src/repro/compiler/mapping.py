@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.arch.device import Device
 from repro.arch.interaction_graph import Slot
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.weights import interaction_weights, total_weights, weight_between
+from repro.compiler.weights import interaction_weights, weight_between, weight_totals
 
 #: A placement maps each logical qubit to the slot holding it.
 Placement = dict[int, Slot]
@@ -79,7 +79,7 @@ def initial_mapping(
         )
 
     weights = interaction_weights(circuit)
-    totals = total_weights(circuit)
+    totals = weight_totals(weights, num_qubits)
     partners = _partner_map(tuple(forced_pairs))
     distances = device.topology.all_pairs_distances()
 

@@ -224,13 +224,12 @@ class Router:
         for start in self._adjacent_slots(unit):
             for hole in free:
                 cost = self.costs.swap_distance(start, hole)
-                if cost == float("inf"):
+                if cost == float("inf") or (best is not None and not cost < best[0]):
                     continue
                 path = self.costs.shortest_slot_path(start, hole)
                 if any(step[0] == unit for step in path):
                     continue
-                if best is None or cost < best[0]:
-                    best = (cost, path)
+                best = (cost, path)
         if best is None:
             raise RoutingError(
                 f"mid-circuit measurement on unit {unit} needs a free slot to "
@@ -329,11 +328,13 @@ class Router:
             travel = self.costs.swap_distance(source, landing)
             if travel == float("inf"):
                 continue
+            total = travel + self.costs.cx_cost(landing, anchor_slot)
+            if best is not None and not total < best[1]:
+                # Cannot beat the best landing so far: skip the path walk.
+                continue
             path = self.costs.shortest_slot_path(source, landing)
             if any(self.occupant.get(slot) == anchor for slot in path[1:]):
                 # The path would move the anchor around; skip it.
                 continue
-            total = travel + self.costs.cx_cost(landing, anchor_slot)
-            if best is None or total < best[1]:
-                best = (path, total)
+            best = (path, total)
         return best

@@ -30,8 +30,12 @@ def interaction_weights(circuit: QuantumCircuit) -> dict[tuple[int, int], float]
 
 def total_weights(circuit: QuantumCircuit) -> dict[int, float]:
     """Total interaction weight ``W(i)`` of every circuit qubit."""
-    weights = interaction_weights(circuit)
-    totals: dict[int, float] = {qubit: 0.0 for qubit in range(circuit.num_qubits)}
+    return weight_totals(interaction_weights(circuit), circuit.num_qubits)
+
+
+def weight_totals(weights: dict[tuple[int, int], float], num_qubits: int) -> dict[int, float]:
+    """``W(i)`` of qubits ``0..num_qubits-1`` from already computed pair weights."""
+    totals: dict[int, float] = {qubit: 0.0 for qubit in range(num_qubits)}
     for (a, b), weight in weights.items():
         totals[a] += weight
         totals[b] += weight

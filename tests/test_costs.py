@@ -316,3 +316,27 @@ class TestAweScoring:
         device = Device(topology=grid_topology(2, 5))
         plan = AverageWeightPerEdge().plan(circuit, device)
         assert plan.pairs == reference_awe_plan(circuit)
+
+
+class TestCxCostMemo:
+    @pytest.mark.parametrize(
+        "topology", [grid_topology(3, 4), heavy_hex_topology(2, 5)], ids=["grid", "heavy_hex"]
+    )
+    def test_memoised_cost_equals_fresh_models(self, topology):
+        device = Device(topology=topology)
+        # Mixed modes: every third unit stays a bare qubit.
+        ququarts = frozenset(unit for unit in range(device.num_units) if unit % 3)
+        costs = CostModel(device, ququarts)
+        pairs = [
+            (control, target)
+            for control in costs.enabled_slots()
+            for target in costs.slot_neighbors(control)
+        ]
+        assert any(c[0] == t[0] for c, t in pairs)
+        assert any(c[0] not in ququarts or t[0] not in ququarts for c, t in pairs)
+        first = {pair: costs.cx_cost(*pair) for pair in pairs}
+        for control, target in pairs:
+            memoised = costs.cx_cost(control, target)
+            fresh = CostModel(device, ququarts).cx_cost(control, target)
+            direct = costs.op_cost(costs.cx_gate(control, target), (control[0], target[0]))
+            assert memoised == first[(control, target)] == fresh == direct

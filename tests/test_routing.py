@@ -1,12 +1,19 @@
 """Tests for the SWAP-insertion router."""
 
-import pytest
+from collections import Counter
 
-from repro.arch import Device, linear_topology
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.arch import Device, grid_topology, heavy_hex_topology, linear_topology, ring_topology
 from repro.circuits import QuantumCircuit
-from repro.compiler import CostModel, Router
+from repro.compiler import CostModel, QompressCompiler, Router
 from repro.compiler.routing import RoutingError
+from repro.compression import get_strategy
 from repro.gates import GateStyle
+from repro.runner import DeviceSpec
+from repro.workloads import build_benchmark
 
 
 def _line_setup(num_units=4, ququarts=(), placement=None):
@@ -143,3 +150,101 @@ class TestValidation:
         styles = [op.style for op in ops]
         assert styles.count(GateStyle.QUBIT_QUBIT_CX) == 2
         assert styles.count(GateStyle.SINGLE_QUBIT) == 1
+
+
+def reference_movement_plan(router, mover, anchor):
+    """The landing loop before pruning: walks the path of every landing."""
+    costs = router.costs
+    source = router.slot_of[mover]
+    anchor_slot = router.slot_of[anchor]
+    best = None
+    for landing in costs.slot_neighbors(anchor_slot):
+        if landing == source:
+            continue
+        if router.occupant.get(landing) == anchor:
+            continue
+        travel = costs.swap_distance(source, landing)
+        if travel == float("inf"):
+            continue
+        path = costs.shortest_slot_path(source, landing)
+        if any(router.occupant.get(slot) == anchor for slot in path[1:]):
+            continue
+        total = travel + costs.cx_cost(landing, anchor_slot)
+        if best is None or total < best[1]:
+            best = (path, total)
+    return best
+
+
+_TOPOLOGIES = {
+    "linear": lambda: linear_topology(5),
+    "grid": lambda: grid_topology(3, 3),
+    "ring": lambda: ring_topology(6),
+    "heavy_hex": lambda: heavy_hex_topology(2, 5),
+}
+
+
+@st.composite
+def routers(draw):
+    topology = _TOPOLOGIES[draw(st.sampled_from(sorted(_TOPOLOGIES)))]()
+    ququarts = draw(st.sets(st.integers(0, topology.num_units - 1)))
+    device = Device(topology=topology)
+    costs = CostModel(device, frozenset(ququarts))
+    slots = draw(st.permutations(costs.enabled_slots()))
+    count = draw(st.integers(2, len(slots)))
+    return Router(device, costs, dict(enumerate(slots[:count])))
+
+
+class TestMovementPlan:
+    @given(router=routers())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_walk_every_landing(self, router):
+        for mover in router.slot_of:
+            for anchor in router.slot_of:
+                if mover != anchor:
+                    assert router._movement_plan(mover, anchor) == reference_movement_plan(
+                        router, mover, anchor
+                    )
+
+    def test_equal_cost_ties_keep_the_first_landing(self):
+        device = Device(topology=grid_topology(3, 3))
+        costs = CostModel(device, frozenset())
+        router = Router(device, costs, {0: (0, 0), 1: (8, 0), 2: (4, 0)})
+        anchor_slot = router.slot_of[1]
+        totals = Counter(
+            costs.swap_distance((0, 0), landing) + costs.cx_cost(landing, anchor_slot)
+            for landing in costs.slot_neighbors(anchor_slot)
+        )
+        assert totals[min(totals)] > 1  # two landings of equal best cost
+        assert router._movement_plan(0, 1) == reference_movement_plan(router, 0, 1)
+
+
+class TestCompileFrontEndWork:
+    def test_layering_built_once_and_paths_walked_only_to_win(self, monkeypatch):
+        layerings: Counter = Counter()
+        calls = Counter()
+        original_layers = QuantumCircuit._asap_layers
+        original_plan = Router._movement_plan
+        original_path = CostModel.shortest_slot_path
+
+        def spy_layers(self):
+            layerings[id(self)] += 1
+            return original_layers(self)
+
+        def spy_plan(self, mover, anchor):
+            calls["landings"] += len(self.costs.slot_neighbors(self.slot_of[anchor]))
+            return original_plan(self, mover, anchor)
+
+        def spy_path(self, source, destination):
+            calls["paths"] += 1
+            return original_path(self, source, destination)
+
+        monkeypatch.setattr(QuantumCircuit, "_asap_layers", spy_layers)
+        monkeypatch.setattr(Router, "_movement_plan", spy_plan)
+        monkeypatch.setattr(CostModel, "shortest_slot_path", spy_path)
+        device = DeviceSpec(kind="grid").build(16)
+        compiled = QompressCompiler(device, get_strategy("awe")).compile(
+            build_benchmark("qft", 16)
+        )
+        assert layerings[id(compiled.lowered_circuit)] == 1
+        assert calls["landings"] > 0
+        assert calls["paths"] < calls["landings"]
