@@ -103,7 +103,9 @@ class LRUMemo:
 
 #: Integer counter fields every :class:`NoisyResult` must carry with sane
 #: values; checked by :func:`ensure_noisy_result` before results merge.
-_RESULT_COUNTERS = ("shots", "no_error_shots", "gate_events", "idle_events")
+_RESULT_COUNTERS = (
+    "shots", "no_error_shots", "gate_events", "idle_events", "outcome_successes",
+)
 
 
 def ensure_noisy_result(result: object, backend: str) -> NoisyResult:
@@ -125,11 +127,13 @@ def ensure_noisy_result(result: object, backend: str) -> NoisyResult:
                 f"backend {backend!r} returned a NoisyResult with "
                 f"{name}={value!r}; the contract requires a non-negative int"
             )
-    if result.no_error_shots > result.shots:
-        raise BackendContractError(
-            f"backend {backend!r} returned a NoisyResult with "
-            f"no_error_shots={result.no_error_shots} > shots={result.shots}"
-        )
+    for name in ("no_error_shots", "outcome_successes"):  # each counts a subset of shots
+        value = getattr(result, name)
+        if value > result.shots:
+            raise BackendContractError(
+                f"backend {backend!r} returned a NoisyResult with "
+                f"{name}={value} > shots={result.shots}"
+            )
     return result
 
 

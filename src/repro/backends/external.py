@@ -180,16 +180,15 @@ class ExternalSimBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     @staticmethod
     def _event_thresholds(compiled, model) -> np.ndarray:
-        """Per-event error thresholds, computed the scalar way.
+        """Per-event error thresholds: one per op, then one per qubit.
 
-        Gate thresholds come from the per-op
-        :meth:`~repro.noise.model.NoiseModel.op_error_probability` scalar
-        path (not the vectorised batch export the trajectory engine uses);
-        idle thresholds from the decay channels.
+        Gate thresholds come from
+        :meth:`~repro.noise.model.NoiseModel.op_error_probabilities`, the
+        same per-op values the trajectory engine samples against; idle
+        thresholds from the decay channels.
         """
-        gate = [model.op_error_probability(op) for op in compiled.ops]
         _qubits, gammas = model.idle_decay_channels(compiled)
-        return np.concatenate([np.asarray(gate, dtype=float), gammas])
+        return np.concatenate([model.op_error_probabilities(compiled), gammas])
 
     def execute(self, handle: CompiledHandle, shots: int, seed: int, *,
                 noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:

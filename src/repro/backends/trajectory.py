@@ -53,8 +53,7 @@ class TrajectoryBackend(ExecutionBackend):
                 noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
         """Sample seeded trajectories; bit-identical at any chunk split."""
         engine = TrajectoryEngine(handle.compiled, noise, track_state=track_state)
-        chunk = engine.run(shots, seed, base_shot=base_shot)
-        return NoisyResult.from_chunks([chunk], seed)
+        return engine.run(shots, seed, base_shot=base_shot)
 
     def run_noise_point(self, point) -> NoisyResult:
         """Shot-chunk worker body, via the per-process engine memo.
@@ -69,5 +68,5 @@ class TrajectoryBackend(ExecutionBackend):
             handle = self.compile_point(point.compile_point)
             engine = TrajectoryEngine(handle.compiled, point.noise, track_state=point.track_state)
             self.engines.put(key, engine)
-        chunk = engine.run(point.shots, point.seed, base_shot=point.base_shot)
-        return ensure_noisy_result(NoisyResult.from_chunks([chunk], point.seed), self.name)
+        result = engine.run(point.shots, point.seed, base_shot=point.base_shot)
+        return ensure_noisy_result(result, self.name)

@@ -21,7 +21,6 @@ from repro.compiler.plan import CompressionPlan
 from repro.compiler.result import CompiledCircuit, PhysicalOp
 from repro.compiler.routing import Router
 from repro.compiler.scheduling import schedule_ops
-from repro.compiler.weights import interaction_weights
 
 
 class QompressCompiler:
@@ -161,7 +160,6 @@ class QompressCompiler:
         # Qubits not covered by a pair remain bare; that is allowed.
         unit_of: dict[int, int] = {q: slot[0] for q, slot in placement.items()}
         slot_of: dict[int, Slot] = dict(placement)
-        weights = interaction_weights(circuit)
 
         ops: list[PhysicalOp] = []
 
@@ -250,7 +248,7 @@ class QompressCompiler:
             # External operation: route ququarts adjacent, decode, act, re-encode.
             self._fq_external_op(
                 gate.name, control, target, index, unit_of, slot_of, partner,
-                ququart_units, emit, weights, condition=gate.condition,
+                ququart_units, emit, condition=gate.condition,
             )
 
         ops = schedule_ops(
@@ -275,7 +273,7 @@ class QompressCompiler:
     def _fq_external_op(
         self, name: str, control: int, target: int, source: int,
         unit_of: dict[int, int], slot_of: dict[int, Slot], partner: dict[int, int],
-        ququart_units: frozenset[int], emit, weights,
+        ququart_units: frozenset[int], emit,
         condition: tuple[tuple[int, ...], int] | None = None,
     ) -> None:
         topology = self.device.topology

@@ -6,8 +6,6 @@ import pickle
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.arch.device import Device
 from repro.gates.library import gate_spec
 from repro.gates.styles import GateStyle
@@ -17,32 +15,9 @@ from repro.gates.styles import GateStyle
 PACKED_FIELDS = ("ops", "lowered_circuit")
 
 #: Memos derived from the op stream; rebuilt on demand, never pickled.
-DERIVED_CACHES = ("_residency_cache", "_error_site_cache", "_schedule_memo")
+DERIVED_CACHES = ("_residency_cache", "_schedule_memo")
 
 _UNPICKLED = frozenset(PACKED_FIELDS + DERIVED_CACHES + ("_packed",))
-
-
-@dataclass(frozen=True)
-class ErrorSiteSchedule:
-    """Flat per-op arrays describing a compiled circuit's error sites.
-
-    Pre-extracted once per :class:`CompiledCircuit` (and cached there) so
-    noise models can turn the op stream into channel-strength vectors
-    without touching the :class:`PhysicalOp` objects again — the
-    trajectory engine's chunk-batched path consumes these arrays directly.
-    """
-
-    #: Physical gate name of each op, in schedule order.
-    gates: tuple[str, ...]
-    #: ``1 - fidelity`` per op — the fallback error probability for gates
-    #: missing from a model's calibration table.
-    fallback_error: np.ndarray
-    #: Sorted ``(unit, unit)`` key per two-unit op, ``None`` elsewhere;
-    #: indexes the per-edge error multipliers of heterogeneous models.
-    edge_keys: tuple[tuple[int, int] | None, ...]
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 @dataclass
@@ -212,26 +187,6 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # flat schedules (cached; compiled circuits are immutable post-compile)
     # ------------------------------------------------------------------
-    def error_site_schedule(self) -> ErrorSiteSchedule:
-        """Flat per-op error-site arrays, computed once and cached.
-
-        The cache assumes ``ops`` is not mutated after compilation — true
-        for every pipeline output; callers constructing circuits by hand
-        must finish editing before querying.
-        """
-        cached = getattr(self, "_error_site_cache", None)
-        if cached is None:
-            cached = ErrorSiteSchedule(
-                gates=tuple(op.gate for op in self.ops),
-                fallback_error=np.array([1.0 - op.fidelity for op in self.ops]),
-                edge_keys=tuple(
-                    tuple(sorted(op.units)) if len(op.units) == 2 else None
-                    for op in self.ops
-                ),
-            )
-            self._error_site_cache = cached
-        return cached
-
     def cached_schedule(self, key: tuple, builder):
         """Build-once memo for derived schedules, keyed on the artifact.
 
@@ -239,9 +194,10 @@ class CompiledCircuit:
         expensive derivations hang off the compiled circuit so every
         engine over one artifact shares one build.  ``key`` must encode
         everything the derivation depends on besides the circuit itself
-        (e.g. the register dims); the same immutability caveat as
-        :meth:`error_site_schedule` applies, and callers must treat the
-        returned object as read-only.
+        (e.g. the register dims).  The memo assumes ``ops`` is not mutated
+        after compilation, which holds for every pipeline output; a circuit
+        built by hand must be finished before it is queried.  Callers must
+        treat the returned object as read-only.
         """
         memo = getattr(self, "_schedule_memo", None)
         if memo is None:

@@ -19,6 +19,9 @@ Layers:
 * :mod:`repro.noise.trajectory` — the trajectory sampler (chunk-batched
   event-only *and* state-tracking paths plus the scalar ``_reference``
   loop) and :func:`simulate_noisy`.
+* :mod:`repro.noise.result` — :class:`NoisyResult`, the counters every
+  sampler and backend returns, with the Wilson interval and the
+  deterministic merge of a plan's shot chunks.
 * :mod:`repro.noise.density` — an exact density-matrix reference path
   (registers of up to 3 units) the trajectory sampler is unit-tested
   against.
@@ -43,12 +46,7 @@ from repro.noise.model import (
     NoiseSpec,
     resolve_model,
 )
-from repro.noise.result import (
-    NoisyResult,
-    TrajectoryChunk,
-    merge_chunks,
-    wilson_interval,
-)
+from repro.noise.result import NoisyResult, wilson_interval
 from repro.noise.rng import GeneratorLanes, uniform_streams
 from repro.noise.trajectory import (
     EVENT_BLOCK_SHOTS,
@@ -77,8 +75,6 @@ __all__ = [
     "NoiseSpec",
     "resolve_model",
     "NoisyResult",
-    "TrajectoryChunk",
-    "merge_chunks",
     "wilson_interval",
     "EVENT_BLOCK_SHOTS",
     "TRACKED_BLOCK_AMPLITUDES",

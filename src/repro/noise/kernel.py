@@ -65,7 +65,7 @@ equal lanes changes only how many columns a GEMM sees: the stacked
 layout issues one call per row, exactly as per lane, and the wide layout
 already relies on column-panel independence (probed once per process by
 :func:`~repro.simulation.batched._wide_panels_bitstable`).  The golden
-tests assert fused chunks ``==`` the scalar ``run_reference``
+tests assert fused results ``==`` the scalar ``run_reference``
 across presets x strategies x seeds x block splits, and pin the row
 count so that sharing cannot silently stop.
 

@@ -218,34 +218,10 @@ class NoiseModel:
         return min(1.0, max(0.0, base))
 
     def op_error_probabilities(self, compiled: CompiledCircuit) -> np.ndarray:
-        """Depolarizing-event probability of every scheduled op, as one array.
-
-        The vectorised trajectory engine consumes this flat export instead
-        of calling :meth:`op_error_probability` per op; entries are computed
-        with the identical arithmetic (memoised per distinct error site),
-        so the two views are bit-equal.
-        """
-        sites = compiled.error_site_schedule()
-        memo: dict[tuple[str, tuple[int, int] | None], float] = {}
-        probabilities = np.empty(len(sites), dtype=np.float64)
-        for index, (gate, edge_key) in enumerate(zip(sites.gates, sites.edge_keys)):
-            base = self.gate_error.get(gate)
-            if base is None:
-                # uncalibrated gate: per-op fidelity fallback, not memoisable
-                base = float(sites.fallback_error[index])
-                if edge_key is not None:
-                    base *= self.edge_error_factor.get(edge_key, 1.0)
-                probabilities[index] = min(1.0, max(0.0, base))
-                continue
-            key = (gate, edge_key)
-            value = memo.get(key)
-            if value is None:
-                if edge_key is not None:
-                    base *= self.edge_error_factor.get(edge_key, 1.0)
-                value = min(1.0, max(0.0, base))
-                memo[key] = value
-            probabilities[index] = value
-        return probabilities
+        """:meth:`op_error_probability` of every scheduled op, as one array."""
+        return np.array(
+            [self.op_error_probability(op) for op in compiled.ops], dtype=np.float64
+        )
 
     def idle_decay_channels(self, compiled: CompiledCircuit) -> tuple[list[int], np.ndarray]:
         """Per-qubit amplitude-damping hazards as flat arrays.

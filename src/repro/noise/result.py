@@ -1,16 +1,16 @@
-"""Result containers for the Monte Carlo trajectory engine.
+"""Result container for the Monte Carlo trajectory engine.
 
-A :class:`TrajectoryChunk` is the outcome of one seeded batch of shots —
-the unit of parallel fan-out.  Chunks merge deterministically (plain
-integer/float sums in plan order) into a :class:`NoisyResult`, so the same
-seed produces a bit-identical result whatever the worker count or chunk
-split.
+A :class:`NoisyResult` holds the counters of one seeded batch of shots,
+the unit of parallel fan-out, and is what every execution backend returns.
+Batches merge deterministically (plain integer/float sums in plan order)
+through :meth:`NoisyResult.from_chunks`, so the same seed produces a
+bit-identical result whatever the worker count or chunk split.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -43,16 +43,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 @dataclass(frozen=True)
-class TrajectoryChunk:
-    """Aggregate outcome of one contiguous batch of trajectories.
+class NoisyResult:
+    """Monte Carlo estimate for one (circuit, noise model) pair.
 
-    ``base_shot`` is the absolute index of the first shot in the batch;
-    every shot derives its private RNG stream from ``(seed, shot_index)``,
-    which is what makes the chunk split irrelevant to the numbers.
+    Holds the counters of one shot chunk, or of a whole plan merged by
+    :meth:`from_chunks`.  Every shot draws from its private
+    ``(seed, shot_index)`` stream, so the merged counters do not depend on
+    the chunk split.
     """
 
     shots: int
-    base_shot: int
+    seed: int
     #: Shots during which no error event (gate or decay) fired.
     no_error_shots: int
     #: Total gate-error events across all shots.
@@ -66,23 +67,9 @@ class TrajectoryChunk:
     #: Sum over shots of |<ideal | noisy>|^2.
     outcome_fidelity_sum: float = 0.0
 
-
-@dataclass(frozen=True)
-class NoisyResult:
-    """Merged Monte Carlo estimate for one (circuit, noise model) pair."""
-
-    shots: int
-    seed: int
-    no_error_shots: int
-    gate_events: int
-    idle_events: int
-    tracked: bool = False
-    outcome_successes: int = 0
-    outcome_fidelity_sum: float = 0.0
-
     @classmethod
-    def from_chunks(cls, chunks: Sequence[TrajectoryChunk], seed: int) -> "NoisyResult":
-        """Merge chunks (in plan order) into one result.
+    def from_chunks(cls, chunks: Sequence[NoisyResult], seed: int) -> NoisyResult:
+        """Merge the results of a plan's shot chunks (in plan order) into one.
 
         An empty chunk list (a zero-shot plan) merges into the well-defined
         zero-shot result; estimates that divide by the shot count raise on
@@ -166,8 +153,3 @@ class NoisyResult:
             summary["outcome_probability"] = self.outcome_probability
             summary["mean_outcome_fidelity"] = self.mean_outcome_fidelity
         return summary
-
-
-def merge_chunks(chunks: Iterable[TrajectoryChunk], seed: int) -> NoisyResult:
-    """Functional alias for :meth:`NoisyResult.from_chunks`."""
-    return NoisyResult.from_chunks(list(chunks), seed)

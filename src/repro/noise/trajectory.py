@@ -20,8 +20,9 @@ Determinism: shot ``i`` of seed ``s`` always draws from the RNG stream
 chunked across workers.
 
 The event-only path (``track_state=False``, all the EPS estimate needs) is
-chunk-batched: the circuit's error-site schedule is pre-extracted into flat
-probability arrays once per engine, and a whole block of shots draws its
+chunk-batched: every op's error probability
+(:meth:`~repro.noise.model.NoiseModel.op_error_probabilities`) is computed
+into one flat threshold array per engine, and a whole block of shots draws its
 uniforms as vectorised columns through :mod:`repro.noise.rng` — an order
 of magnitude faster than one Python ``Generator`` per shot, yet
 bit-identical to it.  Every engine of one seed reads the same streams, so
@@ -87,7 +88,7 @@ from repro.noise.kernel import (
     strings_drawn_at_site,
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
-from repro.noise.result import NoisyResult, TrajectoryChunk
+from repro.noise.result import NoisyResult
 from repro.noise.rng import GeneratorLanes, check_shot_span, stream_prefix
 from repro.noise.rng import uniform_streams  # noqa: F401  (perfbench traces it here)
 from repro.pulses.unitaries import qubit_gate
@@ -402,13 +403,13 @@ class TrajectoryEngine:
             fidelity = 0.0
         return _ShotOutcome(gate_events, idle_events, state.vector, fidelity=fidelity)
 
-    def run_reference(self, shots: int, seed: int, base_shot: int = 0) -> TrajectoryChunk:
+    def run_reference(self, shots: int, seed: int, base_shot: int = 0) -> NoisyResult:
         """Sample trajectories with the original one-``Generator``-per-shot loop.
 
         This is the retained ``_reference`` implementation: slower than
         :meth:`run` but trivially correct against the documented RNG-stream
         contract.  The golden-equivalence tests assert ``run`` returns
-        bit-identical chunks; production callers should use :meth:`run`.
+        bit-identical results; production callers should use :meth:`run`.
         """
         check_shot_span(base_shot, shots)
         no_error = 0
@@ -432,9 +433,9 @@ class TrajectoryEngine:
                 fidelity_sum += fidelity
                 if rng.random() < fidelity:
                     outcome_successes += 1
-        return TrajectoryChunk(
+        return NoisyResult(
             shots=shots,
-            base_shot=base_shot,
+            seed=seed,
             no_error_shots=no_error,
             gate_events=gate_events,
             idle_events=idle_events,
@@ -446,7 +447,7 @@ class TrajectoryEngine:
     # ------------------------------------------------------------------
     # chunk-batched sampling (the production event-only path)
     # ------------------------------------------------------------------
-    def _run_event_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
+    def _run_event_batch(self, shots: int, seed: int, base_shot: int) -> NoisyResult:
         """Vectorised event-only sampling over blocks of shots.
 
         Every shot's private ``default_rng((seed, shot))`` stream comes
@@ -468,13 +469,12 @@ class TrajectoryEngine:
             no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
             gate_events += int(per_shot_gate.sum())
             idle_events += int(per_shot_idle.sum())
-        return TrajectoryChunk(
+        return NoisyResult(
             shots=shots,
-            base_shot=base_shot,
+            seed=seed,
             no_error_shots=no_error,
             gate_events=gate_events,
             idle_events=idle_events,
-            tracked=False,
         )
 
     # ------------------------------------------------------------------
@@ -694,7 +694,7 @@ class TrajectoryEngine:
         fidelities = self._fidelities(state, ideal, alive)
         return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities
 
-    def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
+    def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> NoisyResult:
         """Vectorised state-tracking sampling over blocks of shots.
 
         Every lane's evolution — op unitaries, sampled Pauli injections,
@@ -725,9 +725,9 @@ class TrajectoryEngine:
                 # accumulate in shot order with plain adds, matching the
                 # scalar loop's running sum bit for bit
                 fidelity_sum += float(fidelity)
-        return TrajectoryChunk(
+        return NoisyResult(
             shots=shots,
-            base_shot=base_shot,
+            seed=seed,
             no_error_shots=no_error,
             gate_events=gate_events,
             idle_events=idle_events,
@@ -736,7 +736,7 @@ class TrajectoryEngine:
             outcome_fidelity_sum=fidelity_sum,
         )
 
-    def run(self, shots: int, seed: int, base_shot: int = 0) -> TrajectoryChunk:
+    def run(self, shots: int, seed: int, base_shot: int = 0) -> NoisyResult:
         """Sample ``shots`` trajectories starting at absolute index ``base_shot``.
 
         Both engine modes take a chunk-batched vectorised path: event-only
@@ -747,7 +747,7 @@ class TrajectoryEngine:
         scalar loop (asserted by :meth:`run_reference` comparisons in the
         test suite).
 
-        A zero-shot batch is valid and returns an empty chunk.
+        A zero-shot batch is valid and returns the zero-shot result.
         """
         check_shot_span(base_shot, shots)
         if self.track_state:
@@ -808,6 +808,4 @@ def simulate_noisy(
     confidence interval.  The same ``seed`` always produces a bit-identical
     result.
     """
-    engine = TrajectoryEngine(compiled, model, track_state=track_state)
-    chunk = engine.run(shots, seed)
-    return NoisyResult.from_chunks([chunk], seed)
+    return TrajectoryEngine(compiled, model, track_state=track_state).run(shots, seed)

@@ -47,9 +47,6 @@ class ParallelExecutor:
 
     workers: int = 1
     cache: CompileCache | None = None
-    #: Points handed to each worker task; ``None`` picks a chunk size that
-    #: gives every worker ~4 chunks for decent load balancing.
-    chunksize: int | None = None
     last_stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     def __post_init__(self) -> None:
@@ -64,7 +61,7 @@ class ParallelExecutor:
 
         Points are any values with ``execute()``/``payload()`` — compiled
         sweep points yield :class:`StrategyResult`, noise shot batches yield
-        :class:`~repro.noise.result.TrajectoryChunk`.
+        :class:`~repro.noise.result.NoisyResult`.
         """
         points = list(plan)
         results: list = [None] * len(points)
@@ -90,19 +87,17 @@ class ParallelExecutor:
         )
         return results
 
-    #: Cap on the auto-picked dispatch chunk: huge plans (tens of
-    #: thousands of shot chunks) would otherwise serialise into a handful
-    #: of giant worker tasks, losing load balancing and delaying cache
-    #: writes until the very end of the run.
+    #: Cap on the dispatch chunk, which gives every worker ~4 chunks for
+    #: load balancing: huge plans (tens of thousands of shot chunks) would
+    #: otherwise serialise into a handful of giant worker tasks, losing
+    #: load balancing and delaying cache writes until the end of the run.
     MAX_AUTO_CHUNKSIZE = 64
 
     def _execute(self, points: Sequence[SweepPoint]) -> list:
         workers = min(self.workers, len(points))
         if workers <= 1:
             return [execute_point(point) for point in points]
-        chunksize = self.chunksize or min(
-            self.MAX_AUTO_CHUNKSIZE, max(1, len(points) // (workers * 4))
-        )
+        chunksize = min(self.MAX_AUTO_CHUNKSIZE, max(1, len(points) // (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so plan order survives the fan-out.
             return list(pool.map(execute_point, points, chunksize=chunksize))
@@ -112,11 +107,6 @@ def execute_plan(
     plan: SweepPlan | Iterable[SweepPoint],
     workers: int = 1,
     cache: CompileCache | None = None,
-    chunksize: int | None = None,
 ) -> list:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`.
-
-    ``chunksize`` overrides the executor's auto-picked points-per-worker-task
-    dispatch granularity (it does not change results, only scheduling).
-    """
-    return ParallelExecutor(workers=workers, cache=cache, chunksize=chunksize).run(plan)
+    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
+    return ParallelExecutor(workers=workers, cache=cache).run(plan)

@@ -96,10 +96,9 @@ class SweepService:
     running jobs.
     """
 
-    def __init__(self, store: ArtifactStore, workers: int = 1, chunksize: int | None = None):
+    def __init__(self, store: ArtifactStore, workers: int = 1):
         self.store = store
         self.workers = workers
-        self.chunksize = chunksize
         self._lock = threading.Lock()
         self._jobs: dict[str, _Job] = {}
         self._inflight: dict[str, Future] = {}
@@ -210,8 +209,7 @@ class SweepService:
                         borrowed[index] = future
             self._update(job, cache_hits=cache_hits)
             computed = execute_plan(
-                [job.points[index] for index in owned],
-                workers=self.workers, chunksize=self.chunksize,
+                [job.points[index] for index in owned], workers=self.workers
             )
             for index, result in zip(owned, computed):
                 # publish before resolving: a borrower woken by the

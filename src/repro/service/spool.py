@@ -132,7 +132,6 @@ def serve_once(
     spool: Path | str,
     store: ArtifactStore,
     workers: int = 1,
-    chunksize: int | None = None,
 ) -> list[dict]:
     """Claim and run every pending job; returns their final status documents.
 
@@ -155,7 +154,7 @@ def serve_once(
     if not claimed:
         return []
     statuses: list[dict] = []
-    with SweepService(store, workers=workers, chunksize=chunksize) as service:
+    with SweepService(store, workers=workers) as service:
         submitted: list[tuple[str, str, Path]] = []
         for path in claimed:
             try:
@@ -188,7 +187,6 @@ def serve_forever(
     spool: Path | str,
     store: ArtifactStore,
     workers: int = 1,
-    chunksize: int | None = None,
     poll_interval: float = 1.0,
     max_cycles: int | None = None,
 ) -> int:
@@ -202,7 +200,7 @@ def serve_forever(
     try:
         while max_cycles is None or cycles < max_cycles:
             cycles += 1
-            statuses = serve_once(spool, store, workers=workers, chunksize=chunksize)
+            statuses = serve_once(spool, store, workers=workers)
             served += len(statuses)
             if not statuses:
                 time.sleep(poll_interval)

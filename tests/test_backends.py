@@ -158,6 +158,17 @@ class TestResultContract:
         with pytest.raises(BackendContractError, match="no_error_shots=11 > shots=10"):
             ensure_noisy_result(self._result(no_error_shots=11), "toy")
 
+    def test_more_outcome_successes_than_shots_rejected(self):
+        tracked = self._result(tracked=True, outcome_successes=10)
+        assert ensure_noisy_result(tracked, "toy") is tracked
+        with pytest.raises(BackendContractError, match="outcome_successes=11 > shots=10"):
+            ensure_noisy_result(self._result(tracked=True, outcome_successes=11), "toy")
+
+    @pytest.mark.parametrize("value", [-1, 2.0, True])
+    def test_malformed_outcome_successes_rejected(self, value):
+        with pytest.raises(BackendContractError, match=f"outcome_successes={value!r}"):
+            ensure_noisy_result(self._result(tracked=True, outcome_successes=value), "toy")
+
     def test_malformed_execute_surfaces_as_contract_error(self):
         """A backend returning garbage fails typed at the point boundary."""
 

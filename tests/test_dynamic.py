@@ -21,7 +21,6 @@ from repro.dynamic import (
 from repro.evaluation import cross_backend_check
 from repro.noise import simulate_point
 from repro.noise.model import NoiseSpec
-from repro.noise.result import NoisyResult
 from repro.noise.trajectory import TrajectoryEngine
 from repro.runner import SweepPoint, make_device
 from repro.workloads import build_benchmark, teleport_chain
@@ -346,8 +345,7 @@ class TestDynamicChunkInvariance:
     @pytest.fixture(scope="class")
     def reference_result(self):
         compiled = SweepPoint("teleport", 3, "eqm").execute().compiled
-        chunk = TrajectoryEngine(compiled, TABLE1).run_reference(self.SHOTS, self.SEED)
-        return NoisyResult.from_chunks([chunk], self.SEED)
+        return TrajectoryEngine(compiled, TABLE1).run_reference(self.SHOTS, self.SEED)
 
     @given(workers=st.integers(1, 2), chunk_size=st.integers(1, 100))
     @settings(max_examples=8, deadline=None,

@@ -110,7 +110,6 @@ class TestRedeemedResults:
         fresh, _blob, _store, _key = stored
         compiled = copy.copy(fresh.compiled)
         compiled.residency_segments()
-        compiled.error_site_schedule()
         compiled.cached_schedule(("probe",), lambda: "derived")
         assert set(DERIVED_CACHES) <= set(vars(compiled))
         data = _dumps(compiled)

@@ -166,6 +166,33 @@ class TestNoisyResultMerge:
         assert pickle.loads(pickle.dumps(result)) == result
 
 
+class TestStoredNoiseChunkBytes:
+    """A shot chunk's result pickles to the bytes the store already holds."""
+
+    @pytest.mark.parametrize("point, digest", [
+        (
+            NoisePoint(SweepPoint("bv", 6, "eqm"), TABLE1, shots=300, base_shot=100, seed=7),
+            "6006a855c7a49eb565a183d51a0653da0faabc57b66a456c80689f3139740ad1",
+        ),
+        (
+            NoisePoint(
+                SweepPoint("bv", 4, "eqm",
+                           compiler_kwargs=(("merge_single_qubit_gates", False),)),
+                TABLE1, shots=200, base_shot=5, seed=3, track_state=True,
+            ),
+            "f9a39772ec640b971f991cdf59603c80efe7942236dc6e08838d41c591e9ac22",
+        ),
+    ], ids=["event-only", "tracked"])
+    def test_run_noise_point_pickles_to_the_pinned_bytes(self, point, digest):
+        import hashlib
+
+        from repro.backends import get_backend
+
+        result = get_backend("trajectory").run_noise_point(point)
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestShotPlan:
     def test_chunking(self):
         point = SweepPoint("bv", 4, "qubit_only")
@@ -326,8 +353,7 @@ class TestChunkGeometryInvariance:
 
     @pytest.fixture(scope="class")
     def reference_result(self, compiled_bv6):
-        chunk = TrajectoryEngine(compiled_bv6, TABLE1).run_reference(self.SHOTS, self.SEED)
-        return NoisyResult.from_chunks([chunk], self.SEED)
+        return TrajectoryEngine(compiled_bv6, TABLE1).run_reference(self.SHOTS, self.SEED)
 
     @given(workers=st.integers(1, 2), chunk_size=st.integers(1, 200))
     @settings(max_examples=8, deadline=None,
@@ -469,6 +495,28 @@ class TestFlatChannelExports:
             ])
             assert (flat == scalar).all()
 
+    def test_uncalibrated_gate_falls_back_to_the_op_fidelity(self, compiled_bv6):
+        import dataclasses
+
+        import numpy as np
+
+        model = NoiseSpec.from_preset("heterogeneous").build(compiled_bv6.device)
+        gate = next(op.gate for op in compiled_bv6.ops if len(op.units) == 2)
+        calibrated = {name: p for name, p in model.gate_error.items() if name != gate}
+        model = dataclasses.replace(model, gate_error=calibrated)
+        flat = model.op_error_probabilities(compiled_bv6)
+        scalar = np.array(
+            [model.op_error_probability(op) for op in compiled_bv6.ops], dtype=np.float64
+        )
+        assert flat.tobytes() == scalar.tobytes()
+        fallback = [
+            index for index, op in enumerate(compiled_bv6.ops) if op.gate == gate
+        ]
+        op = compiled_bv6.ops[fallback[0]]
+        factor = model.edge_error_factor[tuple(sorted(op.units))]
+        assert factor != 1.0
+        assert flat[fallback[0]] == min(1.0, max(0.0, (1.0 - op.fidelity) * factor))
+
     def test_idle_decay_channels_match_exponents(self, compiled_bv6):
         import numpy as np
 
@@ -479,9 +527,7 @@ class TestFlatChannelExports:
         expected = np.array([-np.expm1(-exponents[q]) for q in qubits])
         assert (gammas == expected).all()
 
-    def test_error_site_schedule_is_cached(self, compiled_bv6):
-        assert compiled_bv6.error_site_schedule() is compiled_bv6.error_site_schedule()
-        assert len(compiled_bv6.error_site_schedule()) == len(compiled_bv6.ops)
+    def test_residency_segments_are_cached(self, compiled_bv6):
         assert compiled_bv6.residency_segments() is compiled_bv6.residency_segments()
 
 
