@@ -15,8 +15,9 @@ phase, which the EPS metrics and the equivalence checker ignore.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Gate
 
 
 def _append_ccx(circuit: QuantumCircuit, c1: int, c2: int, target: int) -> None:
@@ -107,12 +108,16 @@ def append_cu3(
 def decompose_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
     """Return an equivalent circuit containing only 1q and 2q gates.
 
-    ``ccx`` and ``cswap`` gates are expanded; every other gate is copied
-    verbatim.  ``rzz`` is rewritten as ``cx; rz; cx`` so the router only has
-    to understand ``cx`` and ``swap`` two-qubit interactions.
+    ``ccx`` and ``cswap`` gates are expanded and ``rzz`` is rewritten as
+    ``cx; rz; cx``, so the router only has to understand ``cx`` and ``swap``
+    two-qubit interactions.  Every other gate passes through as the same
+    (immutable) object.  One the source repeats, as ``c.compose(c)`` does, is
+    copied from its second use on: pickle would memo-reference a repeated
+    object, and the lowered circuit's bytes would depend on the sharing.
     """
     lowered = QuantumCircuit(circuit.num_qubits, circuit.name)
     lowered._cregs = list(circuit.cregs)
+    passed: set[int] = set()
     for gate in circuit:
         start = len(lowered)
         if gate.name == "ccx":
@@ -125,10 +130,8 @@ def decompose_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
             lowered.rz(gate.params[0], b)
             lowered.cx(a, b)
         else:
-            lowered.append(
-                Gate(gate.name, gate.qubits, gate.params,
-                     cbits=gate.cbits, condition=gate.condition)
-            )
+            lowered.append(replace(gate) if id(gate) in passed else gate)
+            passed.add(id(gate))
             continue
         # Conditioned multi-qubit gates expand to all-conditioned bodies:
         # the expansion is unitary, so conditioning every piece is exact.

@@ -10,55 +10,36 @@ which the evaluation harness reproduces.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.arch.device import Device
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.plan import CompressionPlan
-from repro.compression.base import CompressionStrategy, circuit_interaction_graph
+from repro.compression.base import (
+    Adjacency, CompressionStrategy, contract, copy_order, interaction_adjacency,
+)
 
 
-def _average_edge_weight(graph: nx.Graph) -> float:
-    """Mean weight over edges; zero for an edgeless graph."""
-    if graph.number_of_edges() == 0:
-        return 0.0
-    total = sum(data["weight"] for _a, _b, data in graph.edges(data=True))
-    return total / graph.number_of_edges()
+def _edge_weights(graph: Adjacency):
+    """Edge weights in ``nx.Graph.edges`` order, for bit-equal float sums."""
+    seen: set = set()
+    for node, neighbours in graph.items():
+        yield from (weight for neighbour, weight in neighbours.items() if neighbour not in seen)
+        seen.add(node)
 
 
-def _contracted(graph: nx.Graph, a, b) -> nx.Graph:
-    """Copy of the graph with nodes ``a`` and ``b`` merged into one."""
-    merged = graph.copy()
-    target = (a, b)
-    merged.add_node(target)
-    for original in (a, b):
-        for neighbor in graph.neighbors(original):
-            if neighbor in (a, b):
-                continue
-            weight = graph.edges[original, neighbor]["weight"]
-            if merged.has_edge(target, neighbor):
-                merged.edges[target, neighbor]["weight"] += weight
-            else:
-                merged.add_edge(target, neighbor, weight=weight)
-    merged.remove_node(a)
-    merged.remove_node(b)
-    return merged
-
-
-def _contracted_average(graph: nx.Graph, a, b, edges: int, total: float) -> float:
-    """``_average_edge_weight(_contracted(graph, a, b))`` in O(deg a + deg b).
+def _contracted_average(graph: Adjacency, a, b, edges: int, total: float) -> float:
+    """Mean edge weight of ``graph`` with ``a`` and ``b`` merged, in O(deg a + deg b).
 
     ``edges`` and ``total`` describe ``graph``.  Contraction keeps every
     weight but ``w(a, b)``, summed onto one edge per merged neighbour.
     """
-    neighbors_a = graph.adj[a]
-    neighbors_b = graph.adj[b]
+    neighbors_a = graph[a]
+    neighbors_b = graph[b]
     joined = b in neighbors_a
     merged = len((neighbors_a.keys() | neighbors_b.keys()) - {a, b})
     new_edges = edges - len(neighbors_a) - len(neighbors_b) + joined + merged
     if new_edges == 0:
         return 0.0
-    return (total - (neighbors_a[b]["weight"] if joined else 0.0)) / new_edges
+    return (total - (neighbors_a[b] if joined else 0.0)) / new_edges
 
 
 class AverageWeightPerEdge(CompressionStrategy):
@@ -70,22 +51,21 @@ class AverageWeightPerEdge(CompressionStrategy):
         self.max_pairs = max_pairs
 
     def plan(self, circuit: QuantumCircuit, device: Device) -> CompressionPlan:
-        graph = circuit_interaction_graph(circuit)
         # Idle qubits never help the average; drop them from consideration.
-        graph.remove_nodes_from([node for node in list(graph.nodes) if graph.degree(node) == 0])
+        graph = {node: nbrs for node, nbrs in interaction_adjacency(circuit).items() if nbrs}
         pairs: list[tuple[int, int]] = []
         limit = self.max_pairs if self.max_pairs is not None else circuit.num_qubits // 2
 
         while len(pairs) < limit:
-            current = _average_edge_weight(graph)
-            edges = graph.number_of_edges()
-            total = sum(weight for _a, _b, weight in graph.edges(data="weight"))
+            edges = sum(map(len, graph.values())) // 2
+            total = sum(_edge_weights(graph))
+            current = total / edges if edges else 0.0
             best_gain = 0.0
             best_pair: tuple[int, int] | None = None
-            candidates = [node for node in graph.nodes if isinstance(node, int)]
+            candidates = [node for node in graph if isinstance(node, int)]
             for i, a in enumerate(candidates):
                 for b in candidates[i + 1 :]:
-                    if not (graph.has_edge(a, b) or graph.adj[a].keys() & graph.adj[b].keys()):
+                    if b not in graph[a] and graph[a].keys().isdisjoint(graph[b]):
                         continue
                     gain = _contracted_average(graph, a, b, edges, total) - current
                     if gain > best_gain + 1e-12:
@@ -95,5 +75,6 @@ class AverageWeightPerEdge(CompressionStrategy):
                 break
             a, b = best_pair
             pairs.append((a, b) if a < b else (b, a))
-            graph = _contracted(graph, a, b)
+            # Rebuilt as graph.copy() was: later tie-breaks see its neighbour order.
+            graph = contract(copy_order(graph), a, b)
         return CompressionPlan(pairs=tuple(sorted(pairs)))

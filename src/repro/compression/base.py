@@ -42,6 +42,45 @@ def circuit_interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
     return graph
 
 
+#: ``adjacency[u][v]`` is the weight of edge ``{u, v}``.  RB and AWE break
+#: ties by iteration order, so the helpers below keep the ``nx.Graph`` order.
+Adjacency = dict
+
+
+def interaction_adjacency(circuit: QuantumCircuit) -> Adjacency:
+    """``circuit_interaction_graph(circuit)`` as an :data:`Adjacency`, in its order."""
+    adjacency: Adjacency = {qubit: {} for qubit in range(circuit.num_qubits)}
+    for (a, b), weight in interaction_weights(circuit).items():
+        adjacency[a][b] = adjacency[b][a] = weight
+    return adjacency
+
+
+def copy_order(adjacency: Adjacency) -> Adjacency:
+    """What ``nx.Graph.copy()`` rebuilds: neighbours in the order edges are first met."""
+    rebuilt: Adjacency = {node: {} for node in adjacency}
+    for node, neighbours in adjacency.items():
+        for neighbour, weight in neighbours.items():
+            rebuilt[node][neighbour] = rebuilt[neighbour][node] = weight
+    return rebuilt
+
+
+def contract(adjacency: Adjacency, a, b) -> Adjacency:
+    """Merge ``a`` and ``b`` into a new last node ``(a, b)`` in place, as networkx would.
+
+    Weights onto a shared neighbour are summed; ``(a, b)`` ends each neighbour's dict.
+    """
+    merged = adjacency[(a, b)] = {}
+    for original in (a, b):
+        for neighbour, weight in adjacency[original].items():
+            if neighbour != a and neighbour != b:
+                weight += merged.get(neighbour, 0.0)
+                merged[neighbour] = adjacency[neighbour][(a, b)] = weight
+    for original in (a, b):
+        for neighbour in adjacency.pop(original):
+            del adjacency[neighbour][original]
+    return adjacency
+
+
 def greedy_max_weight_pairing(graph: nx.Graph, pair_everything: bool = False) -> list[tuple[int, int]]:
     """Pair qubits by descending interaction weight.
 

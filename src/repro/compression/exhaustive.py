@@ -20,6 +20,7 @@ from itertools import combinations
 from repro.arch.device import Device
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import CircuitDAG
+from repro.circuits.decompose import decompose_to_basis
 from repro.compiler.pipeline import QompressCompiler
 from repro.compiler.plan import CompressionPlan
 from repro.compiler.weights import interaction_weights, weight_between
@@ -49,11 +50,13 @@ class ExhaustiveCompression(CompressionStrategy):
     # ------------------------------------------------------------------
     def plan(self, circuit: QuantumCircuit, device: Device) -> CompressionPlan:
         compiler = QompressCompiler(device)
+        # Lowered once here, not once per candidate compile.
+        lowered = decompose_to_basis(circuit)
         pairs: list[tuple[int, int]] = []
         limit = self.max_pairs if self.max_pairs is not None else circuit.num_qubits // 2
         evaluations = 0
 
-        best_score = self._score(compiler, circuit, pairs)
+        best_score = self._score(compiler, lowered, pairs)
         while len(pairs) < limit and evaluations < self.max_evaluations:
             paired = {q for pair in pairs for q in pair}
             groups = self._candidate_groups(circuit, paired)
@@ -64,7 +67,7 @@ class ExhaustiveCompression(CompressionStrategy):
                     if evaluations >= self.max_evaluations:
                         break
                     evaluations += 1
-                    score = self._score(compiler, circuit, pairs + [candidate])
+                    score = self._score(compiler, lowered, pairs + [candidate])
                     if score > chosen_score + 1e-15:
                         chosen_score = score
                         chosen = candidate
@@ -78,13 +81,13 @@ class ExhaustiveCompression(CompressionStrategy):
 
     # ------------------------------------------------------------------
     def _score(
-        self, compiler: QompressCompiler, circuit: QuantumCircuit, pairs: list[tuple[int, int]]
+        self, compiler: QompressCompiler, lowered: QuantumCircuit, pairs: list[tuple[int, int]]
     ) -> float:
         if pairs:
             plan = CompressionPlan(pairs=tuple(pairs))
         else:
             plan = CompressionPlan(qubit_only=True)
-        compiled = compiler.compile_with_plan(circuit, plan, strategy_name="ec-probe")
+        compiled = compiler.compile_with_plan(lowered, plan, "ec-probe", already_lowered=True)
         return self.metric(compiled)
 
     def _candidate_groups(

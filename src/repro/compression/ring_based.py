@@ -21,14 +21,11 @@ The strategy:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.arch.device import Device
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.plan import CompressionPlan
 from repro.compression.base import (
-    CompressionStrategy,
-    circuit_interaction_graph,
+    Adjacency, CompressionStrategy, contract, copy_order, interaction_adjacency,
     simultaneity_counts,
 )
 
@@ -43,13 +40,12 @@ class RingBased(CompressionStrategy):
         self.simultaneity_penalty = simultaneity_penalty
 
     def plan(self, circuit: QuantumCircuit, device: Device) -> CompressionPlan:
-        graph = circuit_interaction_graph(circuit)
         simultaneous = simultaneity_counts(circuit)
         pairs: list[tuple[int, int]] = []
         paired: set[int] = set()
         limit = self.max_pairs if self.max_pairs is not None else circuit.num_qubits // 2
 
-        working = graph.copy()
+        working = copy_order(interaction_adjacency(circuit))
         while len(pairs) < limit:
             cycles = _minimum_cycles(working)
             if not cycles:
@@ -62,7 +58,7 @@ class RingBased(CompressionStrategy):
             a, b = candidate
             pairs.append((a, b) if a < b else (b, a))
             paired.update((a, b))
-            _contract_pair(working, a, b)
+            contract(working, a, b)
         return CompressionPlan(pairs=tuple(sorted(pairs)))
 
     # ------------------------------------------------------------------
@@ -70,7 +66,7 @@ class RingBased(CompressionStrategy):
     # ------------------------------------------------------------------
     def _best_candidate(
         self,
-        graph: nx.Graph,
+        graph: Adjacency,
         cycles: list[list[int]],
         simultaneous: dict[tuple[int, int], int],
         paired: set[int],
@@ -90,7 +86,7 @@ class RingBased(CompressionStrategy):
             # The anchor is the cycle member with the fewest interactions
             # outside the cycle.
             def external_degree(qubit: int) -> int:
-                return sum(1 for n in graph.neighbors(qubit) if n not in cycle)
+                return sum(1 for n in graph[qubit] if n not in cycle)
 
             anchor = min(members, key=external_degree)
             for other in members:
@@ -105,15 +101,15 @@ class RingBased(CompressionStrategy):
 
     def _score_pair(
         self,
-        graph: nx.Graph,
+        graph: Adjacency,
         a: int,
         b: int,
         simultaneous: dict[tuple[int, int], int],
         membership: dict[tuple[int, int], int],
     ) -> float:
-        internal = graph.edges[a, b]["weight"] if graph.has_edge(a, b) else 0.0
-        neighbors_a = set(graph.neighbors(a)) - {b}
-        neighbors_b = set(graph.neighbors(b)) - {a}
+        internal = graph[a].get(b, 0.0)
+        neighbors_a = graph[a].keys() - {b}
+        neighbors_b = graph[b].keys() - {a}
         shared = len(neighbors_a & neighbors_b)
         connectivity = len(neighbors_a | neighbors_b)
         key = (a, b) if a < b else (b, a)
@@ -136,11 +132,11 @@ def _is_original(node) -> bool:
     return isinstance(node, int)
 
 
-def _minimum_cycles(graph: nx.Graph) -> list[list[int]]:
+def _minimum_cycles(graph: Adjacency) -> list[list[int]]:
     """For every node, the minimum-length cycle through it (if any)."""
     cycles: list[list[int]] = []
     seen: set[frozenset] = set()
-    for node in graph.nodes:
+    for node in graph:
         cycle = _min_cycle_through(graph, node)
         if cycle is None:
             continue
@@ -152,37 +148,53 @@ def _minimum_cycles(graph: nx.Graph) -> list[list[int]]:
     return cycles
 
 
-def _min_cycle_through(graph: nx.Graph, node) -> list | None:
-    """Shortest cycle containing ``node`` found by removing each incident edge."""
+def _min_cycle_through(graph: Adjacency, node) -> list | None:
+    """Shortest cycle containing ``node`` found by removing each incident edge.
+
+    Re-adding a probed edge moves each endpoint to the end of the other's
+    neighbours, as ``nx.Graph.add_edge`` does, and later probes' BFS order
+    depends on it.  No cycle beats a triangle, so once one is found the
+    remaining edges are only moved, not probed.
+    """
     best: list | None = None
-    for neighbor in list(graph.neighbors(node)):
-        data = graph.edges[node, neighbor]
-        graph.remove_edge(node, neighbor)
-        try:
-            path = nx.shortest_path(graph, neighbor, node)
-            if best is None or len(path) < len(best):
+    for neighbor in list(graph[node]):
+        weight = graph[node].pop(neighbor)
+        del graph[neighbor][node]
+        if best is None or len(best) > 3:
+            path = _shortest_path(graph, neighbor, node)
+            if path is not None and (best is None or len(path) < len(best)):
                 best = path
-        except nx.NetworkXNoPath:
-            pass
-        finally:
-            graph.add_edge(node, neighbor, **data)
+        graph[node][neighbor] = graph[neighbor][node] = weight
     return best
 
 
-def _contract_pair(graph: nx.Graph, a: int, b: int) -> None:
-    """Merge two qubits into a single pair node, summing parallel edge weights."""
-    merged = (a, b)
-    graph.add_node(merged)
-    for original in (a, b):
-        for neighbor in list(graph.neighbors(original)):
-            if neighbor in (a, b):
-                continue
-            weight = graph.edges[original, neighbor]["weight"]
-            count = graph.edges[original, neighbor].get("count", 0)
-            if graph.has_edge(merged, neighbor):
-                graph.edges[merged, neighbor]["weight"] += weight
-                graph.edges[merged, neighbor]["count"] += count
-            else:
-                graph.add_edge(merged, neighbor, weight=weight, count=count)
-    graph.remove_node(a)
-    graph.remove_node(b)
+def _shortest_path(graph: Adjacency, source, target) -> list | None:
+    """``nx.shortest_path(graph, source, target)`` of networkx 3.x, or None.
+
+    The same bidirectional BFS, growing the smaller fringe one level at a
+    time, so it returns the same one of several equal-length paths.
+    """
+    pred, succ = {source: None}, {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        forward_step = len(forward) <= len(reverse)
+        level, seen, other = (forward, pred, succ) if forward_step else (reverse, succ, pred)
+        fringe: list = []
+        for v in level:
+            for w in graph[v]:
+                if w not in seen:
+                    fringe.append(w)
+                    seen[w] = v
+                if w in other:
+                    return _chain(pred, w)[::-1] + _chain(succ, succ[w])
+        forward, reverse = (fringe, reverse) if forward_step else (forward, fringe)
+    return None
+
+
+def _chain(links: dict, node) -> list:
+    """``node`` followed by its links up to the BFS root."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = links[node]
+    return chain

@@ -1,6 +1,9 @@
 """Tests for the compression strategies (Section 5) and baselines (Section 6.2)."""
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import Device
 from repro.circuits import QuantumCircuit, decompose_to_basis
@@ -15,8 +18,14 @@ from repro.compression import (
     circuit_interaction_graph,
     get_strategy,
 )
-from repro.compression.base import greedy_max_weight_pairing, simultaneity_counts
-from repro.workloads import bernstein_vazirani, cuccaro_adder, generalized_toffoli
+from repro.compression import ring_based
+from repro.compression.base import (
+    copy_order,
+    greedy_max_weight_pairing,
+    interaction_adjacency,
+    simultaneity_counts,
+)
+from repro.workloads import bernstein_vazirani, build_benchmark, cuccaro_adder, generalized_toffoli
 from tests.conftest import make_random_circuit
 
 
@@ -116,8 +125,6 @@ class TestRingBased:
         for a, b in plan.pairs:
             # Pair members are at distance at most 2 in the interaction graph
             # (they share a cycle, usually a triangle).
-            import networkx as nx
-
             assert nx.shortest_path_length(graph, a, b) <= 2
 
 
@@ -227,3 +234,169 @@ class TestSharedHelpers:
         assert counts[(0, 2)] == 1
         assert counts[(1, 3)] == 1
         assert (0, 1) not in counts
+
+
+# ----------------------------------------------------------------------
+# RB against the networkx remove / BFS / re-add planner it replaced
+# ----------------------------------------------------------------------
+def reference_rb_plan(circuit, simultaneity_penalty=0.05):
+    """RB's plan computed on a mutated ``nx.Graph``, as the strategy once did."""
+    simultaneous = simultaneity_counts(circuit)
+    pairs, paired = [], set()
+    working = circuit_interaction_graph(circuit).copy()
+    while len(pairs) < circuit.num_qubits // 2:
+        cycles, seen = [], set()
+        for node in working.nodes:
+            best = None
+            for neighbor in list(working.neighbors(node)):
+                data = working.edges[node, neighbor]
+                working.remove_edge(node, neighbor)
+                try:
+                    path = nx.shortest_path(working, neighbor, node)
+                    if best is None or len(path) < len(best):
+                        best = path
+                except nx.NetworkXNoPath:
+                    pass
+                finally:
+                    working.add_edge(node, neighbor, **data)
+            if best is not None and frozenset(best) not in seen:
+                seen.add(frozenset(best))
+                cycles.append(best)
+        if not cycles:
+            break
+        bound = min(len(cycle) for cycle in cycles)
+        cycles = [cycle for cycle in cycles if len(cycle) <= bound + 1]
+        membership = {}
+        for cycle in cycles:
+            originals = [node for node in cycle if isinstance(node, int)]
+            for a in originals:
+                for b in originals:
+                    if a < b:
+                        membership[(a, b)] = membership.get((a, b), 0) + 1
+        candidate = None
+        for cycle in cycles:
+            members = [q for q in cycle if isinstance(q, int) and q not in paired]
+            if len(members) < 2:
+                continue
+            anchor = min(
+                members, key=lambda q: sum(1 for n in working.neighbors(q) if n not in cycle)
+            )
+            for other in members:
+                if other == anchor:
+                    continue
+                key = tuple(sorted((anchor, other)))
+                internal = (
+                    working.edges[anchor, other]["weight"]
+                    if working.has_edge(anchor, other) else 0.0
+                )
+                neighbors_a = set(working.neighbors(anchor)) - {other}
+                neighbors_b = set(working.neighbors(other)) - {anchor}
+                score = (
+                    internal
+                    + 0.5 * len(neighbors_a & neighbors_b)
+                    + 0.1 * len(neighbors_a | neighbors_b)
+                    + 0.25 * membership.get(key, 0)
+                    - simultaneity_penalty * simultaneous.get(key, 0)
+                )
+                if score > 0.0 and (candidate is None or score > candidate[0]):
+                    candidate = (score, (anchor, other))
+        if candidate is None:
+            break
+        a, b = candidate[1]
+        pairs.append((a, b) if a < b else (b, a))
+        paired.update((a, b))
+        merged = (a, b)
+        working.add_node(merged)
+        for original in (a, b):
+            for neighbor in list(working.neighbors(original)):
+                if neighbor in (a, b):
+                    continue
+                weight = working.edges[original, neighbor]["weight"]
+                if working.has_edge(merged, neighbor):
+                    working.edges[merged, neighbor]["weight"] += weight
+                else:
+                    working.add_edge(merged, neighbor, weight=weight)
+        working.remove_node(a)
+        working.remove_node(b)
+    return tuple(sorted(pairs))
+
+
+def _lowered(name, size, seed=0):
+    return decompose_to_basis(build_benchmark(name, size, seed=seed))
+
+
+class TestRingBasedMatchesNetworkx:
+    @given(
+        num_qubits=st.integers(3, 10),
+        num_gates=st.integers(1, 50),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_circuits(self, num_qubits, num_gates, seed):
+        circuit = make_random_circuit(num_qubits, num_gates, seed=seed)
+        assert RingBased().plan(circuit, None).pairs == reference_rb_plan(circuit)
+
+    @pytest.mark.parametrize("name", ["qft", "qaoa_cylinder", "qaoa_torus", "cuccaro", "cnu"])
+    @pytest.mark.parametrize("size", [8, 12, 16])
+    def test_registry_circuits(self, name, size):
+        circuit = _lowered(name, size)
+        assert RingBased().plan(circuit, None).pairs == reference_rb_plan(circuit)
+
+    @pytest.mark.parametrize("name,size", [("qaoa_cylinder", 9), ("qaoa_torus", 8)])
+    def test_copy_order_trap(self, name, size):
+        # The planner's working graph was ``graph.copy()``, which re-adds the
+        # edges in adjacency order and so reorders each node's neighbours.
+        # Planning on the builder's order instead changes these two plans.
+        circuit = _lowered(name, size)
+        assert RingBased().plan(circuit, None).pairs == reference_rb_plan(circuit)
+
+    def test_plan_makes_no_networkx_shortest_path_call(self, monkeypatch):
+        from networkx.algorithms.shortest_paths import generic, unweighted
+
+        calls = []
+
+        def spy(owner, name):
+            function = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in [
+            (nx, "shortest_path"),
+            (generic, "shortest_path"),
+            (nx, "bidirectional_shortest_path"),
+            (unweighted, "bidirectional_shortest_path"),
+            (unweighted, "_bidirectional_pred_succ"),
+        ]:
+            spy(owner, name)
+        spy(ring_based, "_shortest_path")
+        RingBased().plan(_lowered("qft", 16), None)
+        probes = calls.count("_shortest_path")
+        assert probes > 0
+        assert len(calls) == probes, calls
+
+
+class TestAdjacencyHelpers:
+    @given(
+        num_qubits=st.integers(2, 10),
+        num_gates=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_orders_match_networkx(self, num_qubits, num_gates, seed):
+        circuit = make_random_circuit(num_qubits, num_gates, seed=seed)
+        graph = circuit_interaction_graph(circuit)
+        adjacency = interaction_adjacency(circuit)
+
+        def layout(adj):
+            return [(node, list(neighbours)) for node, neighbours in adj.items()]
+
+        assert layout(adjacency) == layout(graph.adj)
+        copied = graph.copy()
+        assert layout(copy_order(adjacency)) == layout(copied.adj)
+        for node, neighbours in copy_order(adjacency).items():
+            for neighbour, weight in neighbours.items():
+                assert weight == copied.edges[node, neighbour]["weight"]

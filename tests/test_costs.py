@@ -5,7 +5,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import (
@@ -16,13 +16,8 @@ from repro.arch import (
     ring_topology,
 )
 from repro.compiler import CostModel
-from repro.compression.awe import (
-    AverageWeightPerEdge,
-    _average_edge_weight,
-    _contracted,
-    _contracted_average,
-)
-from repro.compression.base import circuit_interaction_graph
+from repro.compression.awe import AverageWeightPerEdge, _contracted_average, _edge_weights
+from repro.compression.base import circuit_interaction_graph, contract, copy_order
 from tests.conftest import make_random_circuit
 
 
@@ -251,6 +246,38 @@ class TestSearchTieBreaks:
                 )
 
 
+def _average_edge_weight(graph: nx.Graph) -> float:
+    """Mean weight over edges; zero for an edgeless graph (the networkx oracle)."""
+    if graph.number_of_edges() == 0:
+        return 0.0
+    total = sum(data["weight"] for _a, _b, data in graph.edges(data=True))
+    return total / graph.number_of_edges()
+
+
+def _contracted(graph: nx.Graph, a, b) -> nx.Graph:
+    """Copy of the graph with nodes ``a`` and ``b`` merged into one (the networkx oracle)."""
+    merged = graph.copy()
+    target = (a, b)
+    merged.add_node(target)
+    for original in (a, b):
+        for neighbor in graph.neighbors(original):
+            if neighbor in (a, b):
+                continue
+            weight = graph.edges[original, neighbor]["weight"]
+            if merged.has_edge(target, neighbor):
+                merged.edges[target, neighbor]["weight"] += weight
+            else:
+                merged.add_edge(target, neighbor, weight=weight)
+    merged.remove_node(a)
+    merged.remove_node(b)
+    return merged
+
+
+def _weights(graph: nx.Graph) -> dict:
+    """A networkx graph as the plain ``{u: {v: weight}}`` adjacency AWE plans on."""
+    return {u: {v: data["weight"] for v, data in nbrs.items()} for u, nbrs in graph.adj.items()}
+
+
 @st.composite
 def weighted_graphs(draw):
     num_nodes = draw(st.integers(2, 8))
@@ -302,8 +329,31 @@ class TestAweScoring:
         for i, a in enumerate(nodes):
             for b in nodes[i + 1 :]:
                 expected = _average_edge_weight(_contracted(graph, a, b))
-                score = _contracted_average(graph, a, b, edges, total)
+                score = _contracted_average(_weights(graph), a, b, edges, total)
                 assert score == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @given(graph=weighted_graphs(), data=st.data())
+    @_PROPERTY_SETTINGS
+    def test_contraction_matches_the_networkx_copy(self, graph, data):
+        nodes = [node for node in graph.nodes if isinstance(node, int)]
+        assume(len(nodes) >= 2)
+        a, b = data.draw(st.sampled_from([(a, b) for a in nodes for b in nodes if a < b]))
+        expected = _contracted(graph, a, b)
+        merged = contract(copy_order(_weights(graph)), a, b)
+        assert list(merged) == list(expected.nodes)
+        for node, neighbours in merged.items():
+            if node == (a, b):
+                # The new node's own order is never read before the next
+                # copy_order, which rebuilds it in node order.
+                assert neighbours.keys() == expected.adj[node].keys()
+            else:
+                assert list(neighbours) == list(expected.adj[node])
+            for neighbour, weight in neighbours.items():
+                assert weight == expected.edges[node, neighbour]["weight"]
+        # The float total is summed in networkx's edge order, bit for bit.
+        assert sum(_edge_weights(merged)) == sum(
+            weight for _a, _b, weight in expected.edges(data="weight")
+        )
 
     @given(
         num_qubits=st.integers(2, 10),
