@@ -23,51 +23,18 @@ Communication Reduction" (ASPLOS 2023).  It provides:
   (:mod:`repro.evaluation`).
 """
 
-from repro.circuits import Gate, QuantumCircuit
-from repro.arch import (
-    Device,
-    Topology,
-    grid_topology,
-    heavy_hex_topology,
-    linear_topology,
-    ring_topology,
-)
-from repro.pulses import GateDurationTable
-from repro.compiler import CompiledCircuit, QompressCompiler
-from repro.compression import (
-    AverageWeightPerEdge,
-    ExhaustiveCompression,
-    ExtendedQubitMapping,
-    FullQuquart,
-    ProgressivePairing,
-    QubitOnly,
-    RingBased,
-    get_strategy,
-)
-from repro.metrics import EPSReport, evaluate_eps
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "QuantumCircuit",
-    "Device",
-    "Topology",
-    "grid_topology",
-    "heavy_hex_topology",
-    "linear_topology",
-    "ring_topology",
-    "GateDurationTable",
-    "QompressCompiler",
-    "CompiledCircuit",
-    "QubitOnly",
-    "FullQuquart",
-    "ExhaustiveCompression",
-    "ExtendedQubitMapping",
-    "RingBased",
-    "AverageWeightPerEdge",
-    "ProgressivePairing",
-    "get_strategy",
-    "EPSReport",
-    "evaluate_eps",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".circuits": ("Gate", "QuantumCircuit"),
+    ".arch": ("Device", "Topology", "grid_topology", "heavy_hex_topology",
+              "linear_topology", "ring_topology"),
+    ".pulses": ("GateDurationTable",),
+    ".compiler": ("QompressCompiler", "CompiledCircuit"),
+    ".compression": ("QubitOnly", "FullQuquart", "ExhaustiveCompression",
+                     "ExtendedQubitMapping", "RingBased", "AverageWeightPerEdge",
+                     "ProgressivePairing", "get_strategy"),
+    ".metrics": ("EPSReport", "evaluate_eps"),
+})
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -13,27 +13,11 @@ Two layers, one report vocabulary:
 Batch drivers for the CLI and CI live in :mod:`repro.analysis.drivers`.
 """
 
-from repro.analysis.report import AnalysisReport, Finding, SEVERITIES
-from repro.analysis.passes import PROGRAM_PASSES, verify_compiled
-from repro.analysis.source_lint import SOURCE_RULES, lint_paths, lint_source_text
-from repro.analysis.drivers import (
-    CANONICAL_STRATEGIES,
-    lint_qasm,
-    lint_store,
-    lint_workloads,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "SEVERITIES",
-    "PROGRAM_PASSES",
-    "verify_compiled",
-    "SOURCE_RULES",
-    "lint_paths",
-    "lint_source_text",
-    "CANONICAL_STRATEGIES",
-    "lint_qasm",
-    "lint_store",
-    "lint_workloads",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".report": ("AnalysisReport", "Finding", "SEVERITIES"),
+    ".passes": ("PROGRAM_PASSES", "verify_compiled"),
+    ".source_lint": ("SOURCE_RULES", "lint_paths", "lint_source_text"),
+    ".drivers": ("CANONICAL_STRATEGIES", "lint_qasm", "lint_store", "lint_workloads"),
+})

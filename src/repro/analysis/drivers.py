@@ -21,7 +21,12 @@ from pathlib import Path
 
 from repro.analysis.passes import PROGRAM_PASSES, verify_compiled
 from repro.analysis.report import AnalysisReport, Finding
-from repro.workloads import MINIMUM_SIZES, build_benchmark
+from repro.circuits.qasm import parse_qasm
+from repro.compiler.pipeline import QompressCompiler
+from repro.compression.registry import get_strategy
+from repro.runner.records import DeviceSpec
+from repro.workloads.names import BENCHMARK_NAMES
+from repro.workloads.registry import MINIMUM_SIZES, build_benchmark
 
 #: The seven canonical strategies ``repro lint`` sweeps by default.
 CANONICAL_STRATEGIES: tuple[str, ...] = (
@@ -31,17 +36,12 @@ CANONICAL_STRATEGIES: tuple[str, ...] = (
 
 def _build_device(device_kind: str, num_qubits: int):
     """Materialise a device the same way the runner's DeviceSpec does."""
-    from repro.runner import DeviceSpec
-
     return DeviceSpec(kind=device_kind).build(num_qubits)
 
 
 def _verify_circuit(circuit, device, strategy_name: str,
                     compiler_kwargs: dict | None) -> AnalysisReport:
     """Compile one circuit under one strategy and statically verify it."""
-    from repro.compiler.pipeline import QompressCompiler
-    from repro.compression import get_strategy
-
     try:
         strategy = get_strategy(strategy_name)
         compiler = QompressCompiler(device, strategy, **(compiler_kwargs or {}))
@@ -76,8 +76,6 @@ def lint_workloads(
     default to the full registry at each benchmark's minimum sensible
     size; strategies default to :data:`CANONICAL_STRATEGIES`.
     """
-    from repro.workloads import BENCHMARK_NAMES
-
     names = tuple(benchmarks) if benchmarks else tuple(BENCHMARK_NAMES)
     chosen = tuple(strategies) if strategies else CANONICAL_STRATEGIES
     cells: list[dict] = []
@@ -105,8 +103,6 @@ def lint_qasm(
     compiler_kwargs: dict | None = None,
 ) -> list[dict]:
     """Statically verify one OpenQASM 2.0 file across strategies."""
-    from repro.circuits.qasm import parse_qasm
-
     path = Path(path)
     circuit = parse_qasm(path.read_text())
     if circuit.name == "qasm":

@@ -7,26 +7,11 @@ and coherence times, and the expanded ququart interaction graph with
 ``2V`` qubit slots and ``4E + V`` edges (Section 4.1).
 """
 
-from repro.arch.topology import (
-    Topology,
-    grid_topology,
-    grid_for_circuit,
-    heavy_hex_topology,
-    linear_topology,
-    ring_topology,
-)
-from repro.arch.device import Device
-from repro.arch.interaction_graph import Slot, expanded_slot_graph, slot_neighbors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Topology",
-    "grid_topology",
-    "grid_for_circuit",
-    "heavy_hex_topology",
-    "linear_topology",
-    "ring_topology",
-    "Device",
-    "Slot",
-    "expanded_slot_graph",
-    "slot_neighbors",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".topology": ("Topology", "grid_topology", "grid_for_circuit", "heavy_hex_topology",
+                  "linear_topology", "ring_topology"),
+    ".device": ("Device",),
+    ".interaction_graph": ("Slot", "expanded_slot_graph", "slot_neighbors"),
+})

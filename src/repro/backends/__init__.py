@@ -9,36 +9,11 @@ simulator and event estimator for cross-verification.  See
 :mod:`repro.backends.registry` for name resolution.
 """
 
-from repro.backends.contract import (
-    BackendContractError,
-    BackendError,
-    CompiledHandle,
-    DuplicateBackendError,
-    ExecutionBackend,
-    LRUMemo,
-    ReplayMissError,
-    UnknownBackendError,
-    ensure_noisy_result,
-)
-from repro.backends.registry import (
-    get_backend,
-    list_backends,
-    register_backend,
-    unregister_backend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackendContractError",
-    "BackendError",
-    "CompiledHandle",
-    "DuplicateBackendError",
-    "ExecutionBackend",
-    "LRUMemo",
-    "ReplayMissError",
-    "UnknownBackendError",
-    "ensure_noisy_result",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "unregister_backend",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".contract": ("BackendContractError", "CompiledHandle", "ExecutionBackend", "LRUMemo",
+                  "ReplayMissError", "ensure_noisy_result"),
+    ".registry": ("BackendError", "DuplicateBackendError", "UnknownBackendError", "get_backend",
+                  "list_backends", "register_backend", "unregister_backend"),
+})

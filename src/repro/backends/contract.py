@@ -28,25 +28,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping
 
+from repro.backends.registry import BackendError
+from repro.compression.registry import get_strategy
 from repro.noise.result import NoisyResult
+from repro.runner.records import StrategyResult, SweepPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.result import CompiledCircuit
     from repro.metrics.eps import EPSReport
     from repro.noise.points import NoisePoint
-    from repro.runner.points import StrategyResult, SweepPoint
-
-
-class BackendError(RuntimeError):
-    """Base class for execution-backend failures."""
-
-
-class UnknownBackendError(BackendError, KeyError):
-    """A backend name that no registered backend answers to."""
-
-
-class DuplicateBackendError(BackendError, ValueError):
-    """A second registration under an already-taken backend name."""
 
 
 class BackendContractError(BackendError, TypeError):
@@ -162,7 +152,7 @@ class ExecutionBackend:
     #: (replay).  The executor and the sweep service never dispatch such
     #: a point after their own store has missed it: they raise
     #: :class:`ReplayMissError` naming that store instead
-    #: (:func:`repro.runner.points.refuse_store_miss`).
+    #: (:func:`repro.runner.cache.refuse_store_miss`).
     reads_store: ClassVar[bool] = False
 
     #: Compiled handles kept per process: enough for a default EPS
@@ -198,8 +188,6 @@ class ExecutionBackend:
         """Compile one declarative point through :meth:`compile` (memoised)."""
         handle = self.handles.get(point)
         if handle is None:
-            from repro.compression import get_strategy
-
             circuit = point.build_circuit()
             device = point.device.build(point.num_qubits)
             strategy = get_strategy(point.strategy, **dict(point.strategy_kwargs))
@@ -211,8 +199,6 @@ class ExecutionBackend:
 
     def run_compile_point(self, point: "SweepPoint") -> "StrategyResult":
         """Execute one compile point; the :class:`SweepPoint` worker body."""
-        from repro.runner.points import StrategyResult
-
         handle = self.compile_point(point)
         return StrategyResult(
             benchmark=point.benchmark,

@@ -31,9 +31,13 @@ from repro.backends.contract import (
     CompiledHandle,
     ExecutionBackend,
 )
-from repro.backends.registry import register_backend
+from repro.circuits.qasm import parse_physical_qasm
+from repro.compiler.pipeline import QompressCompiler
+from repro.metrics import eps
 from repro.noise.model import resolve_model
 from repro.noise.result import NoisyResult
+from repro.simulation.dense import dense_replay_fidelity
+from repro.simulation.verify import register_dims
 
 #: Extra seed-tuple entry giving every shot a stream distinct from the
 #: trajectory engine's ``(seed, shot)`` stream — same distribution,
@@ -41,7 +45,6 @@ from repro.noise.result import NoisyResult
 _STREAM_SALT = 0x5EED
 
 
-@register_backend("external-sim")
 class ExternalSimBackend(ExecutionBackend):
     """Round-tripped programs, independently simulated and estimated."""
 
@@ -62,12 +65,6 @@ class ExternalSimBackend(ExecutionBackend):
                 ) -> CompiledHandle:
         """Compile, round-trip through QASM, and cross-verify the result."""
         import math
-
-        from repro.circuits.qasm import parse_physical_qasm
-        from repro.compiler.pipeline import QompressCompiler
-        from repro.metrics.eps import evaluate_eps
-        from repro.simulation.dense import dense_replay_fidelity
-        from repro.simulation.verify import register_dims
 
         kwargs = dict(compiler_kwargs or {})
         kwargs.update(self.compiler_overrides)
@@ -90,7 +87,7 @@ class ExternalSimBackend(ExecutionBackend):
                 )
         return CompiledHandle(
             backend=self.name, compiled=compiled,
-            report=evaluate_eps(compiled), qasm=qasm_text,
+            report=eps.evaluate_eps(compiled), qasm=qasm_text,
         )
 
     @staticmethod

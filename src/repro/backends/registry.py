@@ -6,8 +6,10 @@ exposes as ``--backend``.  The registry holds classes and lazily
 instantiates one singleton per name — backend instances own per-process
 memos (compiled handles), so every caller in a process shares them.
 
-The three built-in backends self-register on first lookup; third-party
-code registers the same way::
+The three built-in backends are listed as ``"module:class"`` strings and
+imported on first lookup, so listing names (the CLI's ``--backend``
+choices) loads no backend implementation.  Third-party code registers a
+class::
 
     from repro.backends import ExecutionBackend, register_backend
 
@@ -19,26 +21,31 @@ code registers the same way::
 
 from __future__ import annotations
 
-from repro.backends.contract import (
-    DuplicateBackendError,
-    ExecutionBackend,
-    UnknownBackendError,
-)
+import importlib
+from typing import TYPE_CHECKING
 
-_REGISTRY: dict[str, type[ExecutionBackend]] = {}
+if TYPE_CHECKING:
+    from repro.backends.contract import ExecutionBackend
+
+
+class BackendError(RuntimeError):
+    """Base class for execution-backend failures."""
+
+
+class UnknownBackendError(BackendError, KeyError):
+    """A backend name that no registered backend answers to."""
+
+
+class DuplicateBackendError(BackendError, ValueError):
+    """A second registration under an already-taken backend name."""
+
+
+_REGISTRY: dict[str, type[ExecutionBackend] | str] = {
+    "external-sim": "repro.backends.external:ExternalSimBackend",
+    "replay": "repro.backends.replay:ReplayBackend",
+    "trajectory": "repro.backends.trajectory:TrajectoryBackend",
+}
 _INSTANCES: dict[str, ExecutionBackend] = {}
-_BUILTINS_LOADED = False
-
-
-def _ensure_builtin_backends() -> None:
-    """Import the built-in backend modules so they self-register (idempotent)."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
-    import repro.backends.external  # noqa: F401  (registers on import)
-    import repro.backends.replay  # noqa: F401
-    import repro.backends.trajectory  # noqa: F401
 
 
 def register_backend(name: str):
@@ -51,6 +58,10 @@ def register_backend(name: str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
 
     def decorator(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
+        # the contract imports the compile stack; a class subclassing it
+        # has loaded it already
+        from repro.backends.contract import ExecutionBackend
+
         if not (isinstance(cls, type) and issubclass(cls, ExecutionBackend)):
             raise TypeError(
                 f"backend {name!r} must subclass repro.backends.ExecutionBackend, "
@@ -59,7 +70,7 @@ def register_backend(name: str):
         if name in _REGISTRY:
             raise DuplicateBackendError(
                 f"backend name {name!r} is already registered "
-                f"(by {_REGISTRY[name].__qualname__})"
+                f"(by {getattr(_REGISTRY[name], '__qualname__', _REGISTRY[name])})"
             )
         _REGISTRY[name] = cls
         return cls
@@ -79,7 +90,6 @@ def get_backend(name: str) -> ExecutionBackend:
     Raises :class:`UnknownBackendError` (a ``KeyError``) for unregistered
     names, listing what is available.
     """
-    _ensure_builtin_backends()
     instance = _INSTANCES.get(name)
     if instance is None:
         cls = _REGISTRY.get(name)
@@ -88,11 +98,13 @@ def get_backend(name: str) -> ExecutionBackend:
                 f"unknown execution backend {name!r}; "
                 f"registered backends: {', '.join(list_backends())}"
             )
+        if isinstance(cls, str):
+            module, _, attribute = cls.partition(":")
+            cls = _REGISTRY[name] = getattr(importlib.import_module(module), attribute)
         instance = _INSTANCES[name] = cls()
     return instance
 
 
 def list_backends() -> tuple[str, ...]:
     """Sorted names of every registered backend."""
-    _ensure_builtin_backends()
     return tuple(sorted(_REGISTRY))

@@ -7,7 +7,7 @@ a warm sweep is served entirely as store hits (``executed == 0``), and the
 results are bit-identical to the original run.  The executor and the sweep
 service look each point up in their own store and raise
 :class:`~repro.backends.contract.ReplayMissError` naming it on a miss
-(:func:`~repro.runner.points.refuse_store_miss`); only store-less calls
+(:func:`~repro.runner.cache.refuse_store_miss`); only store-less calls
 reach this backend, which reads the default cache directory
 (``$REPRO_CACHE_DIR`` or ``.repro_cache/``).  A cold point never silently
 recomputes — replay is a load-testing and audit scenario, not a fallback.
@@ -22,23 +22,21 @@ from repro.backends.contract import (
     ReplayMissError,
     ensure_noisy_result,
 )
-from repro.backends.registry import register_backend
 from repro.noise.result import NoisyResult
+from repro.runner import cache
+from repro.store.artifacts import ArtifactStore
 
 
 def store_miss(root, point) -> ReplayMissError:
     """The error for a replay ``point`` the store at ``root`` has no result for."""
-    from repro.runner.cache import point_key
-
     return ReplayMissError(
         f"no stored result under {root} for this point "
-        f"(key {point_key(point)[:12]}…); run it on the "
+        f"(key {cache.point_key(point)[:12]}…); run it on the "
         "'trajectory' backend against the same store first, or "
         "configure the replay run with the warm store's root"
     )
 
 
-@register_backend("replay")
 class ReplayBackend(ExecutionBackend):
     """Store-served results only; executes zero shots, compiles nothing."""
 
@@ -75,17 +73,14 @@ class ReplayBackend(ExecutionBackend):
     # point-level lookups
     # ------------------------------------------------------------------
     def _lookup(self, point) -> object:
-        from repro.runner.cache import default_cache_dir, point_key
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(default_cache_dir())
-        result = store.get_object(point_key(point))
+        store = ArtifactStore(cache.default_cache_dir())
+        result = store.get_object(cache.point_key(point))
         if result is None:
             raise store_miss(store.root, point)
         return result
 
     def run_compile_point(self, point):
-        """Serve the stored :class:`~repro.runner.points.StrategyResult`."""
+        """Serve the stored :class:`~repro.runner.records.StrategyResult`."""
         return self._lookup(point)
 
     def run_noise_point(self, point) -> NoisyResult:

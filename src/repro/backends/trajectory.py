@@ -17,12 +17,12 @@ from repro.backends.contract import (
     LRUMemo,
     ensure_noisy_result,
 )
-from repro.backends.registry import register_backend
+from repro.compiler.pipeline import QompressCompiler
+from repro.metrics import eps
 from repro.noise.result import NoisyResult
 from repro.noise.trajectory import TrajectoryEngine
 
 
-@register_backend("trajectory")
 class TrajectoryBackend(ExecutionBackend):
     """Monte Carlo trajectory sampling on the mixed-radix statevector."""
 
@@ -41,12 +41,9 @@ class TrajectoryBackend(ExecutionBackend):
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
                 ) -> CompiledHandle:
         """Compile through the Qompress pipeline and evaluate analytic EPS."""
-        from repro.compiler.pipeline import QompressCompiler
-        from repro.metrics.eps import evaluate_eps
-
         compiled = QompressCompiler(device, strategy, **(compiler_kwargs or {})).compile(circuit)
         return CompiledHandle(
-            backend=self.name, compiled=compiled, report=evaluate_eps(compiled)
+            backend=self.name, compiled=compiled, report=eps.evaluate_eps(compiled)
         )
 
     def execute(self, handle: CompiledHandle, shots: int, seed: int, *,

@@ -7,44 +7,14 @@ and critical-path analysis, and decomposition helpers for multi-controlled
 gates.
 """
 
-from repro.circuits.gates import (
-    Gate,
-    SINGLE_QUBIT_GATES,
-    TWO_QUBIT_GATES,
-    THREE_QUBIT_GATES,
-)
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import CircuitDAG
-from repro.circuits.decompose import decompose_to_basis
-from repro.circuits.qasm import (
-    QasmError,
-    PhysicalInstruction,
-    PhysicalProgram,
-    circuit_to_qasm,
-    compiled_to_qasm,
-    parse_physical_qasm,
-    parse_qasm,
-    parse_qasm_file,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "QuantumCircuit",
-    "CircuitDAG",
-    "decompose_to_basis",
-    "QasmError",
-    "PhysicalInstruction",
-    "PhysicalProgram",
-    "circuit_to_qasm",
-    "compiled_to_qasm",
-    "parse_physical_qasm",
-    "parse_qasm",
-    "parse_qasm_file",
-    "SINGLE_QUBIT_GATES",
-    "TWO_QUBIT_GATES",
-    "THREE_QUBIT_GATES",
-]
-
-# Note: repro.circuits.drawing is not imported here to avoid a circular
-# import (it renders compiled circuits, which live in repro.compiler).
-# Import it explicitly: ``from repro.circuits.drawing import draw_circuit``.
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".gates": ("Gate", "SINGLE_QUBIT_GATES", "TWO_QUBIT_GATES", "THREE_QUBIT_GATES"),
+    ".circuit": ("QuantumCircuit",),
+    ".dag": ("CircuitDAG",),
+    ".decompose": ("decompose_to_basis",),
+    ".qasm": ("QasmError", "PhysicalInstruction", "PhysicalProgram", "circuit_to_qasm",
+              "compiled_to_qasm", "parse_physical_qasm", "parse_qasm", "parse_qasm_file"),
+    ".drawing": ("draw_circuit",),
+})

@@ -37,53 +37,36 @@ import json
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.backends import BackendError, list_backends
-from repro.circuits.qasm import QasmError
-from repro.compression import _STRATEGIES
-from repro.noise import NOISE_PRESETS, NoiseSpec, prime_compiled, simulate_point
-from repro.runner import (
-    CompileCache,
-    DeviceSpec,
-    SweepPlan,
-    SweepPoint,
-    default_cache_dir,
-    execute_plan,
-)
-from repro.simulation.verify import VerificationError
-from repro.store import ArtifactStore
-from repro.evaluation import (
-    CROSSCHECK_HEADERS,
+# name tables only: the parser lists every verb's choices without loading
+# any strategy, workload, noise or evaluation code
+from repro.compression.names import STRATEGY_CLASSES
+from repro.evaluation.defaults import (
     DEFAULT_CROSSCHECK_BACKENDS,
     DEFAULT_VALIDATION_SHOTS,
     DEFAULT_VALIDATION_STRATEGIES,
-    cross_backend_check,
-    crosscheck_rows,
-    validation_headers,
-    figure3_state_evolution,
-    figure4_exhaustive,
-    figure8_gate_distribution,
-    figure9_qubit_error_sweep,
-    figure11_t1_improvement,
-    figure12_t1_ratio_sweep,
-    figure13_topologies,
-    format_table,
-    results_to_rows,
-    save_csv,
-    strategy_sweep,
-    table1_durations,
-    validate_eps,
-    validation_rows,
 )
-from repro.evaluation.reporting import SWEEP_HEADERS, flat_results_to_rows
-from repro.metrics import grouped_histogram
-from repro.workloads import BENCHMARK_NAMES
+from repro.noise.presets import NOISE_PRESETS
+from repro.workloads.names import BENCHMARK_NAMES
+
+if TYPE_CHECKING:
+    from repro.runner.cache import CompileCache
+    from repro.runner.plan import SweepPlan
+    from repro.runner.records import SweepPoint
 
 _FIGURES = ("fig3", "fig4", "fig8", "fig9", "fig11", "fig12", "fig13")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
+    from repro.backends.registry import list_backends
+    from repro.runner.cache import default_cache_dir
+
+    strategies = sorted(STRATEGY_CLASSES)
+    benchmarks = sorted(BENCHMARK_NAMES)
+    noise_presets = sorted(NOISE_PRESETS)
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Qompress (ASPLOS 2023) reproduction command-line interface",
@@ -94,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compile", help="compile one benchmark or OpenQASM file and report its EPS"
     )
     compile_source = compile_parser.add_mutually_exclusive_group(required=True)
-    compile_source.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES))
+    compile_source.add_argument("--benchmark", choices=benchmarks)
     compile_source.add_argument("--qasm", metavar="FILE",
                                 help="compile this OpenQASM 2.0 file instead of a "
                                      "registry benchmark")
     compile_parser.add_argument("--qubits", type=int,
                                 help="circuit size (required with --benchmark)")
-    compile_parser.add_argument("--strategy", choices=sorted(set(_STRATEGIES)), default="eqm")
+    compile_parser.add_argument("--strategy", choices=strategies, default="eqm")
     compile_parser.add_argument("--device", choices=("grid", "heavy_hex", "ring"), default="grid")
     compile_parser.add_argument("--seed", type=int, default=0)
     compile_parser.add_argument("--show-gates", action="store_true",
@@ -126,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="lint this OpenQASM 2.0 file across "
                                         "strategies instead of the registry")
     lint_source_group.add_argument("--workload", nargs="+",
-                                   choices=sorted(BENCHMARK_NAMES),
+                                   choices=benchmarks,
                                    help="registry benchmarks to lint "
                                         "(default: the whole registry)")
     lint_parser.add_argument("--qubits", type=int, default=None,
                              help="circuit size (default: each benchmark's "
                                   "minimum sensible size)")
     lint_parser.add_argument("--strategies", nargs="+",
-                             choices=sorted(set(_STRATEGIES)), default=None,
+                             choices=strategies, default=None,
                              help="strategies to sweep (default: all seven "
                                   "canonical strategies)")
     lint_parser.add_argument("--device", choices=("grid", "heavy_hex", "ring"),
@@ -146,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run the Figure 7 / Figure 10 strategy sweep"
     )
-    sweep_parser.add_argument("--benchmarks", nargs="+", choices=sorted(BENCHMARK_NAMES),
+    sweep_parser.add_argument("--benchmarks", nargs="+", choices=benchmarks,
                               default=["cuccaro", "cnu"])
     sweep_parser.add_argument("--sizes", nargs="+", type=int, default=[8, 12, 16])
-    sweep_parser.add_argument("--strategies", nargs="+", choices=sorted(set(_STRATEGIES)),
+    sweep_parser.add_argument("--strategies", nargs="+", choices=strategies,
                               default=["qubit_only", "eqm", "rb"])
     sweep_parser.add_argument("--device", choices=("grid", "heavy_hex", "ring"), default="grid")
     sweep_parser.add_argument("--seed", type=int, default=0)
@@ -163,19 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="Monte Carlo noise simulation of one compiled circuit"
     )
     simulate_source = simulate_parser.add_mutually_exclusive_group(required=True)
-    simulate_source.add_argument("--benchmark", choices=sorted(BENCHMARK_NAMES))
+    simulate_source.add_argument("--benchmark", choices=benchmarks)
     simulate_source.add_argument("--qasm", metavar="FILE",
                                  help="simulate this OpenQASM 2.0 file instead of a "
                                       "registry benchmark")
     simulate_parser.add_argument("--qubits", type=int,
                                  help="circuit size (required with --benchmark)")
-    simulate_parser.add_argument("--strategy", choices=sorted(set(_STRATEGIES)), default="eqm")
+    simulate_parser.add_argument("--strategy", choices=strategies, default="eqm")
     simulate_parser.add_argument("--device", choices=("grid", "heavy_hex", "ring"),
                                  default="grid")
     simulate_parser.add_argument("--seed", type=int, default=0,
                                  help="seed for both the compile and the trajectories")
     simulate_parser.add_argument("--shots", type=int, default=8000)
-    simulate_parser.add_argument("--noise", choices=sorted(NOISE_PRESETS), default="table1")
+    simulate_parser.add_argument("--noise", choices=noise_presets, default="table1")
     simulate_parser.add_argument("--track-state", action="store_true",
                                  help="also evolve the state vector for outcome-level "
                                       "metrics (compiles with single-qubit merging "
@@ -188,16 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep small workloads and check the analytic EPS model "
              "against Monte Carlo simulation",
     )
-    validate_parser.add_argument("--benchmarks", nargs="+", choices=sorted(BENCHMARK_NAMES),
+    validate_parser.add_argument("--benchmarks", nargs="+", choices=benchmarks,
                                  default=None, help="(default: bv ghz qft)")
     validate_parser.add_argument("--sizes", nargs="+", type=int, default=None,
                                  help="(default: 4 6)")
-    validate_parser.add_argument("--strategies", nargs="+", choices=sorted(set(_STRATEGIES)),
+    validate_parser.add_argument("--strategies", nargs="+", choices=strategies,
                                  default=None,
                                  help=f"(default: {' '.join(DEFAULT_VALIDATION_STRATEGIES)})")
     validate_parser.add_argument("--shots", type=int, default=None,
                                  help=f"(default: {DEFAULT_VALIDATION_SHOTS})")
-    validate_parser.add_argument("--noise", choices=sorted(NOISE_PRESETS), default="table1")
+    validate_parser.add_argument("--noise", choices=noise_presets, default="table1")
     validate_parser.add_argument("--seed", type=int, default=0)
     validate_parser.add_argument("--tolerance", type=float, default=0.10,
                                  help="max relative deviation accepted when the CI "
@@ -221,18 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
              "estimates agree (independent cross-verification)",
     )
     crosscheck_parser.add_argument("--benchmarks", nargs="+",
-                                   choices=sorted(BENCHMARK_NAMES),
+                                   choices=benchmarks,
                                    default=["bv", "ghz"])
     crosscheck_parser.add_argument("--sizes", nargs="+", type=int, default=[4])
     crosscheck_parser.add_argument("--strategies", nargs="+",
-                                   choices=sorted(set(_STRATEGIES)),
+                                   choices=strategies,
                                    default=["qubit_only", "eqm"])
     crosscheck_parser.add_argument("--backends", nargs="+", choices=list_backends(),
                                    default=list(DEFAULT_CROSSCHECK_BACKENDS),
                                    help="backends to compare (default: "
                                         f"{' '.join(DEFAULT_CROSSCHECK_BACKENDS)})")
     crosscheck_parser.add_argument("--shots", type=int, default=2000)
-    crosscheck_parser.add_argument("--noise", choices=sorted(NOISE_PRESETS),
+    crosscheck_parser.add_argument("--noise", choices=noise_presets,
                                    default="table1")
     crosscheck_parser.add_argument("--seed", type=int, default=0)
     crosscheck_parser.add_argument("--tolerance", type=float, default=0.10,
@@ -274,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser = subparsers.add_parser(
         "submit", help="submit a sweep plan to the spool for an async server"
     )
-    submit_parser.add_argument("--benchmarks", nargs="+", choices=sorted(BENCHMARK_NAMES),
+    submit_parser.add_argument("--benchmarks", nargs="+", choices=benchmarks,
                                default=["cuccaro", "cnu"])
     submit_parser.add_argument("--sizes", nargs="+", type=int, default=[8, 12, 16])
-    submit_parser.add_argument("--strategies", nargs="+", choices=sorted(set(_STRATEGIES)),
+    submit_parser.add_argument("--strategies", nargs="+", choices=strategies,
                                default=["qubit_only", "eqm", "rb"])
     submit_parser.add_argument("--device", choices=("grid", "heavy_hex", "ring"),
                                default="grid")
@@ -331,6 +314,8 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     """Execution-backend selector shared by the point-running subcommands."""
+    from repro.backends.registry import list_backends
+
     parser.add_argument("--backend", choices=list_backends(), default="trajectory",
                         help="execution backend for every point: 'trajectory' "
                              "(default engine), 'replay' (serve a warm store, "
@@ -339,6 +324,9 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cache_from_args(args: argparse.Namespace) -> CompileCache | None:
+    from repro.runner.cache import CompileCache, default_cache_dir
+    from repro.store.artifacts import ArtifactStore
+
     cache_dir = getattr(args, "cache_dir", None)
     # replay answers points from a store, so it always gets one (the
     # requested --cache-dir, or the default directory): the executor looks
@@ -358,6 +346,9 @@ def _compile_point_from_args(
 ) -> SweepPoint | int:
     """Build the declarative compile point a source-selecting subcommand asks
     for, or an exit code on a user error."""
+    from repro.circuits.qasm import QasmError
+    from repro.runner.records import DeviceSpec, SweepPoint, freeze_kwargs
+
     spec = DeviceSpec(kind=args.device)
     backend = getattr(args, "backend", "trajectory")
     if args.qasm is not None:
@@ -372,8 +363,6 @@ def _compile_point_from_args(
     if args.qubits is None:
         print("error: --qubits is required with --benchmark", file=sys.stderr)
         return 2
-    from repro.runner import freeze_kwargs
-
     return SweepPoint(
         args.benchmark, args.qubits, args.strategy, device=spec, seed=args.seed,
         compiler_kwargs=freeze_kwargs(compiler_kwargs), backend=backend,
@@ -381,6 +370,11 @@ def _compile_point_from_args(
 
 
 def _run_compile(args: argparse.Namespace) -> int:
+    from repro.evaluation.reporting import format_table
+    from repro.metrics.histograms import grouped_histogram
+    from repro.runner.executor import execute_plan
+    from repro.runner.plan import SweepPlan
+
     point = _compile_point_from_args(args)
     if isinstance(point, int):
         return point
@@ -414,7 +408,7 @@ def _run_compile(args: argparse.Namespace) -> int:
         print(f"\ncache: {cache.stats.hits} hits, {cache.stats.misses} misses "
               f"({cache.root})")
     if args.verify:
-        from repro.analysis import verify_compiled
+        from repro.analysis.passes import verify_compiled
 
         analysis = verify_compiled(result.compiled)
         for finding in analysis.findings:
@@ -447,7 +441,9 @@ def _lint_cells_table(cells: list) -> tuple[list[list], int, int]:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import lint_qasm, lint_workloads
+    from repro.analysis.drivers import lint_qasm, lint_workloads
+    from repro.circuits.qasm import QasmError
+    from repro.evaluation.reporting import format_table
 
     strategies = tuple(args.strategies) if args.strategies else None
     if args.qasm is not None:
@@ -504,6 +500,13 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from repro.evaluation.reporting import format_table
+    from repro.noise.model import NoiseSpec
+    from repro.noise.points import prime_compiled, simulate_point
+    from repro.runner.executor import execute_plan
+    from repro.runner.plan import SweepPlan
+    from repro.simulation.verify import VerificationError
+
     if args.shots <= 0:
         # zero-shot batches are valid plumbing (empty plans merge cleanly)
         # but there is nothing to report about one
@@ -563,6 +566,9 @@ _SMOKE_VALIDATION = {
 
 
 def _run_validate_eps(args: argparse.Namespace) -> int:
+    from repro.evaluation.reporting import format_table
+    from repro.evaluation.validate import validate_eps, validation_headers, validation_rows
+
     if args.shots is not None and args.shots <= 0:
         print("error: --shots must be positive", file=sys.stderr)
         return 2
@@ -621,6 +627,9 @@ def _run_validate_eps(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from repro.evaluation.experiments import strategy_sweep
+    from repro.evaluation.reporting import SWEEP_HEADERS, format_table, results_to_rows, save_csv
+
     cache = _cache_from_args(args)
     results = strategy_sweep(
         benchmarks=tuple(args.benchmarks),
@@ -678,6 +687,13 @@ def save_json(
 
 
 def _run_crosscheck(args: argparse.Namespace) -> int:
+    from repro.evaluation.crosscheck import (
+        CROSSCHECK_HEADERS,
+        cross_backend_check,
+        crosscheck_rows,
+    )
+    from repro.evaluation.reporting import format_table
+
     if args.shots <= 0:
         print("error: --shots must be positive", file=sys.stderr)
         return 2
@@ -688,7 +704,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     if args.lint:
         # Prove the programs legal before spending shots comparing them;
         # mirror the crosscheck compile (merging disabled, grid device).
-        from repro.analysis import lint_workloads
+        from repro.analysis.drivers import lint_workloads
 
         lint_errors = 0
         cell_count = 0
@@ -749,7 +765,8 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _store_from_args(args: argparse.Namespace):
-    from repro.store import ArtifactStore
+    from repro.runner.cache import default_cache_dir
+    from repro.store.artifacts import ArtifactStore
 
     return ArtifactStore(Path(args.store_dir) if args.store_dir else default_cache_dir())
 
@@ -759,6 +776,8 @@ def _run_store(args: argparse.Namespace) -> int:
         print(f"error: --lint applies only to 'store verify', not "
               f"'store {args.action}'", file=sys.stderr)
         return 2
+    from repro.evaluation.reporting import format_table
+
     store = _store_from_args(args)
     if args.action == "stats":
         stats = store.stats()
@@ -787,7 +806,7 @@ def _run_store(args: argparse.Namespace) -> int:
     lint_report = None
     lint_counters = None
     if args.lint:
-        from repro.analysis import lint_store
+        from repro.analysis.drivers import lint_store
 
         lint_report, lint_counters = lint_store(store)
     if args.json_output:
@@ -822,6 +841,9 @@ def _run_store(args: argparse.Namespace) -> int:
 
 
 def _submit_plan_from_args(args: argparse.Namespace) -> SweepPlan:
+    from repro.runner.plan import SweepPlan
+    from repro.runner.records import DeviceSpec
+
     return SweepPlan.cartesian(
         tuple(args.benchmarks), tuple(args.sizes), tuple(args.strategies),
         device=DeviceSpec(kind=args.device), seed=args.seed,
@@ -830,7 +852,8 @@ def _submit_plan_from_args(args: argparse.Namespace) -> SweepPlan:
 
 
 def _run_submit(args: argparse.Namespace) -> int:
-    from repro.service import job_results, submit_job, wait_for_job
+    from repro.evaluation.reporting import SWEEP_HEADERS, flat_results_to_rows, format_table
+    from repro.service.spool import job_results, submit_job, wait_for_job
 
     plan = _submit_plan_from_args(args)
     job_id = submit_job(args.spool, plan)
@@ -861,7 +884,7 @@ def _run_submit(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve_forever, serve_once
+    from repro.service.spool import serve_forever, serve_once
 
     store = _store_from_args(args)
     if args.once:
@@ -882,6 +905,9 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_table1(_args: argparse.Namespace) -> int:
+    from repro.evaluation.experiments import table1_durations
+    from repro.evaluation.reporting import format_table
+
     rows = []
     for group, gates in table1_durations().items():
         for name, duration in gates.items():
@@ -891,6 +917,16 @@ def _run_table1(_args: argparse.Namespace) -> int:
 
 
 def _figure_rows(name: str, workers: int = 1, cache=None) -> tuple[list[str], list[list]]:
+    from repro.evaluation.experiments import (
+        figure3_state_evolution,
+        figure4_exhaustive,
+        figure8_gate_distribution,
+        figure9_qubit_error_sweep,
+        figure11_t1_improvement,
+        figure12_t1_ratio_sweep,
+        figure13_topologies,
+    )
+
     engine = {"workers": workers, "cache": cache}
     if name == "fig3":
         traces = figure3_state_evolution(steps=11)
@@ -949,6 +985,8 @@ def _figure_rows(name: str, workers: int = 1, cache=None) -> tuple[list[str], li
 
 
 def _run_figure(args: argparse.Namespace) -> int:
+    from repro.evaluation.reporting import format_table, save_csv
+
     headers, rows = _figure_rows(args.name, workers=args.workers,
                                  cache=_cache_from_args(args))
     print(format_table(headers, rows))
@@ -975,6 +1013,8 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.backends.registry import BackendError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

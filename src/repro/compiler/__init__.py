@@ -17,23 +17,14 @@ Compilation proceeds in four stages:
 :class:`CompiledCircuit` carrying everything the metrics need.
 """
 
-from repro.compiler.result import CompiledCircuit, PhysicalOp
-from repro.compiler.weights import interaction_weights, total_weights
-from repro.compiler.mapping import Placement, initial_mapping
-from repro.compiler.costs import CostModel
-from repro.compiler.routing import Router
-from repro.compiler.scheduling import schedule_ops
-from repro.compiler.pipeline import QompressCompiler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PhysicalOp",
-    "CompiledCircuit",
-    "interaction_weights",
-    "total_weights",
-    "Placement",
-    "initial_mapping",
-    "CostModel",
-    "Router",
-    "schedule_ops",
-    "QompressCompiler",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".result": ("CompiledCircuit", "PhysicalOp"),
+    ".weights": ("interaction_weights", "total_weights"),
+    ".mapping": ("Placement", "initial_mapping"),
+    ".costs": ("CostModel",),
+    ".routing": ("Router",),
+    ".scheduling": ("schedule_ops",),
+    ".pipeline": ("QompressCompiler",),
+})

@@ -281,13 +281,11 @@ class QompressCompiler:
         unit_t = unit_of[target]
         # Route at the qudit level with full SWAP4 operations.
         if not topology.are_adjacent(unit_c, unit_t) and unit_c != unit_t:
+            distances = topology.all_pairs_distances()
             path = [unit_c]
             current = unit_c
             while not topology.are_adjacent(current, unit_t):
-                neighbors = topology.neighbors(current)
-                current = min(
-                    neighbors, key=lambda n: topology.shortest_path_length(n, unit_t)
-                )
+                current = min(topology.neighbors(current), key=lambda n: distances[n][unit_t])
                 path.append(current)
             for here, there in zip(path, path[1:]):
                 moved: dict[int, Slot] = {}

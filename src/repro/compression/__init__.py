@@ -18,49 +18,15 @@ ExhaustiveCompression  EC     greedy search that recompiles every candidate pair
 =====================  =====  ==========================================
 """
 
-from repro.compression.base import CompressionStrategy, circuit_interaction_graph
-from repro.compression.baselines import FullQuquart, QubitOnly
-from repro.compression.eqm import ExtendedQubitMapping
-from repro.compression.ring_based import RingBased
-from repro.compression.awe import AverageWeightPerEdge
-from repro.compression.progressive import ProgressivePairing
-from repro.compression.exhaustive import ExhaustiveCompression
+from repro._lazy import lazy_exports
 
-_STRATEGIES = {
-    "qubit_only": QubitOnly,
-    "fq": FullQuquart,
-    "full_ququart": FullQuquart,
-    "eqm": ExtendedQubitMapping,
-    "rb": RingBased,
-    "ring_based": RingBased,
-    "awe": AverageWeightPerEdge,
-    "average_weight_per_edge": AverageWeightPerEdge,
-    "pp": ProgressivePairing,
-    "progressive_pairing": ProgressivePairing,
-    "ec": ExhaustiveCompression,
-    "exhaustive": ExhaustiveCompression,
-}
-
-
-def get_strategy(name: str, **kwargs) -> CompressionStrategy:
-    """Instantiate a compression strategy by (case-insensitive) name."""
-    key = name.strip().lower()
-    if key not in _STRATEGIES:
-        raise KeyError(
-            f"unknown compression strategy {name!r}; choose one of {sorted(set(_STRATEGIES))}"
-        )
-    return _STRATEGIES[key](**kwargs)
-
-
-__all__ = [
-    "CompressionStrategy",
-    "circuit_interaction_graph",
-    "QubitOnly",
-    "FullQuquart",
-    "ExtendedQubitMapping",
-    "RingBased",
-    "AverageWeightPerEdge",
-    "ProgressivePairing",
-    "ExhaustiveCompression",
-    "get_strategy",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".base": ("CompressionStrategy", "circuit_interaction_graph"),
+    ".baselines": ("QubitOnly", "FullQuquart"),
+    ".eqm": ("ExtendedQubitMapping",),
+    ".ring_based": ("RingBased",),
+    ".awe": ("AverageWeightPerEdge",),
+    ".progressive": ("ProgressivePairing",),
+    ".exhaustive": ("ExhaustiveCompression",),
+    ".registry": ("get_strategy", "_STRATEGIES"),
+})

@@ -17,19 +17,9 @@ provides their counterparts:
     the dynamic analogue of ``replay_compiled``.
 """
 
-from repro.dynamic.qasm3 import circuit_to_qasm3, parse_qasm3
-from repro.dynamic.simulate import (
-    DynamicBranch,
-    branch_distribution,
-    reduced_density,
-    simulate_dynamic,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicBranch",
-    "branch_distribution",
-    "circuit_to_qasm3",
-    "parse_qasm3",
-    "reduced_density",
-    "simulate_dynamic",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".qasm3": ("circuit_to_qasm3", "parse_qasm3"),
+    ".simulate": ("DynamicBranch", "branch_distribution", "reduced_density", "simulate_dynamic"),
+})

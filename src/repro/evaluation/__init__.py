@@ -19,88 +19,23 @@ Function                     Paper artefact
 ===========================  =================================================
 """
 
-from repro.evaluation.sweep import (
-    DEFAULT_STRATEGIES,
-    StrategyResult,
-    compile_benchmark,
-    compile_circuit,
-    device_for,
-    run_strategies,
-)
-from repro.evaluation.experiments import (
-    figure3_state_evolution,
-    figure4_exhaustive,
-    figure8_gate_distribution,
-    figure9_qubit_error_sweep,
-    figure11_t1_improvement,
-    figure12_t1_ratio_sweep,
-    figure13_topologies,
-    strategy_sweep,
-    table1_durations,
-)
-from repro.evaluation.reporting import format_table, results_to_rows, save_csv
-from repro.evaluation.validate import (
-    DEFAULT_VALIDATION_BENCHMARKS,
-    DEFAULT_VALIDATION_SHOTS,
-    DEFAULT_VALIDATION_SIZES,
-    DEFAULT_VALIDATION_STRATEGIES,
-    TRACKED_VALIDATION_HEADERS,
-    VALIDATION_HEADERS,
-    validation_headers,
-    ValidationRow,
-    validate_eps,
-    validation_rows,
-)
-from repro.evaluation.crosscheck import (
-    CROSSCHECK_HEADERS,
-    CrossCheckRow,
-    DEFAULT_CROSSCHECK_BACKENDS,
-    cross_backend_check,
-    crosscheck_rows,
-)
-from repro.evaluation.ablations import (
-    AblationResult,
-    internal_gate_ablation,
-    merging_ablation,
-    uniform_routing_ablation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AblationResult",
-    "merging_ablation",
-    "internal_gate_ablation",
-    "uniform_routing_ablation",
-    "DEFAULT_STRATEGIES",
-    "StrategyResult",
-    "device_for",
-    "compile_benchmark",
-    "compile_circuit",
-    "run_strategies",
-    "table1_durations",
-    "figure3_state_evolution",
-    "figure4_exhaustive",
-    "strategy_sweep",
-    "figure8_gate_distribution",
-    "figure9_qubit_error_sweep",
-    "figure11_t1_improvement",
-    "figure12_t1_ratio_sweep",
-    "figure13_topologies",
-    "format_table",
-    "results_to_rows",
-    "save_csv",
-    "DEFAULT_VALIDATION_BENCHMARKS",
-    "DEFAULT_VALIDATION_SHOTS",
-    "DEFAULT_VALIDATION_SIZES",
-    "DEFAULT_VALIDATION_STRATEGIES",
-    "TRACKED_VALIDATION_HEADERS",
-    "VALIDATION_HEADERS",
-    "validation_headers",
-    "ValidationRow",
-    "validate_eps",
-    "validation_rows",
-    "CROSSCHECK_HEADERS",
-    "CrossCheckRow",
-    "DEFAULT_CROSSCHECK_BACKENDS",
-    "cross_backend_check",
-    "crosscheck_rows",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".sweep": ("DEFAULT_STRATEGIES", "StrategyResult", "compile_benchmark", "compile_circuit",
+               "device_for", "run_strategies"),
+    ".experiments": ("figure3_state_evolution", "figure4_exhaustive", "figure8_gate_distribution",
+                     "figure9_qubit_error_sweep", "figure11_t1_improvement",
+                     "figure12_t1_ratio_sweep", "figure13_topologies", "strategy_sweep",
+                     "table1_durations"),
+    ".reporting": ("format_table", "results_to_rows", "save_csv"),
+    ".defaults": ("DEFAULT_CROSSCHECK_BACKENDS", "DEFAULT_VALIDATION_BENCHMARKS",
+                  "DEFAULT_VALIDATION_SHOTS", "DEFAULT_VALIDATION_SIZES",
+                  "DEFAULT_VALIDATION_STRATEGIES"),
+    ".validate": ("TRACKED_VALIDATION_HEADERS", "VALIDATION_HEADERS", "validation_headers",
+                  "ValidationRow", "validate_eps", "validation_rows"),
+    ".crosscheck": ("CROSSCHECK_HEADERS", "CrossCheckRow", "cross_backend_check",
+                    "crosscheck_rows"),
+    ".ablations": ("AblationResult", "internal_gate_ablation", "merging_ablation",
+                   "uniform_routing_ablation"),
+})

@@ -28,7 +28,10 @@ from dataclasses import dataclass
 
 from repro.metrics.eps import EPSReport
 from repro.pulses.durations import GateDurationTable
-from repro.runner import CompileCache, SweepPlan, DeviceSpec, execute_plan
+from repro.runner.cache import CompileCache
+from repro.runner.executor import execute_plan
+from repro.runner.plan import SweepPlan
+from repro.runner.records import DeviceSpec
 
 
 @dataclass(frozen=True)

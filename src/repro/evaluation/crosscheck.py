@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from repro.evaluation.defaults import DEFAULT_CROSSCHECK_BACKENDS
 from repro.evaluation.validate import ValidationRow, validate_eps
 from repro.noise.result import NoisyResult
-from repro.runner import CompileCache
-
-#: Backends compared when the caller does not choose.
-DEFAULT_CROSSCHECK_BACKENDS: tuple[str, ...] = ("trajectory", "external-sim")
+from repro.runner.cache import CompileCache
 
 CROSSCHECK_HEADERS = [
     "benchmark",

@@ -13,7 +13,10 @@ from repro.gates.library import PHYSICAL_GATES
 from repro.metrics.eps import evaluate_eps
 from repro.metrics.histograms import grouped_histogram
 from repro.pulses.durations import GateDurationTable
-from repro.runner import CompileCache, DeviceSpec, StrategyResult, SweepPlan, execute_plan
+from repro.runner.cache import CompileCache
+from repro.runner.executor import execute_plan
+from repro.runner.plan import SweepPlan
+from repro.runner.records import DeviceSpec, StrategyResult
 from repro.simulation.encoding import cx_state_evolution
 from repro.evaluation.sweep import DEFAULT_STRATEGIES
 

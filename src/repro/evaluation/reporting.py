@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from repro.evaluation.sweep import StrategyResult
+from repro.runner.records import StrategyResult
 
 
 def format_table(headers: list[str], rows: list[list]) -> str:

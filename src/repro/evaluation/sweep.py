@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from repro.arch.device import Device
 from repro.compiler.pipeline import QompressCompiler
-from repro.compression import get_strategy
+from repro.compression.registry import get_strategy
 from repro.metrics.eps import evaluate_eps
 from repro.pulses.durations import GateDurationTable
-from repro.runner import (
-    CompileCache,
-    DeviceSpec,
-    StrategyResult,
-    SweepPlan,
-    execute_plan,
-    make_device,
-)
+from repro.runner.cache import CompileCache
+from repro.runner.executor import execute_plan
+from repro.runner.plan import SweepPlan
+from repro.runner.records import DeviceSpec, StrategyResult, make_device
 from repro.workloads.registry import build_benchmark
 
 #: Strategies plotted in Figures 7 and 10 (EC is opt-in because of its cost).

@@ -21,25 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.backends.registry import get_backend
+from repro.evaluation.defaults import (
+    DEFAULT_VALIDATION_BENCHMARKS,
+    DEFAULT_VALIDATION_SHOTS,
+    DEFAULT_VALIDATION_SIZES,
+    DEFAULT_VALIDATION_STRATEGIES,
+)
 from repro.noise.model import NoiseSpec
 from repro.noise.points import DEFAULT_CHUNK_SIZE, prime_compiled, shot_plan
 from repro.noise.result import NoisyResult
-from repro.runner import CompileCache, DeviceSpec, SweepPlan, execute_plan
-
-#: Default validation set: small instances of a local, a dense and a
-#: GHZ-style workload — big enough to exercise compression, small enough
-#: that the default shot budget per cell stays fast.
-DEFAULT_VALIDATION_BENCHMARKS: tuple[str, ...] = ("bv", "ghz", "qft")
-
-#: Default Monte Carlo budget per cell.  Raised from 2000 when the
-#: event-only trajectory path was vectorised (PR 4): at >10x the shot
-#: throughput, 8000 shots per cell cost less wall-clock than 2000 used
-#: to, and halve the Wilson interval width.
-DEFAULT_VALIDATION_SHOTS = 8000
-DEFAULT_VALIDATION_SIZES: tuple[int, ...] = (4, 6)
-DEFAULT_VALIDATION_STRATEGIES: tuple[str, ...] = (
-    "qubit_only", "fq", "eqm", "rb", "awe", "pp",
-)
+from repro.runner.cache import CompileCache
+from repro.runner.executor import execute_plan
+from repro.runner.plan import SweepPlan
+from repro.runner.records import DeviceSpec
 
 VALIDATION_HEADERS = [
     "benchmark",
@@ -184,8 +179,6 @@ def validate_eps(
     if isinstance(noise, str):
         noise = NoiseSpec.from_preset(noise)
     if track_state:
-        from repro.backends import get_backend
-
         if not get_backend(backend).supports_track_state:
             raise ValueError(
                 f"backend {backend!r} cannot track the state vector; "

@@ -7,22 +7,10 @@ qubit-ququart and ququart-ququart gates, the full ququart SWAP, and the
 encode/decode operations.
 """
 
-from repro.gates.styles import GateStyle
-from repro.gates.library import PHYSICAL_GATES, PhysicalGateSpec, gate_spec
-from repro.gates.resolution import (
-    UnitMode,
-    resolve_cx,
-    resolve_single_qubit,
-    resolve_swap,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GateStyle",
-    "PhysicalGateSpec",
-    "PHYSICAL_GATES",
-    "gate_spec",
-    "UnitMode",
-    "resolve_cx",
-    "resolve_swap",
-    "resolve_single_qubit",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".styles": ("GateStyle",),
+    ".library": ("PHYSICAL_GATES", "PhysicalGateSpec", "gate_spec"),
+    ".resolution": ("UnitMode", "resolve_cx", "resolve_single_qubit", "resolve_swap"),
+})

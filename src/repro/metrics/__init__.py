@@ -10,16 +10,9 @@ The paper evaluates compiled circuits with two multiplicative statistics:
 The product of the two is the overall EPS used for the crossover studies.
 """
 
-from repro.metrics.eps import EPSReport, coherence_eps, evaluate_eps, gate_eps, total_eps
-from repro.metrics.histograms import FIGURE8_CATEGORIES, gate_style_histogram, grouped_histogram
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EPSReport",
-    "gate_eps",
-    "coherence_eps",
-    "total_eps",
-    "evaluate_eps",
-    "gate_style_histogram",
-    "grouped_histogram",
-    "FIGURE8_CATEGORIES",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".eps": ("EPSReport", "coherence_eps", "evaluate_eps", "gate_eps", "total_eps"),
+    ".histograms": ("FIGURE8_CATEGORIES", "gate_style_histogram", "grouped_histogram"),
+})

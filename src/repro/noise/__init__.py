@@ -39,56 +39,17 @@ Quick start::
     result.success_probability, result.confidence_interval()
 """
 
-from repro.noise.model import (
-    IDLE_POLICIES,
-    NOISE_PRESETS,
-    NoiseModel,
-    NoiseSpec,
-    resolve_model,
-)
-from repro.noise.result import NoisyResult, wilson_interval
-from repro.noise.rng import GeneratorLanes, uniform_streams
-from repro.noise.trajectory import (
-    EVENT_BLOCK_SHOTS,
-    TRACKED_BLOCK_AMPLITUDES,
-    TrajectoryEngine,
-    simulate_noisy,
-)
-from repro.noise.density import (
-    MAX_REFERENCE_UNITS,
-    exact_outcome_probability,
-    reference_density,
-    trajectory_mean_density,
-)
-from repro.noise.points import (
-    DEFAULT_CHUNK_SIZE,
-    NoisePoint,
-    prime_compiled,
-    shot_plan,
-    simulate_point,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IDLE_POLICIES",
-    "NOISE_PRESETS",
-    "NoiseModel",
-    "NoiseSpec",
-    "resolve_model",
-    "NoisyResult",
-    "wilson_interval",
-    "EVENT_BLOCK_SHOTS",
-    "TRACKED_BLOCK_AMPLITUDES",
-    "TrajectoryEngine",
-    "simulate_noisy",
-    "GeneratorLanes",
-    "uniform_streams",
-    "MAX_REFERENCE_UNITS",
-    "exact_outcome_probability",
-    "reference_density",
-    "trajectory_mean_density",
-    "DEFAULT_CHUNK_SIZE",
-    "NoisePoint",
-    "prime_compiled",
-    "shot_plan",
-    "simulate_point",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".model": ("IDLE_POLICIES", "NoiseModel", "NoiseSpec", "resolve_model"),
+    ".presets": ("NOISE_PRESETS",),
+    ".result": ("NoisyResult", "wilson_interval"),
+    ".rng": ("GeneratorLanes", "uniform_streams"),
+    ".trajectory": ("EVENT_BLOCK_SHOTS", "TRACKED_BLOCK_AMPLITUDES", "TrajectoryEngine",
+                    "simulate_noisy"),
+    ".density": ("MAX_REFERENCE_UNITS", "exact_outcome_probability", "reference_density",
+                 "trajectory_mean_density"),
+    ".points": ("DEFAULT_CHUNK_SIZE", "NoisePoint", "prime_compiled", "shot_plan",
+                "simulate_point"),
+})

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.arch.device import Device
 from repro.compiler.result import CompiledCircuit, PhysicalOp
+from repro.noise.presets import NOISE_PRESETS
 
 #: Idle-noise accounting policies understood by the trajectory engine.
 #:
@@ -42,14 +43,6 @@ from repro.compiler.result import CompiledCircuit, PhysicalOp
 #: with the excited-state population); it is what the density-matrix
 #: reference path compares against.
 IDLE_POLICIES = ("worst_case", "kraus")
-
-#: Named noise scenarios; values are :class:`NoiseSpec` keyword overrides.
-NOISE_PRESETS: dict[str, dict] = {
-    "ideal": {"gate_error_scale": 0.0, "t1_scale": math.inf},
-    "table1": {},
-    "pessimistic": {"gate_error_scale": 3.0, "t1_scale": 1.0 / 3.0},
-    "heterogeneous": {"heterogeneity": 0.5, "hetero_seed": 2023},
-}
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.backends.contract import CompiledHandle
+from repro.backends.registry import get_backend
 from repro.compiler.result import CompiledCircuit
+from repro.metrics import eps
 from repro.noise.model import NoiseSpec
 from repro.noise.result import NoisyResult
+from repro.runner import cache as runner_cache
 from repro.runner.cache import CompileCache
+from repro.runner.executor import execute_plan
 from repro.runner.plan import SweepPlan
-from repro.runner.points import SweepPoint
+from repro.runner.records import SweepPoint
 
 #: Default shots per plan point.  Sized for the chunk-batched vectorised
 #: engine: thousands of shots per chunk amortise the per-chunk overhead
@@ -42,16 +47,12 @@ def prime_compiled(point: SweepPoint, compiled: CompiledCircuit) -> None:
     in-process reuse it instead of compiling again.  A point the memo
     already holds is left as it is.
     """
-    from repro.backends import CompiledHandle, get_backend
-
     if point.backend != "trajectory":
         return  # other backends' chunks never read this memo
     backend = get_backend("trajectory")
     if backend.handles.get(point) is None:
-        from repro.metrics.eps import evaluate_eps
-
         backend.handles.put(
-            point, CompiledHandle(backend.name, compiled, evaluate_eps(compiled))
+            point, CompiledHandle(backend.name, compiled, eps.evaluate_eps(compiled))
         )
 
 
@@ -85,9 +86,7 @@ class NoisePoint:
 
     def key(self) -> str:
         """Stable content digest (see :func:`~repro.runner.cache.point_key`)."""
-        from repro.runner.cache import point_key
-
-        return point_key(self)
+        return runner_cache.point_key(self)
 
     def execute(self) -> NoisyResult:
         """Run this batch of trajectories (the process-pool worker body).
@@ -97,8 +96,6 @@ class NoisePoint:
         :meth:`NoisyResult.from_chunks` merges bit-identically at any chunk
         split.
         """
-        from repro.backends import get_backend
-
         return get_backend(self.backend).run_noise_point(self)
 
 
@@ -153,8 +150,6 @@ def simulate_point(
     in plan order, so ``workers=1`` and ``workers=N`` (and cache-served
     re-runs) return bit-identical :class:`NoisyResult` values.
     """
-    from repro.runner.executor import execute_plan
-
     plan = shot_plan(
         compile_point, noise, shots,
         seed=seed, chunk_size=chunk_size, track_state=track_state,

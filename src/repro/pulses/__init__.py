@@ -15,40 +15,14 @@ is a Julia package and is not available offline, so this package provides:
 * target unitaries for every gate in Figure 2 (:mod:`repro.pulses.unitaries`).
 """
 
-from repro.pulses.durations import (
-    DEFAULT_SINGLE_QUDIT_FIDELITY,
-    DEFAULT_TWO_QUDIT_FIDELITY,
-    GateDurationTable,
-)
-from repro.pulses.hamiltonian import TransmonParams, TransmonSystem
-from repro.pulses.optimizer import PulseOptimizer, PulseResult
-from repro.pulses.calibration import calibrate_gate, calibrate_gates, durations_from_pulse_results
-from repro.pulses.unitaries import (
-    embed_operator,
-    encode_unitary,
-    internal_cx_unitary,
-    partial_cx_unitary,
-    partial_swap_unitary,
-    qubit_gate,
-    target_unitary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GateDurationTable",
-    "DEFAULT_SINGLE_QUDIT_FIDELITY",
-    "DEFAULT_TWO_QUDIT_FIDELITY",
-    "TransmonParams",
-    "TransmonSystem",
-    "PulseOptimizer",
-    "PulseResult",
-    "calibrate_gate",
-    "calibrate_gates",
-    "durations_from_pulse_results",
-    "qubit_gate",
-    "embed_operator",
-    "encode_unitary",
-    "internal_cx_unitary",
-    "partial_cx_unitary",
-    "partial_swap_unitary",
-    "target_unitary",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".durations": ("DEFAULT_SINGLE_QUDIT_FIDELITY", "DEFAULT_TWO_QUDIT_FIDELITY",
+                   "GateDurationTable"),
+    ".hamiltonian": ("TransmonParams", "TransmonSystem"),
+    ".optimizer": ("PulseOptimizer", "PulseResult"),
+    ".calibration": ("calibrate_gate", "calibrate_gates", "durations_from_pulse_results"),
+    ".unitaries": ("embed_operator", "encode_unitary", "internal_cx_unitary", "partial_cx_unitary",
+                   "partial_swap_unitary", "qubit_gate", "target_unitary"),
+})

@@ -33,52 +33,14 @@ Typical use::
     results = executor.run(plan)          # list[StrategyResult], plan order
 """
 
-from repro.runner.cache import (
-    CACHE_DIR_ENV,
-    CACHE_SCHEMA_VERSION,
-    CacheStats,
-    CompileCache,
-    code_fingerprint,
-    default_cache_dir,
-    point_key,
-)
-from repro.runner.executor import (
-    ExecutionStats,
-    ParallelExecutor,
-    execute_plan,
-)
-from repro.runner.plan import SweepPlan
-from repro.runner.points import (
-    DEFAULT_BACKEND,
-    DeviceSpec,
-    ExecutionPoint,
-    StrategyResult,
-    SweepPoint,
-    ensure_execution_point,
-    execute_point,
-    freeze_kwargs,
-    make_device,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
-    "CacheStats",
-    "CompileCache",
-    "code_fingerprint",
-    "default_cache_dir",
-    "ExecutionStats",
-    "ParallelExecutor",
-    "execute_plan",
-    "SweepPlan",
-    "DEFAULT_BACKEND",
-    "DeviceSpec",
-    "ExecutionPoint",
-    "ensure_execution_point",
-    "StrategyResult",
-    "SweepPoint",
-    "execute_point",
-    "freeze_kwargs",
-    "make_device",
-    "point_key",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".cache": ("CACHE_DIR_ENV", "CACHE_SCHEMA_VERSION", "CacheStats", "CompileCache",
+               "code_fingerprint", "default_cache_dir", "point_key"),
+    ".executor": ("ExecutionStats", "ParallelExecutor", "execute_plan"),
+    ".plan": ("SweepPlan",),
+    ".records": ("DEFAULT_BACKEND", "DeviceSpec", "ExecutionPoint", "StrategyResult",
+                 "SweepPoint", "ensure_execution_point", "freeze_kwargs", "make_device"),
+    ".points": ("execute_point",),
+})

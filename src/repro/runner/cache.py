@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import repro
-from repro.runner.points import StrategyResult, SweepPoint, ensure_execution_point
-from repro.store import ArtifactStore
+from repro.runner.records import StrategyResult, SweepPoint, ensure_execution_point
+from repro.store.artifacts import ArtifactStore
 
 #: Bump to invalidate every existing cache entry (result-format changes).
 CACHE_SCHEMA_VERSION = 1
@@ -61,7 +61,7 @@ def point_key(point) -> str:
 
     This is the digest the store's ``refs/`` index, the run manifests and
     the sweep service's in-flight dedupe all share.  The point must satisfy
-    the :class:`~repro.runner.points.ExecutionPoint` protocol; anything
+    the :class:`~repro.runner.records.ExecutionPoint` protocol; anything
     else raises the protocol's ``TypeError`` rather than keying garbage.
     """
     ensure_execution_point(point)
@@ -72,6 +72,24 @@ def point_key(point) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def refuse_store_miss(point, root) -> None:
+    """Raise ``ReplayMissError`` naming ``root`` if ``point`` reads the store.
+
+    The executor and the sweep service call this on each point their store
+    at ``root`` has missed.  A point whose backend
+    :attr:`~repro.backends.contract.ExecutionBackend.reads_store` (replay)
+    keys like the trajectory point it serves, so nothing else can answer
+    it; every other point passes.
+    """
+    from repro.backends.registry import get_backend
+
+    backend = getattr(point, "backend", None)
+    if backend is not None and get_backend(backend).reads_store:
+        from repro.backends.replay import store_miss
+
+        raise store_miss(root, point)
 
 
 def default_cache_dir() -> Path:
@@ -94,7 +112,7 @@ class CacheStats:
 class CompileCache:
     """Point-keyed view over an :class:`~repro.store.ArtifactStore`.
 
-    Maps plan points (:class:`~repro.runner.points.ExecutionPoint` values)
+    Maps plan points (:class:`~repro.runner.records.ExecutionPoint` values)
     to their pickled results through the store's content-addressed blobs.
     Two caches over the same store root — in the same process, in two
     worker processes, or on two machines sharing a filesystem — serve and

@@ -10,7 +10,7 @@ When a :class:`~repro.runner.cache.CompileCache` is attached, cache hits
 are redeemed from the artifact store and only the misses are dispatched;
 the merged result list is indistinguishable from an uncached run.  A
 replay miss is never dispatched: it raises ``ReplayMissError`` naming the
-attached store (:func:`~repro.runner.points.refuse_store_miss`).
+attached store (:func:`~repro.runner.cache.refuse_store_miss`).
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.runner.cache import CompileCache
+from repro.runner.cache import CompileCache, refuse_store_miss
 from repro.runner.plan import SweepPlan
-from repro.runner.points import SweepPoint, execute_point, refuse_store_miss
+from repro.runner.points import execute_point
+from repro.runner.records import SweepPoint
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.runner.points import DEFAULT_BACKEND, DeviceSpec, SweepPoint, freeze_kwargs
+from repro.runner.records import DEFAULT_BACKEND, DeviceSpec, SweepPoint, freeze_kwargs
 
 
 def _as_spec(device: DeviceSpec | str) -> DeviceSpec:

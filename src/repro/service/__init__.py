@@ -10,28 +10,10 @@ how many jobs ask for them, and every job leaves a schema-validated run
 manifest behind for auditing.
 """
 
-from repro.service.queue import BORROW_TIMEOUT_S, JobStatus, SweepService
-from repro.service.spool import (
-    SPOOL_SCHEMA_VERSION,
-    job_results,
-    load_job,
-    read_status,
-    serve_forever,
-    serve_once,
-    submit_job,
-    wait_for_job,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BORROW_TIMEOUT_S",
-    "JobStatus",
-    "SPOOL_SCHEMA_VERSION",
-    "SweepService",
-    "job_results",
-    "load_job",
-    "read_status",
-    "serve_forever",
-    "serve_once",
-    "submit_job",
-    "wait_for_job",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".queue": ("BORROW_TIMEOUT_S", "JobStatus", "SweepService"),
+    ".spool": ("SPOOL_SCHEMA_VERSION", "job_results", "load_job", "read_status", "serve_forever",
+               "serve_once", "submit_job", "wait_for_job"),
+})

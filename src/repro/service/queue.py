@@ -33,10 +33,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from repro.runner.cache import code_fingerprint, point_key
-from repro.runner.executor import execute_plan
-from repro.runner.points import refuse_store_miss
-from repro.store import ArtifactStore, build_manifest, plan_fingerprint
+from repro.runner.cache import code_fingerprint, point_key, refuse_store_miss
+from repro.runner.records import ensure_execution_point
+from repro.store.artifacts import ArtifactStore
+from repro.store.manifest import build_manifest, plan_fingerprint
 
 #: Seconds a job waits on another job's in-flight execution before failing;
 #: generous because a borrowed point may sit behind a whole owned batch.
@@ -112,12 +112,10 @@ class SweepService:
         """Enqueue every point of ``plan``; returns the job id immediately.
 
         Every point must satisfy the
-        :class:`~repro.runner.points.ExecutionPoint` protocol — validated
+        :class:`~repro.runner.records.ExecutionPoint` protocol — validated
         here, at the boundary, so a malformed plan fails the submit call
         instead of a worker thread.
         """
-        from repro.runner.points import ensure_execution_point
-
         points = list(plan)
         for point in points:
             ensure_execution_point(point)
@@ -208,6 +206,10 @@ class SweepService:
                     else:
                         borrowed[index] = future
             self._update(job, cache_hits=cache_hits)
+            # imported here, not with this module, so the spool stays
+            # free of the worker and its default backend
+            from repro.runner.executor import execute_plan
+
             computed = execute_plan(
                 [job.points[index] for index in owned], workers=self.workers
             )

@@ -6,7 +6,7 @@ store's own "safe under concurrent writers via atomic rename" discipline:
 
 ``<spool>/jobs/<job_id>.json``
     A submitted job: the full reconstruction specs
-    (:meth:`~repro.runner.points.SweepPoint.spec`) of every point, in plan
+    (:meth:`~repro.runner.records.SweepPoint.spec`) of every point, in plan
     order.  Written atomically by :func:`submit_job`.
 
 ``<spool>/running/<job_id>.json``
@@ -36,9 +36,9 @@ import time
 from pathlib import Path
 
 from repro.runner.plan import SweepPlan
-from repro.runner.points import SweepPoint
+from repro.runner.records import SweepPoint
 from repro.service.queue import JobStatus, SweepService
-from repro.store import ArtifactStore
+from repro.store.artifacts import ArtifactStore
 
 #: Bump when the job / status document layout changes incompatibly.
 SPOOL_SCHEMA_VERSION = 1

@@ -6,32 +6,13 @@ circuits are functionally equivalent to their logical sources on small
 instances.
 """
 
-from repro.simulation.statevector import MixedRadixState
-from repro.simulation.batched import BatchedMixedRadixState
-from repro.simulation.encoding import (
-    encoded_level_for_bits,
-    bits_for_encoded_level,
-    logical_state_of_units,
-    simulate_logical_circuit,
-    cx_state_evolution,
-)
-from repro.simulation.verify import (
-    VerificationError,
-    assert_equivalent,
-    compiled_state_fidelity,
-    replay_compiled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MixedRadixState",
-    "BatchedMixedRadixState",
-    "encoded_level_for_bits",
-    "bits_for_encoded_level",
-    "logical_state_of_units",
-    "simulate_logical_circuit",
-    "cx_state_evolution",
-    "VerificationError",
-    "assert_equivalent",
-    "compiled_state_fidelity",
-    "replay_compiled",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".statevector": ("MixedRadixState",),
+    ".batched": ("BatchedMixedRadixState",),
+    ".encoding": ("encoded_level_for_bits", "bits_for_encoded_level", "logical_state_of_units",
+                  "simulate_logical_circuit", "cx_state_evolution"),
+    ".verify": ("VerificationError", "assert_equivalent", "compiled_state_fidelity",
+                "replay_compiled"),
+})

@@ -12,37 +12,12 @@ Layout, atomicity and audit semantics are documented on
 :mod:`repro.store.manifest`.
 """
 
-from repro.store.artifacts import (
-    STORE_FORMAT_VERSION,
-    ArtifactStore,
-    GCReport,
-    StoreStats,
-    VerifyReport,
-    wait_for,
-)
-from repro.store.manifest import (
-    MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    new_manifest_id,
-    plan_fingerprint,
-    validate_manifest,
-)
-from repro.store.schema import SchemaError, validate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "GCReport",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_SCHEMA_VERSION",
-    "STORE_FORMAT_VERSION",
-    "SchemaError",
-    "StoreStats",
-    "VerifyReport",
-    "build_manifest",
-    "new_manifest_id",
-    "plan_fingerprint",
-    "validate",
-    "validate_manifest",
-    "wait_for",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".artifacts": ("STORE_FORMAT_VERSION", "ArtifactStore", "GCReport", "StoreStats",
+                   "VerifyReport", "wait_for"),
+    ".manifest": ("MANIFEST_SCHEMA", "MANIFEST_SCHEMA_VERSION", "build_manifest",
+                  "new_manifest_id", "plan_fingerprint", "validate_manifest"),
+    ".schema": ("SchemaError", "validate"),
+})

@@ -10,50 +10,20 @@ Dynamic circuits: the teleportation chain (mid-circuit measurement with
 feed-forward corrections).
 """
 
-from repro.workloads.graphs import (
-    binary_welded_tree_graph,
-    cylinder_graph,
-    random_graph,
-    torus_graph,
-)
-from repro.workloads.bv import bernstein_vazirani
-from repro.workloads.cuccaro import cuccaro_adder
-from repro.workloads.cnu import generalized_toffoli
-from repro.workloads.ghz import ghz_state
-from repro.workloads.qft import qft_circuit
-from repro.workloads.qram import qram_circuit
-from repro.workloads.qaoa import qaoa_from_graph
-from repro.workloads.random_clifford_t import random_clifford_t
-from repro.workloads.registry import (
-    ALGORITHMIC_BENCHMARKS,
-    BENCHMARK_NAMES,
-    DYNAMIC_BENCHMARKS,
-    STRUCTURED_BENCHMARKS,
-    GRAPH_BENCHMARKS,
-    MINIMUM_SIZES,
-    build_benchmark,
-)
-from repro.workloads.teleport import teleport_chain
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "random_graph",
-    "cylinder_graph",
-    "torus_graph",
-    "binary_welded_tree_graph",
-    "bernstein_vazirani",
-    "cuccaro_adder",
-    "generalized_toffoli",
-    "ghz_state",
-    "qft_circuit",
-    "qram_circuit",
-    "qaoa_from_graph",
-    "random_clifford_t",
-    "teleport_chain",
-    "ALGORITHMIC_BENCHMARKS",
-    "BENCHMARK_NAMES",
-    "DYNAMIC_BENCHMARKS",
-    "STRUCTURED_BENCHMARKS",
-    "GRAPH_BENCHMARKS",
-    "MINIMUM_SIZES",
-    "build_benchmark",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".graphs": ("binary_welded_tree_graph", "cylinder_graph", "random_graph", "torus_graph"),
+    ".bv": ("bernstein_vazirani",),
+    ".cuccaro": ("cuccaro_adder",),
+    ".cnu": ("generalized_toffoli",),
+    ".ghz": ("ghz_state",),
+    ".qft": ("qft_circuit",),
+    ".qram": ("qram_circuit",),
+    ".qaoa": ("qaoa_from_graph",),
+    ".clifford_t": ("random_clifford_t",),
+    ".names": ("ALGORITHMIC_BENCHMARKS", "BENCHMARK_NAMES", "DYNAMIC_BENCHMARKS",
+               "STRUCTURED_BENCHMARKS", "GRAPH_BENCHMARKS"),
+    ".registry": ("MINIMUM_SIZES", "build_benchmark"),
+    ".teleport": ("teleport_chain",),
+})

@@ -6,6 +6,7 @@ from collections.abc import Callable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.workloads.bv import bernstein_vazirani
+from repro.workloads.clifford_t import random_clifford_t
 from repro.workloads.cnu import generalized_toffoli
 from repro.workloads.cuccaro import cuccaro_adder
 from repro.workloads.graphs import (
@@ -18,32 +19,7 @@ from repro.workloads.ghz import ghz_state
 from repro.workloads.qaoa import qaoa_from_graph
 from repro.workloads.qft import qft_circuit
 from repro.workloads.qram import qram_circuit
-from repro.workloads.random_clifford_t import random_clifford_t
 from repro.workloads.teleport import teleport_chain
-
-#: Structured benchmarks with localized interaction groups.
-STRUCTURED_BENCHMARKS: tuple[str, ...] = ("cuccaro", "cnu", "qram", "bv")
-
-#: Graph-based QAOA benchmarks.
-GRAPH_BENCHMARKS: tuple[str, ...] = (
-    "qaoa_random",
-    "qaoa_cylinder",
-    "qaoa_torus",
-    "qaoa_bwt",
-)
-
-#: Algorithmic families beyond the paper's fixed eight: dense all-to-all
-#: (qft), purely local (ghz) and unstructured seeded-random circuits.
-ALGORITHMIC_BENCHMARKS: tuple[str, ...] = ("qft", "ghz", "random_clifford_t")
-
-#: Dynamic benchmarks: mid-circuit measurement with feed-forward control.
-DYNAMIC_BENCHMARKS: tuple[str, ...] = ("teleport",)
-
-#: Every benchmark name understood by :func:`build_benchmark`.
-BENCHMARK_NAMES: tuple[str, ...] = (
-    STRUCTURED_BENCHMARKS + GRAPH_BENCHMARKS + ALGORITHMIC_BENCHMARKS
-    + DYNAMIC_BENCHMARKS
-)
 
 
 def _qaoa_builder(graph_builder: Callable, label: str) -> Callable[[int, int], QuantumCircuit]:

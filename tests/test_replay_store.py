@@ -6,7 +6,7 @@ store silently missed (or were served another store's artifacts), and the
 CLI papered over it by mutating ``os.environ[CACHE_DIR_ENV]``
 process-wide.  Now the executor and the sweep service look every replay
 point up in the caller's store themselves and refuse a miss there
-(:func:`repro.runner.points.refuse_store_miss`) before anything is
+(:func:`repro.runner.cache.refuse_store_miss`) before anything is
 dispatched — with content keys unchanged and no environment mutation
 anywhere.
 """
