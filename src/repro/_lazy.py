@@ -18,8 +18,8 @@ def lazy_exports(package: str, table: dict[str, tuple[str, ...]]
                  ) -> tuple[Callable[[str], object], list[str]]:
     """``(__getattr__, __all__)`` for ``package`` re-exporting ``table``.
 
-    ``table`` maps each submodule, relative to the package (``".result"``),
-    to the names it exports.  Names starting with ``_`` resolve but stay
+    ``table`` maps each module, relative to the package (``".result"``) or
+    absolute, to the names it exports.  Names starting with ``_`` resolve but stay
     out of ``__all__``.  An unknown name raises ``AttributeError``, so
     ``from package import submodule`` still falls through to the import
     system.

@@ -12,8 +12,8 @@ simulator and event estimator for cross-verification.  See
 from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    ".contract": ("BackendContractError", "CompiledHandle", "ExecutionBackend", "LRUMemo",
-                  "ReplayMissError", "ensure_noisy_result"),
+    ".contract": ("BackendContractError", "ExecutionBackend", "LRUMemo", "ReplayMissError",
+                  "ensure_noisy_result"),
     ".registry": ("BackendError", "DuplicateBackendError", "UnknownBackendError", "get_backend",
                   "list_backends", "register_backend", "unregister_backend"),
 })

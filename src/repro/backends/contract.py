@@ -3,12 +3,14 @@
 A *backend* is one way of turning declarative plan points into results.
 The contract is deliberately small — two methods::
 
-    compile(circuit, device, strategy) -> CompiledHandle
-    execute(handle, shots, seed)       -> NoisyResult
+    compile(circuit, device, strategy)  -> CompiledCircuit
+    execute(compiled, shots, seed)      -> NoisyResult
 
-plus two point-level entry points (``run_compile_point`` /
+plus two point-level entry points (``compile_point`` /
 ``run_noise_point``) with default implementations in terms of the two
-methods above, which is what the runner actually calls.  Ported executors
+methods above, which is what the runner actually calls.  ``compile_point``
+scores each compile with the analytic EPS model once and memoises the
+:class:`~repro.runner.records.StrategyResult` itself.  Ported executors
 (the trajectory engine), stored artifacts (the replay backend) and
 independent simulators (the external-sim backend) all fit behind it; see
 :mod:`repro.backends.registry` for how names map to instances.
@@ -25,17 +27,16 @@ pure function of the backend class, never per-call state.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping
 
 from repro.backends.registry import BackendError
 from repro.compression.registry import get_strategy
+from repro.metrics import eps
 from repro.noise.result import NoisyResult
 from repro.runner.records import StrategyResult, SweepPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.result import CompiledCircuit
-    from repro.metrics.eps import EPSReport
     from repro.noise.points import NoisePoint
 
 
@@ -45,22 +46,6 @@ class BackendContractError(BackendError, TypeError):
 
 class ReplayMissError(BackendError, LookupError):
     """The replay backend was asked for a point the store has no result for."""
-
-
-@dataclass(frozen=True)
-class CompiledHandle:
-    """What a backend's ``compile`` hands back for later ``execute`` calls.
-
-    ``compiled`` and ``report`` are the shared currency every backend can
-    produce; ``qasm`` carries the round-tripped physical program for
-    backends (external-sim) that re-import rather than share the in-memory
-    circuit.
-    """
-
-    backend: str
-    compiled: "CompiledCircuit"
-    report: "EPSReport"
-    qasm: str | None = None
 
 
 class LRUMemo:
@@ -132,9 +117,10 @@ class ExecutionBackend:
 
     Subclasses set :attr:`name`, implement :meth:`compile` and
     :meth:`execute`, and inherit point-level plumbing: a per-process
-    LRU of compiled handles, so each point compiles once however many
+    LRU of compile results, so each point compiles once however many
     shot chunks it feeds, and contract validation of every execute()
-    result.
+    result.  The base methods refuse, so a backend that overrides neither
+    (replay) answers only through its point-level entry points.
     """
 
     #: Registry name (``--backend`` value).
@@ -155,13 +141,13 @@ class ExecutionBackend:
     #: (:func:`repro.runner.cache.refuse_store_miss`).
     reads_store: ClassVar[bool] = False
 
-    #: Compiled handles kept per process: enough for a default EPS
+    #: Compile results kept per process: enough for a default EPS
     #: validation sweep (36 cells) to compile each cell once.
-    HANDLE_CAPACITY = 64
+    COMPILE_CAPACITY = 64
 
     def __init__(self) -> None:
-        #: Compiled handles by compile point.
-        self.handles = LRUMemo(self.HANDLE_CAPACITY)
+        #: :class:`StrategyResult` values by compile point.
+        self.compiles = LRUMemo(self.COMPILE_CAPACITY)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -172,41 +158,49 @@ class ExecutionBackend:
     # the contract
     # ------------------------------------------------------------------
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
-                ) -> CompiledHandle:
+                ) -> "CompiledCircuit":
         """Compile ``circuit`` for ``device`` under a strategy object."""
-        raise NotImplementedError
+        raise BackendError(
+            f"backend {self.name!r} cannot compile a live circuit; "
+            "it answers declarative plan points only"
+        )
 
-    def execute(self, handle: CompiledHandle, shots: int, seed: int, *,
+    def execute(self, compiled: "CompiledCircuit", shots: int, seed: int, *,
                 noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
-        """Run ``shots`` noisy trajectories of a compiled handle."""
-        raise NotImplementedError
+        """Run ``shots`` noisy trajectories of a compiled circuit."""
+        raise BackendError(
+            f"backend {self.name!r} cannot execute a compiled circuit; "
+            "it answers declarative plan points only"
+        )
 
     # ------------------------------------------------------------------
     # point-level entry points (what the runner dispatches to)
     # ------------------------------------------------------------------
-    def compile_point(self, point: "SweepPoint") -> CompiledHandle:
-        """Compile one declarative point through :meth:`compile` (memoised)."""
-        handle = self.handles.get(point)
-        if handle is None:
-            circuit = point.build_circuit()
-            device = point.device.build(point.num_qubits)
-            strategy = get_strategy(point.strategy, **dict(point.strategy_kwargs))
+    def compile_point(self, point: "SweepPoint") -> StrategyResult:
+        """Compile and score one point; the :class:`SweepPoint` worker body.
+
+        Compiles through :meth:`compile`, evaluates the analytic EPS once
+        and memoises the result per point.
+        """
+        result = self.compiles.get(point)
+        if result is None:
             kwargs = dict(point.compiler_kwargs)
             kwargs.update(self.compiler_overrides)
-            handle = self.compile(circuit, device, strategy, compiler_kwargs=kwargs)
-            self.handles.put(point, handle)
-        return handle
-
-    def run_compile_point(self, point: "SweepPoint") -> "StrategyResult":
-        """Execute one compile point; the :class:`SweepPoint` worker body."""
-        handle = self.compile_point(point)
-        return StrategyResult(
-            benchmark=point.benchmark,
-            num_qubits=point.num_qubits,
-            strategy=point.strategy,
-            report=handle.report,
-            compiled=handle.compiled,
-        )
+            compiled = self.compile(
+                point.build_circuit(),
+                point.device.build(point.num_qubits),
+                get_strategy(point.strategy, **dict(point.strategy_kwargs)),
+                compiler_kwargs=kwargs,
+            )
+            result = StrategyResult(
+                benchmark=point.benchmark,
+                num_qubits=point.num_qubits,
+                strategy=point.strategy,
+                report=eps.evaluate_eps(compiled),
+                compiled=compiled,
+            )
+            self.compiles.put(point, result)
+        return result
 
     def run_noise_point(self, point: "NoisePoint") -> NoisyResult:
         """Execute one chunk of noisy shots; the :class:`NoisePoint` worker body."""
@@ -215,9 +209,8 @@ class ExecutionBackend:
                 f"backend {self.name!r} cannot track the state vector; "
                 "use the 'trajectory' backend for outcome-level metrics"
             )
-        handle = self.compile_point(point.compile_point)
         result = self.execute(
-            handle, point.shots, point.seed,
+            self.compile_point(point.compile_point).compiled, point.shots, point.seed,
             noise=point.noise, base_shot=point.base_shot,
             track_state=point.track_state,
         )

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.contract import (
-    BackendError,
-    CompiledHandle,
-    ExecutionBackend,
-)
+from repro.backends.contract import BackendError, ExecutionBackend
 from repro.circuits.qasm import parse_physical_qasm
 from repro.compiler.pipeline import QompressCompiler
-from repro.metrics import eps
+from repro.compiler.result import CompiledCircuit
 from repro.noise.model import resolve_model
 from repro.noise.result import NoisyResult
 from repro.simulation.dense import dense_replay_fidelity
@@ -62,16 +58,14 @@ class ExternalSimBackend(ExecutionBackend):
     MIN_REPLAY_FIDELITY = 1.0 - 1e-9
 
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
-                ) -> CompiledHandle:
+                ) -> CompiledCircuit:
         """Compile, round-trip through QASM, and cross-verify the result."""
         import math
 
         kwargs = dict(compiler_kwargs or {})
         kwargs.update(self.compiler_overrides)
         compiled = QompressCompiler(device, strategy, **kwargs).compile(circuit)
-        qasm_text = compiled.to_qasm()
-        program = parse_physical_qasm(qasm_text)
-        self._check_roundtrip(compiled, program)
+        self._check_roundtrip(compiled, parse_physical_qasm(compiled.to_qasm()))
         # Dynamic programs branch at runtime; the dense replayer is a
         # single-unitary pipeline, so the statevector cross-check only
         # covers static compiles (the round-trip check above still runs).
@@ -85,10 +79,7 @@ class ExternalSimBackend(ExecutionBackend):
                     f"dense replay disagrees with the mixed-radix replay "
                     f"(fidelity {fidelity:.12f}) for {compiled.circuit_name!r}"
                 )
-        return CompiledHandle(
-            backend=self.name, compiled=compiled,
-            report=eps.evaluate_eps(compiled), qasm=qasm_text,
-        )
+        return compiled
 
     @staticmethod
     def _dense_cbit_map(compiled) -> dict[int, int]:
@@ -187,7 +178,7 @@ class ExternalSimBackend(ExecutionBackend):
         _qubits, gammas = model.idle_decay_channels(compiled)
         return np.concatenate([model.op_error_probabilities(compiled), gammas])
 
-    def execute(self, handle: CompiledHandle, shots: int, seed: int, *,
+    def execute(self, compiled: CompiledCircuit, shots: int, seed: int, *,
                 noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
         """Sample error events with per-shot salted streams.
 
@@ -203,7 +194,6 @@ class ExternalSimBackend(ExecutionBackend):
             )
         if shots < 0:
             raise ValueError("shots must be non-negative")
-        compiled = handle.compiled
         model = resolve_model(noise, compiled.device)
         thresholds = self._event_thresholds(compiled, model)
         num_ops = len(compiled.ops)

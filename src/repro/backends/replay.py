@@ -15,16 +15,10 @@ recomputes — replay is a load-testing and audit scenario, not a fallback.
 
 from __future__ import annotations
 
-from repro.backends.contract import (
-    BackendError,
-    CompiledHandle,
-    ExecutionBackend,
-    ReplayMissError,
-    ensure_noisy_result,
-)
+from repro.backends.contract import ExecutionBackend, ReplayMissError, ensure_noisy_result
 from repro.noise.result import NoisyResult
 from repro.runner import cache
-from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import ArtifactStore, default_cache_dir
 
 
 def store_miss(root, point) -> ReplayMissError:
@@ -38,7 +32,11 @@ def store_miss(root, point) -> ReplayMissError:
 
 
 class ReplayBackend(ExecutionBackend):
-    """Store-served results only; executes zero shots, compiles nothing."""
+    """Store-served results only; executes zero shots, compiles nothing.
+
+    It overrides only the point-level entry points, so a live
+    ``compile``/``execute`` call gets the base class's refusal.
+    """
 
     name = "replay"
     #: Replay serves the trajectory backend's artifacts, so its points key
@@ -51,35 +49,17 @@ class ReplayBackend(ExecutionBackend):
     #: the sweep service never dispatch one their own store has missed.
     reads_store = True
 
-    def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
-                ) -> CompiledHandle:
-        """Refuse: replay has no compiler (it serves stored points)."""
-        raise BackendError(
-            "the replay backend serves stored results for declarative plan "
-            "points; it cannot compile a live circuit — run it on the "
-            "'trajectory' backend first"
-        )
-
-    def execute(self, handle: CompiledHandle, shots: int, seed: int, *,
-                noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
-        """Refuse: replay has no executor (it serves stored points)."""
-        raise BackendError(
-            "the replay backend serves stored results for declarative plan "
-            "points; it cannot execute fresh shots — run them on the "
-            "'trajectory' backend first"
-        )
-
     # ------------------------------------------------------------------
     # point-level lookups
     # ------------------------------------------------------------------
     def _lookup(self, point) -> object:
-        store = ArtifactStore(cache.default_cache_dir())
+        store = ArtifactStore(default_cache_dir())
         result = store.get_object(cache.point_key(point))
         if result is None:
             raise store_miss(store.root, point)
         return result
 
-    def run_compile_point(self, point):
+    def compile_point(self, point):
         """Serve the stored :class:`~repro.runner.records.StrategyResult`."""
         return self._lookup(point)
 

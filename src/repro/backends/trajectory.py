@@ -1,8 +1,8 @@
 """The default backend: the in-process mixed-radix trajectory engine.
 
 This is a straight port of the pre-registry execution path — the compile
-pipeline (:class:`~repro.compiler.pipeline.QompressCompiler` + EPS report)
-and the vectorised :class:`~repro.noise.trajectory.TrajectoryEngine` — so
+pipeline (:class:`~repro.compiler.pipeline.QompressCompiler`, scored by
+the contract's ``compile_point``) and the vectorised :class:`~repro.noise.trajectory.TrajectoryEngine` — so
 the golden bit-equality guarantees (``run`` vs ``run_reference``, serial vs
 parallel, cached vs fresh) are untouched.  Shot chunks build their engines
 from the backend's compile memo, which
@@ -11,14 +11,9 @@ from the backend's compile memo, which
 
 from __future__ import annotations
 
-from repro.backends.contract import (
-    CompiledHandle,
-    ExecutionBackend,
-    LRUMemo,
-    ensure_noisy_result,
-)
+from repro.backends.contract import ExecutionBackend, LRUMemo, ensure_noisy_result
 from repro.compiler.pipeline import QompressCompiler
-from repro.metrics import eps
+from repro.compiler.result import CompiledCircuit
 from repro.noise.result import NoisyResult
 from repro.noise.trajectory import TrajectoryEngine
 
@@ -39,31 +34,23 @@ class TrajectoryBackend(ExecutionBackend):
         self.engines = LRUMemo(self.ENGINE_CAPACITY)
 
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
-                ) -> CompiledHandle:
-        """Compile through the Qompress pipeline and evaluate analytic EPS."""
-        compiled = QompressCompiler(device, strategy, **(compiler_kwargs or {})).compile(circuit)
-        return CompiledHandle(
-            backend=self.name, compiled=compiled, report=eps.evaluate_eps(compiled)
-        )
-
-    def execute(self, handle: CompiledHandle, shots: int, seed: int, *,
-                noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
-        """Sample seeded trajectories; bit-identical at any chunk split."""
-        engine = TrajectoryEngine(handle.compiled, noise, track_state=track_state)
-        return engine.run(shots, seed, base_shot=base_shot)
+                ) -> CompiledCircuit:
+        """Compile through the Qompress pipeline."""
+        return QompressCompiler(device, strategy, **(compiler_kwargs or {})).compile(circuit)
 
     def run_noise_point(self, point) -> NoisyResult:
         """Shot-chunk worker body, via the per-process engine memo.
 
-        Overrides the base implementation so that a thousand chunks of one
-        circuit build the engine (op probabilities, idle channels) once per
-        process, from the compiled handle memo.
+        Stands in for the base implementation (this backend has no
+        ``execute``) so that a thousand chunks of one circuit build the
+        engine (op probabilities, idle channels) once per process, from
+        the compile memo.
         """
         key = (point.compile_point, point.noise, point.track_state)
         engine = self.engines.get(key)
         if engine is None:
-            handle = self.compile_point(point.compile_point)
-            engine = TrajectoryEngine(handle.compiled, point.noise, track_state=point.track_state)
+            compiled = self.compile_point(point.compile_point).compiled
+            engine = TrajectoryEngine(compiled, point.noise, track_state=point.track_state)
             self.engines.put(key, engine)
         result = engine.run(point.shots, point.seed, base_shot=point.base_shot)
         return ensure_noisy_result(result, self.name)

@@ -1,9 +1,11 @@
 """Dependency DAG over circuit gates.
 
 The DAG connects each gate to the next gate acting on any of the same
-qubits.  It is used by the router (to know which gates are ready), the
-scheduler (list scheduling priorities), and the compression strategies
-(critical-path identification, Section 5.1 of the paper).
+qubits.  In the compile path only the exhaustive strategy's candidate
+selection (``ExhaustiveCompression._candidate_groups``) uses it, to find
+the qubits on a critical path (Section 5.1 of the paper); the router
+walks gates in program order and the scheduler places ops as soon as
+their units are free, neither through this DAG.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ _FIGURES = ("fig3", "fig4", "fig8", "fig9", "fig11", "fig12", "fig13")
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` CLI."""
     from repro.backends.registry import list_backends
-    from repro.runner.cache import default_cache_dir
+    from repro.store.artifacts import default_cache_dir
 
     strategies = sorted(STRATEGY_CLASSES)
     benchmarks = sorted(BENCHMARK_NAMES)
@@ -324,8 +324,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cache_from_args(args: argparse.Namespace) -> CompileCache | None:
-    from repro.runner.cache import CompileCache, default_cache_dir
-    from repro.store.artifacts import ArtifactStore
+    from repro.runner.cache import CompileCache
+    from repro.store.artifacts import ArtifactStore, default_cache_dir
 
     cache_dir = getattr(args, "cache_dir", None)
     # replay answers points from a store, so it always gets one (the
@@ -519,7 +519,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     noise = NoiseSpec.from_preset(args.noise)
     compiled_result = execute_plan(SweepPlan((point,)), cache=cache)[0]
-    prime_compiled(point, compiled_result.compiled)
+    prime_compiled(point, compiled_result)
     model = noise.build(compiled_result.compiled.device)
     analytic = model.analytic_total_eps(compiled_result.compiled)
     try:
@@ -765,8 +765,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _store_from_args(args: argparse.Namespace):
-    from repro.runner.cache import default_cache_dir
-    from repro.store.artifacts import ArtifactStore
+    from repro.store.artifacts import ArtifactStore, default_cache_dir
 
     return ArtifactStore(Path(args.store_dir) if args.store_dir else default_cache_dir())
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.runner.records import StrategyResult
+if TYPE_CHECKING:  # pragma: no cover - types only; table printing loads no point types
+    from repro.runner.records import StrategyResult
 
 
 def format_table(headers: list[str], rows: list[list]) -> str:

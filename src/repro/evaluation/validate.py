@@ -192,7 +192,7 @@ def validate_eps(
     )
     compiled_results = execute_plan(compile_plan, workers=workers, cache=cache)
     for point, result in zip(compile_plan, compiled_results):
-        prime_compiled(point, result.compiled)
+        prime_compiled(point, result)
 
     # one combined shot plan across every cell: workers fan out over the
     # whole product of (cell x chunk), not one cell at a time

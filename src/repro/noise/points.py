@@ -18,17 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.backends.contract import CompiledHandle
 from repro.backends.registry import get_backend
-from repro.compiler.result import CompiledCircuit
-from repro.metrics import eps
 from repro.noise.model import NoiseSpec
 from repro.noise.result import NoisyResult
 from repro.runner import cache as runner_cache
 from repro.runner.cache import CompileCache
 from repro.runner.executor import execute_plan
 from repro.runner.plan import SweepPlan
-from repro.runner.records import SweepPoint
+from repro.runner.records import StrategyResult, SweepPoint
 
 #: Default shots per plan point.  Sized for the chunk-batched vectorised
 #: engine: thousands of shots per chunk amortise the per-chunk overhead
@@ -39,21 +36,19 @@ from repro.runner.records import SweepPoint
 DEFAULT_CHUNK_SIZE = 4096
 
 
-def prime_compiled(point: SweepPoint, compiled: CompiledCircuit) -> None:
+def prime_compiled(point: SweepPoint, result: StrategyResult) -> None:
     """Seed the trajectory backend's compile memo with an existing compile.
 
-    Callers that already hold a trajectory point's compile (fresh, or
-    served from the store) prime it so the point's shot chunks executing
-    in-process reuse it instead of compiling again.  A point the memo
-    already holds is left as it is.
+    Callers that already hold a trajectory point's compile result (fresh,
+    or served from the store) prime it so the point's shot chunks
+    executing in-process reuse it instead of compiling again.  A point the
+    memo already holds is left as it is.
     """
     if point.backend != "trajectory":
         return  # other backends' chunks never read this memo
-    backend = get_backend("trajectory")
-    if backend.handles.get(point) is None:
-        backend.handles.put(
-            point, CompiledHandle(backend.name, compiled, eps.evaluate_eps(compiled))
-        )
+    compiles = get_backend("trajectory").compiles
+    if compiles.get(point) is None:
+        compiles.put(point, result)
 
 
 @dataclass(frozen=True)

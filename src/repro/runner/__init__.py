@@ -36,8 +36,9 @@ Typical use::
 from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    ".cache": ("CACHE_DIR_ENV", "CACHE_SCHEMA_VERSION", "CacheStats", "CompileCache",
-               "code_fingerprint", "default_cache_dir", "point_key"),
+    ".cache": ("CACHE_SCHEMA_VERSION", "CacheStats", "CompileCache", "code_fingerprint",
+               "point_key"),
+    "repro.store.artifacts": ("CACHE_DIR_ENV", "default_cache_dir"),
     ".executor": ("ExecutionStats", "ParallelExecutor", "execute_plan"),
     ".plan": ("SweepPlan",),
     ".records": ("DEFAULT_BACKEND", "DeviceSpec", "ExecutionPoint", "StrategyResult",

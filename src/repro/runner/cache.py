@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +33,6 @@ from repro.store.artifacts import ArtifactStore
 
 #: Bump to invalidate every existing cache entry (result-format changes).
 CACHE_SCHEMA_VERSION = 1
-
-#: Environment variable overriding the default cache location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
 @functools.lru_cache(maxsize=1)
@@ -90,14 +86,6 @@ def refuse_store_miss(point, root) -> None:
         from repro.backends.replay import store_miss
 
         raise store_miss(root, point)
-
-
-def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR`` if set, else ``.repro_cache/``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(".repro_cache")
 
 
 @dataclass

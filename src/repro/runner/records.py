@@ -265,7 +265,9 @@ class SweepPoint:
     def payload(self) -> dict:
         """JSON-serialisable representation used for cache keying.
 
-        The ``backend`` entry is the backend's *content name*, not its
+        It is :meth:`spec` with the QASM text replaced by its SHA-256
+        (``qasm_sha256``) and the backend by its content name.  The
+        ``backend`` entry is the backend's *content name*, not its
         registry name: two executors never share store entries, while the
         replay backend (content name ``"trajectory"``) keys identically to
         the trajectory points whose stored artifacts it serves.
@@ -274,19 +276,13 @@ class SweepPoint:
 
         from repro.backends import get_backend
 
-        return {
-            "benchmark": self.benchmark,
-            "num_qubits": self.num_qubits,
-            "strategy": self.strategy,
-            "device": self.device.payload(),
-            "seed": self.seed,
-            "strategy_kwargs": [list(pair) for pair in self.strategy_kwargs],
-            "compiler_kwargs": [list(pair) for pair in self.compiler_kwargs],
-            "qasm_sha256": hashlib.sha256(self.qasm.encode("utf-8")).hexdigest()
-            if self.qasm is not None
-            else None,
-            "backend": get_backend(self.backend).content_name,
-        }
+        payload = self.spec()
+        qasm = payload.pop("qasm")
+        payload["qasm_sha256"] = (
+            hashlib.sha256(qasm.encode("utf-8")).hexdigest() if qasm is not None else None
+        )
+        payload["backend"] = get_backend(self.backend).content_name
+        return payload
 
     def key(self) -> str:
         """Stable content digest (see :func:`~repro.runner.cache.point_key`)."""
@@ -355,7 +351,7 @@ class SweepPoint:
         """Compile and evaluate this point on its backend (see :func:`execute_point`)."""
         from repro.backends import get_backend
 
-        return get_backend(self.backend).run_compile_point(self)
+        return get_backend(self.backend).compile_point(self)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,9 @@ from repro.store.schema import SchemaError
 #: Bump when the on-disk layout changes incompatibly.
 STORE_FORMAT_VERSION = 1
 
+#: Environment variable overriding the default store location.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
 _HEX64 = frozenset("0123456789abcdef")
 
 _tmp_counter = itertools.count()
@@ -72,6 +75,14 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def default_cache_dir() -> Path:
+    """Store root: ``$REPRO_CACHE_DIR`` if set, else ``.repro_cache/``."""
+    override = os.environ.get(CACHE_DIR_ENV)
+    if override:
+        return Path(override)
+    return Path(".repro_cache")
 
 
 @dataclass

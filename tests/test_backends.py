@@ -15,7 +15,6 @@ import pytest
 from repro.backends import (
     BackendContractError,
     BackendError,
-    CompiledHandle,
     DuplicateBackendError,
     ExecutionBackend,
     LRUMemo,
@@ -36,6 +35,7 @@ from repro.runner import (
     CompileCache,
     ExecutionPoint,
     ParallelExecutor,
+    StrategyResult,
     SweepPlan,
     SweepPoint,
     execute_plan,
@@ -179,7 +179,7 @@ class TestResultContract:
                 return get_backend("trajectory").compile(
                     circuit, device, strategy, compiler_kwargs=compiler_kwargs)
 
-            def execute(self, handle, shots, seed, *, noise, base_shot=0,
+            def execute(self, compiled, shots, seed, *, noise, base_shot=0,
                         track_state=False):
                 return {"shots": shots}  # not a NoisyResult
 
@@ -202,7 +202,7 @@ class _NotAPoint:
 
 
 class TestCompileMemo:
-    """Compiled handles live in one true LRU per backend instance."""
+    """Compile results live in one true LRU per backend instance."""
 
     def test_hit_survives_and_only_the_oldest_is_evicted(self):
         memo = LRUMemo(3)
@@ -225,11 +225,12 @@ class TestCompileMemo:
 
         class Counting(ExecutionBackend):
             name = "counting"
-            HANDLE_CAPACITY = 2
+            COMPILE_CAPACITY = 2
 
             def compile(self, circuit, device, strategy, compiler_kwargs=None):
                 compiled.append(circuit.name)
-                return CompiledHandle(backend=self.name, compiled=None, report=None)
+                return get_backend("trajectory").compile(
+                    circuit, device, strategy, compiler_kwargs=compiler_kwargs)
 
         backend = Counting()
         first, second, third = (_point(num_qubits=n) for n in (4, 5, 6))
@@ -351,11 +352,11 @@ class TestReplayBackend:
 
 class TestExternalSimBackend:
     def test_compile_round_trips_through_qasm(self):
-        handle = get_backend("external-sim").compile_point(_point("external-sim"))
-        assert isinstance(handle, CompiledHandle)
-        assert handle.backend == "external-sim"
-        assert handle.qasm is not None
-        assert "OPENQASM" in handle.qasm
+        result = get_backend("external-sim").compile_point(_point("external-sim"))
+        assert isinstance(result, StrategyResult)
+        assert (result.benchmark, result.num_qubits, result.strategy) == (
+            "bv", 4, "qubit_only")
+        assert "OPENQASM" in result.compiled.to_qasm()
 
     def test_estimate_agrees_with_trajectory(self):
         kwargs = {"compiler_kwargs": {"merge_single_qubit_gates": False}}
@@ -378,11 +379,11 @@ class TestExternalSimBackend:
 
     def test_merging_is_forced_off(self):
         merged_kwargs = {"compiler_kwargs": {"merge_single_qubit_gates": True}}
-        handle = get_backend("external-sim").compile_point(
+        result = get_backend("external-sim").compile_point(
             _point("external-sim", **merged_kwargs))
         reference = _point(**{"compiler_kwargs":
                               {"merge_single_qubit_gates": False}}).execute()
-        assert len(handle.compiled.ops) == len(reference.compiled.ops)
+        assert len(result.compiled.ops) == len(reference.compiled.ops)
 
 
 class TestCrossBackendCheck:

@@ -378,11 +378,11 @@ class TestDynamicChunkInvariance:
 # ----------------------------------------------------------------------
 class TestDynamicCrosscheck:
     def test_external_sim_roundtrips_the_dynamic_program(self, teleport3):
-        handle = ExternalSimBackend().compile(
+        compiled = ExternalSimBackend().compile(
             teleport3, make_device("grid", 3), get_strategy("eqm")
         )
-        assert handle.compiled.is_dynamic
-        assert "if(" in handle.qasm
+        assert compiled.is_dynamic
+        assert "if(" in compiled.to_qasm()
 
     def test_crosscheck_agrees_on_teleport(self):
         rows = cross_backend_check(

@@ -159,6 +159,20 @@ def test_store_stats_loads_no_numpy(tmp_path):
     assert "blobs" in result.stdout
 
 
+@pytest.mark.parametrize("call", [
+    "build_parser()",
+    'main(["store", "stats", "--dir", "store"])',
+], ids=["build_parser", "store-stats"])
+def test_the_parser_and_the_store_verbs_load_no_compile_cache(call, tmp_path):
+    """The default store root comes from the store, not the compile cache."""
+    code = f"""
+        from repro.cli import build_parser, main
+        {call}
+    """
+    result = _run(textwrap.dedent(code) + _loaded(("repro.runner.cache",)), tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_exported_name_resolves(tmp_path):
     code = f"""
         import importlib, types

@@ -204,6 +204,41 @@ class TestQasmPoints:
         assert [r.benchmark for r in results] == ["bell", "bv"]
 
 
+GHZ3_QASM = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+    "qreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+)
+
+
+class TestPinnedPointKeys:
+    """``payload()`` keys points exactly as it always has.
+
+    The literals were computed with the code fingerprint fixed to zeros,
+    so they change only if a point's payload does: a store written before
+    a refactor of :meth:`SweepPoint.payload` must stay warm after it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fixed_fingerprint(self, monkeypatch):
+        from repro.runner import cache
+
+        monkeypatch.setattr(cache, "code_fingerprint", lambda: "0" * 64)
+
+    @pytest.mark.parametrize("point, key", [
+        (SweepPoint("qft", 6, "rb", device=DeviceSpec(kind="grid"), seed=3,
+                    compiler_kwargs=freeze_kwargs({"merge_single_qubit_gates": False})),
+         "cebca6498d5090cad9fa51074860304cbde4cb4ca4a594baa7354d69bef75c56"),
+        (SweepPoint.from_qasm(GHZ3_QASM, "eqm", device="ring", name="ghz3"),
+         "ac62f6641ea00a1fd7c6f38136c7d6ef5a124b804f50fd94636539307021fc9d"),
+        (SweepPoint("bv", 4, "qubit_only", backend="replay"),
+         "cf5ec372102d7005947fc0628191b2015b0e7b98a166cf330b9e9a353aab0ef6"),
+        (SweepPoint("bv", 4, "qubit_only", backend="external-sim"),
+         "edcd7ecbb82897371d064ed90ad77143170403f7d3540270db80c49c4fa412a1"),
+    ], ids=["registry", "qasm", "replay", "external-sim"])
+    def test_key_is_unchanged(self, point, key):
+        assert point_key(point) == key
+
+
 class TestParallelExecutor:
     PLAN = SweepPlan.cartesian(("bv", "cuccaro"), (6, 8), ("qubit_only", "eqm"))
 

@@ -42,19 +42,20 @@ def tracer():
 
 def test_backend_compiles_record_an_eps_span(tracer):
     from repro.backends import get_backend
-    from repro.compression import get_strategy
     from repro.noise.points import prime_compiled
     from repro.runner import SweepPoint
 
     point = SweepPoint("bv", 4, "eqm", seed=90210)
-    circuit, device = point.build_circuit(), point.device.build(point.num_qubits)
-    for name in ("trajectory", "external-sim"):
-        get_backend(name).compile(circuit, device, get_strategy("eqm"))
+    # fresh instances: an entry in a shared compile memo would record no span
+    results = [type(get_backend(name))().compile_point(point)
+               for name in ("trajectory", "external-sim")]
     assert _spans(tracer, "metrics.eps") == 2
 
-    compiled = get_backend("trajectory").compile(circuit, device, get_strategy("eqm")).compiled
-    prime_compiled(point, compiled)
-    assert _spans(tracer, "metrics.eps") == 4
+    # priming stores the scored result it is handed: no second evaluation
+    primed = SweepPoint("bv", 4, "eqm", seed=90211)
+    prime_compiled(primed, results[0])
+    assert get_backend("trajectory").compiles.get(primed) is results[0]
+    assert _spans(tracer, "metrics.eps") == 2
 
 
 def test_point_keys_record_a_point_key_span(tracer, tmp_path):

@@ -318,3 +318,30 @@ class TestCompileMemo:
         rows = validate_eps(shots=2 * self.SHOTS, cache=cache)
         assert len(rows) == 36
         assert compiles == []
+
+    def test_store_served_compiles_are_not_scored_again(
+        self, tmp_path, compiles, monkeypatch
+    ):
+        """A warm compile is primed with its stored EPS report, not re-scored."""
+        from repro.backends import get_backend, registry
+        from repro.metrics import eps
+
+        cells = {"benchmarks": ("bv", "ghz"), "sizes": (4,),
+                 "strategies": ("qubit_only", "eqm")}
+        cache = self._cache(tmp_path)
+        validate_eps(shots=self.SHOTS, cache=cache, **cells)
+        monkeypatch.delitem(registry._INSTANCES, "trajectory")
+        get_backend("trajectory")
+        compiles.clear()
+        evaluations = []
+        evaluate = eps.evaluate_eps
+
+        def counted(compiled, *args, **kwargs):
+            evaluations.append(compiled.circuit_name)
+            return evaluate(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(eps, "evaluate_eps", counted)
+        rows = validate_eps(shots=2 * self.SHOTS, cache=cache, **cells)
+        assert len(rows) == 4
+        assert compiles == []
+        assert evaluations == []
