@@ -14,6 +14,6 @@ from repro._lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     ".contract": ("BackendContractError", "ExecutionBackend", "LRUMemo", "ReplayMissError",
                   "ensure_noisy_result"),
-    ".registry": ("BackendError", "DuplicateBackendError", "UnknownBackendError", "get_backend",
-                  "list_backends", "register_backend", "unregister_backend"),
+    ".registry": ("BackendError", "DuplicateBackendError", "UnknownBackendError", "content_name",
+                  "get_backend", "list_backends", "register_backend", "unregister_backend"),
 })

@@ -26,6 +26,7 @@ pure function of the backend class, never per-call state.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping
 
@@ -36,6 +37,7 @@ from repro.noise.result import NoisyResult
 from repro.runner.records import StrategyResult, SweepPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.circuits.circuit import QuantumCircuit
     from repro.compiler.result import CompiledCircuit
     from repro.noise.points import NoisePoint
 
@@ -116,9 +118,10 @@ class ExecutionBackend:
     """Base class every execution backend extends.
 
     Subclasses set :attr:`name`, implement :meth:`compile` and
-    :meth:`execute`, and inherit point-level plumbing: a per-process
-    LRU of compile results, so each point compiles once however many
-    shot chunks it feeds, and contract validation of every execute()
+    :meth:`execute`, and inherit point-level plumbing: per-process LRUs
+    of compile results, so each point compiles once however many shot
+    chunks it feeds, and of built source circuits, so the points of one
+    circuit build it once; and contract validation of every execute()
     result.  The base methods refuse, so a backend that overrides neither
     (replay) answers only through its point-level entry points.
     """
@@ -144,10 +147,15 @@ class ExecutionBackend:
     #: Compile results kept per process: enough for a default EPS
     #: validation sweep (36 cells) to compile each cell once.
     COMPILE_CAPACITY = 64
+    #: Built source circuits kept per process: enough for every circuit of
+    #: a default EPS validation (6) or compile sweep (4) to build once.
+    SOURCE_CAPACITY = 8
 
     def __init__(self) -> None:
         #: :class:`StrategyResult` values by compile point.
         self.compiles = LRUMemo(self.COMPILE_CAPACITY)
+        #: Logical circuits by circuit identity (see :meth:`source_circuit`).
+        self.sources = LRUMemo(self.SOURCE_CAPACITY)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -176,18 +184,37 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # point-level entry points (what the runner dispatches to)
     # ------------------------------------------------------------------
+    def source_circuit(self, point: "SweepPoint") -> "QuantumCircuit":
+        """A copy of the logical circuit ``point`` describes, built once per circuit.
+
+        Points that differ only in strategy, device or compiler flags share
+        one build, keyed on the circuit's identity: benchmark, size, seed
+        and QASM digest.  Each caller gets a copy of its own, which shares
+        the build's basis lowering and interaction weights
+        (:meth:`~repro.circuits.circuit.QuantumCircuit.derived`) but not
+        its gate list.
+        """
+        qasm = point.qasm
+        key = (point.benchmark, point.num_qubits, point.seed,
+               None if qasm is None else hashlib.sha256(qasm.encode("utf-8")).hexdigest())
+        circuit = self.sources.get(key)
+        if circuit is None:
+            circuit = point.build_circuit()
+            self.sources.put(key, circuit)
+        return circuit.copy()
+
     def compile_point(self, point: "SweepPoint") -> StrategyResult:
         """Compile and score one point; the :class:`SweepPoint` worker body.
 
-        Compiles through :meth:`compile`, evaluates the analytic EPS once
-        and memoises the result per point.
+        Compiles a :meth:`source_circuit` copy through :meth:`compile`,
+        evaluates the analytic EPS once and memoises the result per point.
         """
         result = self.compiles.get(point)
         if result is None:
             kwargs = dict(point.compiler_kwargs)
             kwargs.update(self.compiler_overrides)
             compiled = self.compile(
-                point.build_circuit(),
+                self.source_circuit(point),
                 point.device.build(point.num_qubits),
                 get_strategy(point.strategy, **dict(point.strategy_kwargs)),
                 compiler_kwargs=kwargs,

@@ -45,6 +45,9 @@ _REGISTRY: dict[str, type[ExecutionBackend] | str] = {
     "replay": "repro.backends.replay:ReplayBackend",
     "trajectory": "repro.backends.trajectory:TrajectoryBackend",
 }
+#: Content names of the built-ins not keyed under their own name (each
+#: class's ``content_name``), so keying a point imports no backend.
+_CONTENT_NAMES: dict[str, str] = {"replay": "trajectory"}
 _INSTANCES: dict[str, ExecutionBackend] = {}
 
 
@@ -92,17 +95,31 @@ def get_backend(name: str) -> ExecutionBackend:
     """
     instance = _INSTANCES.get(name)
     if instance is None:
-        cls = _REGISTRY.get(name)
-        if cls is None:
-            raise UnknownBackendError(
-                f"unknown execution backend {name!r}; "
-                f"registered backends: {', '.join(list_backends())}"
-            )
+        cls = _registered(name)
         if isinstance(cls, str):
             module, _, attribute = cls.partition(":")
             cls = _REGISTRY[name] = getattr(importlib.import_module(module), attribute)
         instance = _INSTANCES[name] = cls()
     return instance
+
+
+def content_name(name: str) -> str:
+    """The name points on backend ``name`` are keyed under (its class's
+    ``content_name``), read without importing or instantiating a built-in."""
+    cls = _registered(name)
+    if isinstance(cls, str):
+        return _CONTENT_NAMES.get(name, name)
+    return cls.content_name
+
+
+def _registered(name: str) -> type[ExecutionBackend] | str:
+    cls = _REGISTRY.get(name)
+    if cls is None:
+        raise UnknownBackendError(
+            f"unknown execution backend {name!r}; "
+            f"registered backends: {', '.join(list_backends())}"
+        )
+    return cls
 
 
 def list_backends() -> tuple[str, ...]:

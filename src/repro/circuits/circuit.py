@@ -37,10 +37,12 @@ class QuantumCircuit:
         # Pure serialisation metadata (QASM register names); never part of
         # circuit equality.
         self._cregs: list[tuple[str, int]] = []
-        # Derived ASAP layering (see :meth:`moments`): built on first query,
-        # dropped by every mutation, never pickled or compared.  Circuits
-        # unpickled from older blobs simply lack the attribute.
+        # Derived caches, never pickled or compared and dropped by every
+        # write to the gate list (:meth:`_put`): the ASAP layering (see
+        # :meth:`moments`) and the :meth:`derived` memo its copies share.
+        # Circuits unpickled from older blobs simply lack the attributes.
         self._layers: tuple[tuple[int, ...], ...] | None = None
+        self._derived: dict[str, object] | None = None
 
     # ------------------------------------------------------------------
     # container protocol
@@ -65,9 +67,10 @@ class QuantumCircuit:
         return self.num_qubits == other.num_qubits and self._gates == other._gates
 
     def __getstate__(self) -> dict:
-        """Pickle every field but the derived layering cache."""
+        """Pickle every field but the derived caches."""
         state = dict(self.__dict__)
         state.pop("_layers", None)
+        state.pop("_derived", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -86,9 +89,38 @@ class QuantumCircuit:
                 f"gate {gate.name} acts on qubit {max(gate.qubits)} but the circuit "
                 f"only has {self.num_qubits} qubits"
             )
-        self._gates.append(gate)
-        self._layers = None
+        self._put(gate)
         return self
+
+    def _put(self, gate: Gate, index: int | None = None) -> None:
+        """Append ``gate``, or replace the gate at ``index``: the one writer of
+        the gate list, so every mutation drops the derived caches."""
+        if index is None:
+            self._gates.append(gate)
+        else:
+            self._gates[index] = gate
+        self._layers = None
+        self._derived = None
+
+    def derived(self, name: str, builder):
+        """Build-once memo for a value determined by the gate list alone.
+
+        ``builder()`` runs on the first query of ``name`` since the last
+        mutation; copies of this gate list share the memo, so a value built
+        on one serves them all (:mod:`repro.circuits.decompose` keeps the
+        basis lowering here, :mod:`repro.compiler.weights` the interaction
+        weights).  Callers must treat the returned value as read-only.
+        """
+        memo = self._shared_derived()
+        if name not in memo:
+            memo[name] = builder()
+        return memo[name]
+
+    def _shared_derived(self) -> dict[str, object]:
+        memo = getattr(self, "_derived", None)
+        if memo is None:
+            memo = self._derived = {}
+        return memo
 
     def add(
         self,
@@ -223,7 +255,7 @@ class QuantumCircuit:
                 raise ValueError("gate is already conditioned on different bits")
             conditioned.append((index, replace(gate, condition=condition)))
         for index, gate in conditioned:
-            self._gates[index] = gate
+            self._put(gate, index)
         return self
 
     @property
@@ -326,10 +358,16 @@ class QuantumCircuit:
     # transformations
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "QuantumCircuit":
-        """Return a shallow copy (gates are immutable, so this is safe)."""
+        """Return a shallow copy (gates are immutable, so this is safe).
+
+        The copy shares this circuit's :meth:`derived` memo, which holds
+        because the two gate lists are equal until either is mutated, and a
+        mutation gives the mutated circuit a memo of its own.
+        """
         clone = QuantumCircuit(self.num_qubits, name or self.name)
         clone._gates = list(self._gates)
         clone._cregs = list(self._cregs)
+        clone._derived = self._shared_derived()
         return clone
 
     def remapped(self, mapping: dict[int, int], num_qubits: int | None = None) -> "QuantumCircuit":
@@ -386,7 +424,7 @@ class QuantumCircuit:
                 continue
             name = "measure" if clone._is_terminal_measure(index) else "measure_mid"
             if name != gate.name:
-                clone._gates[index] = replace(gate, name=name)
+                clone._put(replace(gate, name=name), index)
         return clone
 
     # ------------------------------------------------------------------

@@ -114,9 +114,21 @@ def decompose_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
     (immutable) object.  One the source repeats, as ``c.compose(c)`` does, is
     copied from its second use on: pickle would memo-reference a repeated
     object, and the lowered circuit's bytes would depend on the sharing.
+
+    The lowering is built once per gate list and kept in the circuit's
+    :meth:`~repro.circuits.circuit.QuantumCircuit.derived` memo, so copies
+    of one circuit (every strategy of a sweep) share it; each call returns
+    a copy of its own, named and registered like ``circuit``.
     """
-    lowered = QuantumCircuit(circuit.num_qubits, circuit.name)
+    lowered = circuit.derived("lowering", lambda: _lower(circuit)).copy()
+    lowered.name = circuit.name
     lowered._cregs = list(circuit.cregs)
+    return lowered
+
+
+def _lower(circuit: QuantumCircuit) -> QuantumCircuit:
+    """The lowering loop behind :func:`decompose_to_basis`."""
+    lowered = QuantumCircuit(circuit.num_qubits, circuit.name)
     passed: set[int] = set()
     for gate in circuit:
         start = len(lowered)
@@ -137,4 +149,6 @@ def decompose_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
         # the expansion is unitary, so conditioning every piece is exact.
         if gate.condition is not None:
             lowered.apply_condition(start, gate.condition)
+    # basis gates only, each object once: the lowering lowers to itself
+    lowered._shared_derived()["lowering"] = lowered
     return lowered

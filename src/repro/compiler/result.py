@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pickle
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from repro.arch.device import Device
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate
 from repro.gates.library import gate_spec
 from repro.gates.styles import GateStyle
 
@@ -83,16 +86,71 @@ class PhysicalOp:
         return self.gate in ("measure_mid", "reset") or self.condition is not None
 
 
+# ----------------------------------------------------------------------
+# packed payloads: a pickled ("rows", rows) of plain field tuples
+# ----------------------------------------------------------------------
+#: Tag of a rows payload.  A payload packed before rows is a pickle of the
+#: objects themselves, told apart by its bytes: a rows payload continues,
+#: after the protocol header and a 9-byte frame opcode, with the tag.
+_ROWS = "rows"
+_PROTOCOL = pickle.HIGHEST_PROTOCOL
+_PICKLE_HEAD = bytes((pickle.PROTO[0], _PROTOCOL))
+_ROWS_MARK = bytes((pickle.SHORT_BINUNICODE[0], len(_ROWS))) + _ROWS.encode()
+_MARK_AT = len(_PICKLE_HEAD) + 9
+#: Fields in dataclass order, so ``PhysicalOp(*row)`` and ``Gate(*row)`` rebuild them.
+_op_row = attrgetter(*(spec.name for spec in fields(PhysicalOp)))
+_gate_row = attrgetter(*(spec.name for spec in fields(Gate)))
+
+
+def _pack(name: str, value) -> bytes:
+    """A packed field's rows payload, which names no pickle global.
+
+    ``ops`` becomes one field tuple per op; ``lowered_circuit`` its pickled
+    attributes with ``_gates`` as one field tuple per gate (or ``None``).
+    """
+    if name == "ops":
+        rows = [_op_row(op) for op in value]
+    elif value is None:
+        rows = None
+    else:
+        rows = value.__getstate__()
+        rows["_gates"] = [_gate_row(gate) for gate in rows["_gates"]]
+    return pickle.dumps((_ROWS, rows), protocol=_PROTOCOL)
+
+
+def _unpack(name: str, payload: bytes):
+    """Decode a payload :func:`_pack` wrote, or a pickled object from before rows."""
+    value = pickle.loads(payload)
+    if type(value) is not tuple or value[:1] != (_ROWS,):
+        return value
+    rows = value[1]
+    if name == "ops":
+        return [PhysicalOp(*row) for row in rows]
+    if rows is None:
+        return None
+    rows["_gates"] = [Gate(*row) for row in rows["_gates"]]
+    circuit = QuantumCircuit.__new__(QuantumCircuit)
+    circuit.__dict__.update(rows)
+    return circuit
+
+
+def _is_legacy(payload: bytes) -> bool:
+    """A pickle of the objects themselves; bytes that are no pickle are not."""
+    return (payload[:len(_PICKLE_HEAD)] == _PICKLE_HEAD
+            and payload[_MARK_AT:_MARK_AT + len(_ROWS_MARK)] != _ROWS_MARK)
+
+
 @dataclass
 class CompiledCircuit:
     """The output of the Qompress pipeline for one circuit on one device.
 
     Pickling packs ``ops`` and ``lowered_circuit`` — most of a stored
-    result's bytes — as nested pickles that are decoded on first attribute
-    access, so a reader that only needs the placement or the report never
-    pays for the op stream.  Re-pickling passes a field that was never read
-    through as its stored bytes, so a redeemed result reproduces its blob
-    byte for byte.
+    result's bytes — as nested pickles of plain field tuples that are
+    decoded on first attribute access, so a reader that only needs the
+    placement or the report never pays for the op stream.  Re-pickling
+    passes a field that was never read through as its stored bytes, so a
+    redeemed result reproduces its blob byte for byte; a field stored
+    before rows (a pickled object list) is re-encoded as rows instead.
     """
 
     #: Name of the source circuit.
@@ -125,17 +183,18 @@ class CompiledCircuit:
     def __getstate__(self) -> dict:
         """The instance dict minus derived caches, bulky fields packed.
 
-        A packed field that was decoded or set is pickled afresh; one that
-        was never read passes through as the bytes it was loaded with.
-        There is deliberately no ``__setstate__``: pickle's default restore
-        interns the attribute names, which keeps re-pickling byte-stable.
+        A packed field that was decoded or set is packed afresh, and so is
+        one stored before rows; any other field that was never read passes
+        through as the bytes it was loaded with.  There is deliberately no
+        ``__setstate__``: pickle's default restore interns the attribute
+        names, which keeps re-pickling byte-stable.
         """
         attrs = self.__dict__
         state = {name: value for name, value in attrs.items() if name not in _UNPICKLED}
         stored = attrs.get("_packed", {})
         state["_packed"] = {
-            name: pickle.dumps(attrs[name], protocol=pickle.HIGHEST_PROTOCOL)
-            if name in attrs else stored[name]
+            name: _pack(name, getattr(self, name))
+            if name in attrs or _is_legacy(stored[name]) else stored[name]
             for name in PACKED_FIELDS
         }
         return state
@@ -145,7 +204,7 @@ class CompiledCircuit:
         packed = self.__dict__.get("_packed")
         if packed is None or name not in PACKED_FIELDS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.__dict__.setdefault(name, pickle.loads(packed[name]))
+        return self.__dict__.setdefault(name, _unpack(name, packed[name]))
 
     # ------------------------------------------------------------------
     # aggregate queries

@@ -14,7 +14,17 @@ from repro.circuits.circuit import QuantumCircuit
 
 
 def interaction_weights(circuit: QuantumCircuit) -> dict[tuple[int, int], float]:
-    """Pairwise interaction weights, keyed by sorted qubit pairs."""
+    """Pairwise interaction weights, keyed by sorted qubit pairs.
+
+    Computed once per gate list and kept in the circuit's
+    :meth:`~repro.circuits.circuit.QuantumCircuit.derived` memo, which its
+    copies share; the returned dict is the caller's own.
+    """
+    return dict(circuit.derived("weights", lambda: _weigh(circuit)))
+
+
+def _weigh(circuit: QuantumCircuit) -> dict[tuple[int, int], float]:
+    """The weight sum behind :func:`interaction_weights`."""
     steps = circuit.gate_timesteps()
     weights: dict[tuple[int, int], float] = defaultdict(float)
     for index, gate in enumerate(circuit):

@@ -274,14 +274,14 @@ class SweepPoint:
         """
         import hashlib
 
-        from repro.backends import get_backend
+        from repro.backends.registry import content_name
 
         payload = self.spec()
         qasm = payload.pop("qasm")
         payload["qasm_sha256"] = (
             hashlib.sha256(qasm.encode("utf-8")).hexdigest() if qasm is not None else None
         )
-        payload["backend"] = get_backend(self.backend).content_name
+        payload["backend"] = content_name(self.backend)
         return payload
 
     def key(self) -> str:

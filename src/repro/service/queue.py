@@ -206,13 +206,16 @@ class SweepService:
                     else:
                         borrowed[index] = future
             self._update(job, cache_hits=cache_hits)
-            # imported here, not with this module, so the spool stays
-            # free of the worker and its default backend
-            from repro.runner.executor import execute_plan
+            computed = []
+            if owned:
+                # imported here, and only for a job with points to run, so
+                # the spool and warm serving stay free of the worker and its
+                # default backend
+                from repro.runner.executor import execute_plan
 
-            computed = execute_plan(
-                [job.points[index] for index in owned], workers=self.workers
-            )
+                computed = execute_plan(
+                    [job.points[index] for index in owned], workers=self.workers
+                )
             for index, result in zip(owned, computed):
                 # publish before resolving: a borrower woken by the
                 # future must find the blob already installed

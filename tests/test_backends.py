@@ -20,6 +20,7 @@ from repro.backends import (
     LRUMemo,
     ReplayMissError,
     UnknownBackendError,
+    content_name,
     ensure_noisy_result,
     get_backend,
     list_backends,
@@ -119,6 +120,29 @@ class TestRegistry:
         assert get_backend("replay").content_name == "trajectory"
         assert get_backend("trajectory").content_name == "trajectory"
         assert get_backend("external-sim").content_name == "external-sim"
+
+    def test_content_names_are_read_without_instantiating(self, monkeypatch):
+        from repro.backends import registry
+
+        for name in ("external-sim", "replay", "trajectory"):
+            cls = type(get_backend(name))
+            # the built-in as listed before its first lookup
+            monkeypatch.setitem(registry._REGISTRY, name, f"{cls.__module__}:{cls.__name__}")
+            monkeypatch.delitem(registry._INSTANCES, name)
+            assert content_name(name) == cls.content_name
+            assert name not in registry._INSTANCES
+
+        @register_backend("toy-keyed")
+        class ToyBackend(ExecutionBackend):
+            name = "toy-keyed"
+            content_name = "trajectory"
+
+        try:
+            assert content_name("toy-keyed") == "trajectory"
+        finally:
+            unregister_backend("toy-keyed")
+        with pytest.raises(UnknownBackendError, match="no-such-backend"):
+            content_name("no-such-backend")
 
 
 class TestResultContract:

@@ -149,6 +149,30 @@ def test_a_stored_result_unpickles_without_networkx(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_a_warm_serve_loads_no_compile_or_noise_stack(tmp_path):
+    """Keying, serving and redeeming stored points imports no backend."""
+    from repro.runner import CompileCache, DeviceSpec, SweepPlan, execute_plan
+    from repro.store import ArtifactStore
+
+    plan = SweepPlan.cartesian(("bv",), (4,), ("eqm",), device=DeviceSpec(kind="grid"))
+    execute_plan(plan, workers=1, cache=CompileCache.from_store(ArtifactStore(tmp_path / "store")))
+    code = f"""
+        from repro.runner import DeviceSpec, SweepPlan
+        from repro.service import spool
+        from repro.store import ArtifactStore
+        store = ArtifactStore({str(tmp_path / "store")!r})
+        plan = SweepPlan.cartesian(("bv",), (4,), ("eqm",), device=DeviceSpec(kind="grid"))
+        spool.submit_job({str(tmp_path / "spool")!r}, plan)
+        [status] = spool.serve_once({str(tmp_path / "spool")!r}, store, workers=1)
+        assert (status["executed"], status["cache_hits"]) == (0, 1), status
+        [result] = spool.job_results(store, status["manifest"])
+        assert result.compiled.num_ops > 0
+    """
+    result = _run(textwrap.dedent(code) + _loaded(NOT_SERVING + ("repro.backends.trajectory",)),
+                  tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
 def test_store_stats_loads_no_numpy(tmp_path):
     code = f"""
         from repro.cli import main

@@ -151,32 +151,45 @@ class TestRedeemedResults:
             compiled.ops
 
 
-class _ReproOnlyUnpickler(pickle.Unpickler):
-    """Loads a payload, recording every global it names; refuses non-repro ones."""
+class _NoGlobalsUnpickler(pickle.Unpickler):
+    """Loads a payload, refusing every global it names."""
 
-    def __init__(self, data: bytes, seen: set):
+    def __init__(self, data: bytes):
         super().__init__(io.BytesIO(data))
-        self.seen = seen
 
     def find_class(self, module, name):
-        if not module.startswith("repro."):
-            raise pickle.UnpicklingError(f"payload references {module}.{name}")
-        self.seen.add(f"{module}.{name}")
-        return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"payload references {module}.{name}")
 
 
 def test_packed_payloads_load_only_repro_globals():
     # The store reads an unpicklable blob as a miss only while decoding the
     # envelope; packed payloads decode later, so they must name nothing a
-    # library upgrade could move.  Every repro class they name is hashed
-    # into the content key, so a change to one changes the key.
-    seen: set[str] = set()
+    # library upgrade or a moved class could break: they are plain rows.
     for benchmark in BENCHMARK_NAMES:
         for strategy in STRATEGIES:
             _point, result = _compile(benchmark, 8, strategy)
-            for payload in _packed(pickle.loads(_dumps(result.compiled))).values():
-                _ReproOnlyUnpickler(payload, seen).load()
-    assert "repro.compiler.result.PhysicalOp" in seen
+            packed = _packed(pickle.loads(_dumps(result.compiled)))
+            tag, rows = _NoGlobalsUnpickler(packed["ops"]).load()
+            assert tag == "rows"
+            assert len(rows) == result.compiled.num_ops
+            tag, state = _NoGlobalsUnpickler(packed["lowered_circuit"]).load()
+            assert tag == "rows"
+            assert len(state["_gates"]) == len(result.compiled.lowered_circuit)
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_a_legacy_packed_payload_decodes_and_repickles_as_rows(stored, read_first):
+    # Blobs written before rows packed each field as a pickled object list
+    # (and a pickled circuit); they load, and re-pickle as a fresh compile.
+    fresh, blob, _store, _key = stored
+    legacy = pickle.loads(blob)
+    _packed(legacy.compiled).update(
+        ops=_dumps(fresh.compiled.ops), lowered_circuit=_dumps(fresh.compiled.lowered_circuit))
+    if read_first:
+        assert legacy.compiled.ops == fresh.compiled.ops
+        assert legacy.compiled.lowered_circuit == fresh.compiled.lowered_circuit
+    assert _dumps(legacy) == blob
+    assert_same_result(pickle.loads(_dumps(legacy)), fresh)
 
 
 class TestPrepackBlob:
