@@ -7,9 +7,11 @@ maximises the resulting circuit fidelity, repeating until no pair helps.
 Two selection modes are provided, matching Figure 4:
 
 * ``"critical"`` — candidates are grouped by their relationship to the
-  critical path (qubits in non-communication gates on the critical path
-  first, then qubits interacting with it, then everything else), and the
-  first group containing an improving pair is used.
+  critical path, and the first group containing an improving pair is used.
+  The critical qubits are those of every gate on one longest dependency
+  chain of the lowered circuit (ties go to the lowest gate index; barriers
+  count as gates).  Pairs of two critical qubits come first, then pairs with
+  a qubit that interacts with a critical one, then everything else.
 * ``"any"`` — every pair of currently-unpaired qubits is considered.
 """
 
@@ -19,7 +21,6 @@ from itertools import combinations
 
 from repro.arch.device import Device
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import CircuitDAG
 from repro.circuits.decompose import decompose_to_basis
 from repro.compiler.pipeline import QompressCompiler
 from repro.compiler.plan import CompressionPlan
@@ -50,8 +51,11 @@ class ExhaustiveCompression(CompressionStrategy):
     # ------------------------------------------------------------------
     def plan(self, circuit: QuantumCircuit, device: Device) -> CompressionPlan:
         compiler = QompressCompiler(device)
-        # Lowered once here, not once per candidate compile.
+        # Lowered once here, not once per candidate compile.  The candidate
+        # groups come from the same lowered circuit the compiles score.
         lowered = decompose_to_basis(circuit)
+        critical = _critical_path_qubits(lowered)
+        weights = interaction_weights(lowered)
         pairs: list[tuple[int, int]] = []
         limit = self.max_pairs if self.max_pairs is not None else circuit.num_qubits // 2
         evaluations = 0
@@ -59,7 +63,7 @@ class ExhaustiveCompression(CompressionStrategy):
         best_score = self._score(compiler, lowered, pairs)
         while len(pairs) < limit and evaluations < self.max_evaluations:
             paired = {q for pair in pairs for q in pair}
-            groups = self._candidate_groups(circuit, paired)
+            groups = self._candidate_groups(lowered.num_qubits, paired, critical, weights)
             chosen: tuple[int, int] | None = None
             chosen_score = best_score
             for group in groups:
@@ -91,15 +95,16 @@ class ExhaustiveCompression(CompressionStrategy):
         return self.metric(compiled)
 
     def _candidate_groups(
-        self, circuit: QuantumCircuit, paired: set[int]
+        self,
+        num_qubits: int,
+        paired: set[int],
+        critical_qubits: set[int],
+        weights: dict[tuple[int, int], float],
     ) -> list[list[tuple[int, int]]]:
-        available = [q for q in range(circuit.num_qubits) if q not in paired]
+        available = [q for q in range(num_qubits) if q not in paired]
         all_pairs = [tuple(sorted(pair)) for pair in combinations(available, 2)]
         if self.selection == "any":
             return [all_pairs]
-        dag = CircuitDAG(circuit)
-        critical_qubits = dag.critical_path_qubits()
-        weights = interaction_weights(circuit)
 
         def interacts_with_critical(qubit: int) -> bool:
             return any(
@@ -117,3 +122,35 @@ class ExhaustiveCompression(CompressionStrategy):
             else:
                 remaining.append((a, b))
         return [on_path, touching, remaining]
+
+
+def _critical_path_qubits(circuit: QuantumCircuit) -> set[int]:
+    """Qubits of every gate on one longest dependency chain of ``circuit``.
+
+    A gate depends on the previous gate on each of its qubits and classical
+    bits.  The ASAP layering follows the same dependencies, so a gate's
+    timestep is the longest chain ending at it; one reverse pass gives each
+    gate its successors and its longest chain to the end.  The walk starts at
+    the lowest-index gate heading a longest chain and steps to the
+    lowest-index successor that stays on one.
+    """
+    if len(circuit) == 0:
+        return set()
+    steps = circuit.gate_timesteps()
+    total = circuit.depth()
+    successors: list[set[int]] = [set() for _ in circuit]
+    remaining = [0] * len(circuit)
+    next_on: dict[tuple[str, int], int] = {}  # qubit or bit -> next gate on it
+    for index in range(len(circuit) - 1, -1, -1):
+        gate = circuit[index]
+        wires = [("q", q) for q in gate.qubits] + [("c", b) for b in gate.clbits_touched]
+        successors[index] = {next_on[w] for w in wires if w in next_on}
+        remaining[index] = 1 + max((remaining[s] for s in successors[index]), default=0)
+        next_on.update((w, index) for w in wires)
+    current = min(i for i, steps_to_end in enumerate(remaining)
+                  if steps[i] == 1 and steps_to_end == total)
+    qubits = set(circuit[current].qubits)
+    while successors[current]:
+        current = min(s for s in successors[current] if steps[current] + remaining[s] == total)
+        qubits.update(circuit[current].qubits)
+    return qubits

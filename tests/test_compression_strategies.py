@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.arch import Device
 from repro.circuits import QuantumCircuit, decompose_to_basis
+from repro.compiler import QompressCompiler
 from repro.compression import (
     AverageWeightPerEdge,
     ExhaustiveCompression,
@@ -25,6 +26,8 @@ from repro.compression.base import (
     interaction_adjacency,
     simultaneity_counts,
 )
+from repro.compression.exhaustive import _critical_path_qubits
+from repro.runner import DeviceSpec
 from repro.workloads import bernstein_vazirani, build_benchmark, cuccaro_adder, generalized_toffoli
 from tests.conftest import make_random_circuit
 
@@ -175,7 +178,6 @@ class TestProgressivePairing:
 
 class TestExhaustive:
     def test_pairs_improve_gate_eps(self):
-        from repro.compiler import QompressCompiler
         from repro.metrics import evaluate_eps
 
         circuit = decompose_to_basis(generalized_toffoli(7))
@@ -209,6 +211,55 @@ class TestExhaustive:
         strategy = ExhaustiveCompression(max_evaluations=3)
         plan = strategy.plan(circuit, _device_for(circuit))
         _assert_valid_pairs(plan, circuit)
+
+    def test_candidates_come_from_the_lowered_circuit(self):
+        # The raw circuit's critical path differs from the lowered one's,
+        # and the lowered circuit is the one every candidate compile scores.
+        circuit = (QuantumCircuit(7).cx(0, 3).cx(6, 2).cx(3, 0).h(1).h(0)
+                   .cx(6, 0).cx(2, 5).ccx(4, 2, 1))
+        device = DeviceSpec(kind="grid").build(7)
+        raw = ExhaustiveCompression().plan(circuit, device)
+        lowered = ExhaustiveCompression().plan(decompose_to_basis(circuit), device)
+        compiled = QompressCompiler(device, ExhaustiveCompression()).compile(circuit)
+        assert raw.pairs == lowered.pairs == compiled.compressed_pairs == ((0, 1), (2, 5))
+
+
+class TestCriticalPathQubits:
+    def test_critical_path_qubits(self):
+        # The chain is gates 0, 1, 2; x(0) hangs off its first gate.
+        circuit = QuantumCircuit(4).cx(0, 1).cx(1, 2).cx(2, 3).x(0)
+        assert _critical_path_qubits(circuit) == {0, 1, 2, 3}
+
+    def test_critical_path_nodes_form_a_chain(self):
+        # cx(0, 4) branches off the chain's first gate, so qubit 4 is not on it.
+        circuit = QuantumCircuit(5).cx(0, 1).cx(1, 2).cx(2, 3).cx(0, 4)
+        assert _critical_path_qubits(circuit) == {0, 1, 2, 3}
+
+    def test_empty_circuit(self):
+        assert _critical_path_qubits(QuantumCircuit(2)) == set()
+
+    def test_the_longest_chain_wins(self):
+        circuit = QuantumCircuit(3)
+        for _ in range(4):
+            circuit.cx(0, 1)
+        circuit.x(2)
+        assert _critical_path_qubits(circuit) == {0, 1}
+
+    def test_a_chain_crosses_a_two_qubit_gate(self):
+        circuit = QuantumCircuit(3).x(0).cx(0, 1).h(1).x(2)
+        assert _critical_path_qubits(circuit) == {0, 1}
+
+    def test_a_tie_goes_to_the_lowest_gate_index(self):
+        assert _critical_path_qubits(QuantumCircuit(2).x(0).x(1)) == {0}
+
+    def test_a_classical_bit_links_a_measurement_to_its_condition(self):
+        circuit = QuantumCircuit(2).measure_mid(0, 0)
+        circuit.add("x", 1, condition=((0,), 1)).x(1)
+        assert _critical_path_qubits(circuit) == {0, 1}
+
+    def test_a_barrier_on_the_chain_counts_as_a_gate(self):
+        circuit = QuantumCircuit(3).h(0).h(0).barrier().x(1)
+        assert _critical_path_qubits(circuit) == {0, 1, 2}
 
 
 class TestSharedHelpers:

@@ -7,6 +7,7 @@ from repro.evaluation import (
     compile_benchmark,
     device_for,
     figure3_state_evolution,
+    figure4_exhaustive,
     figure8_gate_distribution,
     format_table,
     results_to_rows,
@@ -69,6 +70,16 @@ class TestTableAndFigureDrivers:
         assert set(traces) == {"cx2", "cx0q"}
         assert traces["cx2"]["populations"].shape == (11, 4)
         assert traces["cx0q"]["populations"].shape == (11, 8)
+
+    def test_figure4_pairs_and_gate_eps(self):
+        # qaoa_cylinder-12, max_pairs=4: both EC selection modes, pinned.
+        cells = figure4_exhaustive()
+        assert set(cells) == {"qubit_only", "critical", "any"}
+        assert cells["qubit_only"]["pairs"] == ()
+        assert cells["critical"]["pairs"] == ((3, 5), (4, 9), (6, 7), (10, 11))
+        assert cells["critical"]["report"].gate_eps == 0.6375753692458478
+        assert cells["any"]["pairs"] == ((1, 2), (3, 5), (4, 9), (10, 11))
+        assert cells["any"]["report"].gate_eps == 0.6427281374572984
 
     def test_strategy_sweep_shape(self):
         results = strategy_sweep(
