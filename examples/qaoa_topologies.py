@@ -7,7 +7,7 @@ and reports how the ququart compression advantage holds up on each.
 Run with:  python examples/qaoa_topologies.py
 """
 
-from repro.evaluation import device_for, format_table, run_strategies
+from repro.evaluation import format_table, run_strategies
 
 BENCHMARKS = ("qaoa_cylinder", "qaoa_torus")
 SIZES = (12, 20)
@@ -19,9 +19,8 @@ def main() -> None:
     for benchmark in BENCHMARKS:
         for size in SIZES:
             for topology in TOPOLOGIES:
-                device = device_for(topology, size)
                 results = run_strategies(
-                    benchmark, size, strategies=("qubit_only", "eqm"), device=device
+                    benchmark, size, strategies=("qubit_only", "eqm"), device_kind=topology
                 )
                 baseline = results["qubit_only"].report
                 compressed = results["eqm"].report

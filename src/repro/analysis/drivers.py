@@ -24,7 +24,7 @@ from repro.analysis.report import AnalysisReport, Finding
 from repro.circuits.qasm import parse_qasm
 from repro.compiler.pipeline import QompressCompiler
 from repro.compression.registry import get_strategy
-from repro.runner.records import DeviceSpec
+from repro.runner.records import make_device
 from repro.workloads.names import BENCHMARK_NAMES
 from repro.workloads.registry import MINIMUM_SIZES, build_benchmark
 
@@ -32,11 +32,6 @@ from repro.workloads.registry import MINIMUM_SIZES, build_benchmark
 CANONICAL_STRATEGIES: tuple[str, ...] = (
     "qubit_only", "fq", "eqm", "rb", "awe", "pp", "ec",
 )
-
-
-def _build_device(device_kind: str, num_qubits: int):
-    """Materialise a device the same way the runner's DeviceSpec does."""
-    return DeviceSpec(kind=device_kind).build(num_qubits)
 
 
 def _verify_circuit(circuit, device, strategy_name: str,
@@ -84,7 +79,7 @@ def lint_workloads(
         circuit = build_benchmark(name, size, seed=seed)
         # Graph benchmarks may round the size up (e.g. binary welded trees
         # grow to whole tree levels): size the device to the real circuit.
-        device = _build_device(device_kind, max(size, circuit.num_qubits))
+        device = make_device(device_kind, max(size, circuit.num_qubits))
         for strategy in chosen:
             report = _verify_circuit(circuit, device, strategy, compiler_kwargs)
             cells.append({
@@ -107,7 +102,7 @@ def lint_qasm(
     circuit = parse_qasm(path.read_text())
     if circuit.name == "qasm":
         circuit.name = path.stem
-    device = _build_device(device_kind, circuit.num_qubits)
+    device = make_device(device_kind, circuit.num_qubits)
     chosen = tuple(strategies) if strategies else CANONICAL_STRATEGIES
     cells: list[dict] = []
     for strategy in chosen:

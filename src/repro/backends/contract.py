@@ -208,14 +208,17 @@ class ExecutionBackend:
 
         Compiles a :meth:`source_circuit` copy through :meth:`compile`,
         evaluates the analytic EPS once and memoises the result per point.
+        The device is sized for the circuit the point builds, which some
+        graph benchmarks round up from the point's size.
         """
         result = self.compiles.get(point)
         if result is None:
             kwargs = dict(point.compiler_kwargs)
             kwargs.update(self.compiler_overrides)
+            circuit = self.source_circuit(point)
             compiled = self.compile(
-                self.source_circuit(point),
-                point.device.build(point.num_qubits),
+                circuit,
+                point.device.build(max(point.num_qubits, circuit.num_qubits)),
                 get_strategy(point.strategy, **dict(point.strategy_kwargs)),
                 compiler_kwargs=kwargs,
             )

@@ -37,11 +37,9 @@ class QuantumCircuit:
         # Pure serialisation metadata (QASM register names); never part of
         # circuit equality.
         self._cregs: list[tuple[str, int]] = []
-        # Derived caches, never pickled or compared and dropped by every
-        # write to the gate list (:meth:`_put`): the ASAP layering (see
-        # :meth:`moments`) and the :meth:`derived` memo its copies share.
-        # Circuits unpickled from older blobs simply lack the attributes.
-        self._layers: tuple[tuple[int, ...], ...] | None = None
+        # The :meth:`derived` memo its copies share, never pickled or
+        # compared and dropped by every write to the gate list (:meth:`_put`).
+        # Circuits unpickled from older blobs simply lack the attribute.
         self._derived: dict[str, object] | None = None
 
     # ------------------------------------------------------------------
@@ -67,9 +65,8 @@ class QuantumCircuit:
         return self.num_qubits == other.num_qubits and self._gates == other._gates
 
     def __getstate__(self) -> dict:
-        """Pickle every field but the derived caches."""
+        """Pickle every field but the derived memo."""
         state = dict(self.__dict__)
-        state.pop("_layers", None)
         state.pop("_derived", None)
         return state
 
@@ -94,12 +91,11 @@ class QuantumCircuit:
 
     def _put(self, gate: Gate, index: int | None = None) -> None:
         """Append ``gate``, or replace the gate at ``index``: the one writer of
-        the gate list, so every mutation drops the derived caches."""
+        the gate list, so every mutation drops the derived memo."""
         if index is None:
             self._gates.append(gate)
         else:
             self._gates[index] = gate
-        self._layers = None
         self._derived = None
 
     def derived(self, name: str, builder):
@@ -107,9 +103,10 @@ class QuantumCircuit:
 
         ``builder()`` runs on the first query of ``name`` since the last
         mutation; copies of this gate list share the memo, so a value built
-        on one serves them all (:mod:`repro.circuits.decompose` keeps the
-        basis lowering here, :mod:`repro.compiler.weights` the interaction
-        weights).  Callers must treat the returned value as read-only.
+        on one serves them all (:meth:`moments` keeps the ASAP layering
+        here, :mod:`repro.circuits.decompose` the basis lowering,
+        :mod:`repro.compiler.weights` the interaction weights).  Callers
+        must treat the returned value as read-only.
         """
         memo = self._shared_derived()
         if name not in memo:
@@ -247,7 +244,7 @@ class QuantumCircuit:
         the range is checked before any is replaced, so a gate that cannot
         take the condition leaves the circuit unchanged.
         """
-        self._layers = None
+        self._derived = None
         conditioned: list[tuple[int, Gate]] = []
         for index in range(start_index, len(self._gates)):
             gate = self._gates[index]
@@ -328,11 +325,8 @@ class QuantumCircuit:
         return steps
 
     def _layering(self) -> tuple[tuple[int, ...], ...]:
-        """The cached ASAP layering, built on first use after a mutation."""
-        layers = getattr(self, "_layers", None)
-        if layers is None:
-            layers = self._layers = self._asap_layers()
-        return layers
+        """The ASAP layering, built on first use after a mutation."""
+        return self.derived("layers", self._asap_layers)
 
     def _asap_layers(self) -> tuple[tuple[int, ...], ...]:
         """One greedy ASAP pass over the gate list (see :meth:`moments`)."""

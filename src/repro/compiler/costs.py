@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 
 from repro.arch.device import Device
 from repro.arch.interaction_graph import Slot
-from repro.gates.library import gate_spec
 from repro.gates.resolution import UnitMode, resolve_cx, resolve_single_qubit, resolve_swap
 
 
@@ -227,8 +225,3 @@ class CostModel:
         self._searches[source] = (distances, previous)
         return distances, previous
 
-
-@lru_cache(maxsize=None)
-def gate_is_two_qudit(gate_name: str) -> bool:
-    """Cached check whether a physical gate spans two units."""
-    return gate_spec(gate_name).style.is_two_qudit

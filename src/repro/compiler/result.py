@@ -239,10 +239,6 @@ class CompiledCircuit:
         """Number of operations inserted purely for routing."""
         return sum(1 for op in self.ops if op.is_communication)
 
-    def two_qudit_op_count(self) -> int:
-        """Number of operations spanning two physical units."""
-        return sum(1 for op in self.ops if op.style.is_two_qudit)
-
     # ------------------------------------------------------------------
     # flat schedules (cached; compiled circuits are immutable post-compile)
     # ------------------------------------------------------------------

@@ -17,13 +17,17 @@ Function                     Paper artefact
 ``validate_eps``             analytic EPS vs Monte Carlo noise simulation
 ``cross_backend_check``      EPS agreement across execution backends
 ===========================  =================================================
+
+Every registry benchmark compiles through :mod:`repro.runner`
+(``compile_benchmark`` and ``run_strategies`` build sweep points and run
+them with ``execute_plan``); ``compile_circuit`` is the inline path for a
+live circuit or a hand-built device.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    ".sweep": ("DEFAULT_STRATEGIES", "StrategyResult", "compile_benchmark", "compile_circuit",
-               "device_for", "run_strategies"),
+    ".sweep": ("DEFAULT_STRATEGIES", "compile_benchmark", "compile_circuit", "run_strategies"),
     ".experiments": ("figure3_state_evolution", "figure4_exhaustive", "figure8_gate_distribution",
                      "figure9_qubit_error_sweep", "figure11_t1_improvement",
                      "figure12_t1_ratio_sweep", "figure13_topologies", "strategy_sweep",

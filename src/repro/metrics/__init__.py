@@ -14,5 +14,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
     ".eps": ("EPSReport", "coherence_eps", "evaluate_eps", "gate_eps", "total_eps"),
-    ".histograms": ("FIGURE8_CATEGORIES", "gate_style_histogram", "grouped_histogram"),
+    ".histograms": ("FIGURE8_CATEGORIES", "grouped_histogram"),
 })

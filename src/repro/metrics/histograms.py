@@ -8,8 +8,6 @@ and the corresponding SWAP families.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.compiler.result import CompiledCircuit
 from repro.gates.styles import GateStyle
 
@@ -28,11 +26,6 @@ FIGURE8_CATEGORIES: tuple[tuple[str, tuple[GateStyle, ...]], ...] = (
     ("full ququart SWAP", (GateStyle.FULL_QUQUART_SWAP,)),
     ("encode/decode", (GateStyle.ENCODE, GateStyle.DECODE)),
 )
-
-
-def gate_style_histogram(compiled: CompiledCircuit) -> Counter:
-    """Raw histogram of :class:`GateStyle` values."""
-    return compiled.style_counts()
 
 
 def grouped_histogram(compiled: CompiledCircuit) -> dict[str, int]:

@@ -22,7 +22,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
                    "GateDurationTable"),
     ".hamiltonian": ("TransmonParams", "TransmonSystem"),
     ".optimizer": ("PulseOptimizer", "PulseResult"),
-    ".calibration": ("calibrate_gate", "calibrate_gates", "durations_from_pulse_results"),
+    ".calibration": ("calibrate_gate", "durations_from_pulse_results"),
     ".unitaries": ("embed_operator", "encode_unitary", "internal_cx_unitary", "partial_cx_unitary",
                    "partial_swap_unitary", "qubit_gate", "target_unitary"),
 })

@@ -99,13 +99,3 @@ def calibrate_gate(
         max_duration_ns=max_duration_ns,
     )
     return result
-
-
-def calibrate_gates(
-    gate_names: Iterable[str],
-    base_table: GateDurationTable | None = None,
-    **calibration_kwargs,
-) -> GateDurationTable:
-    """Calibrate several gates and return the resulting duration table."""
-    results = [calibrate_gate(name, **calibration_kwargs) for name in gate_names]
-    return durations_from_pulse_results(results, base_table=base_table)

@@ -143,7 +143,7 @@ class TestApplyCondition:
         with pytest.raises(ValueError, match="barrier cannot be classically conditioned"):
             circuit.apply_condition(0, ((0,), 1))
         assert circuit.gates == before
-        assert circuit._layers is None
+        assert circuit._derived is None
         assert circuit.depth() == 3
 
     def test_differently_conditioned_gate_leaves_circuit_unchanged(self):
@@ -155,7 +155,7 @@ class TestApplyCondition:
         with pytest.raises(ValueError, match="already conditioned on different bits"):
             circuit.apply_condition(0, ((0,), 1))
         assert circuit.gates == before
-        assert circuit._layers is None
+        assert circuit._derived is None
 
 
 def uncached_moments(circuit: QuantumCircuit) -> list[list[int]]:
@@ -242,20 +242,20 @@ class TestLayeringCache:
         analysed = _legacy_circuit()
         fresh = _legacy_circuit()
         analysed.moments()
-        assert analysed._layers is not None
+        assert "layers" in analysed._derived
         for protocol in (2, 4, pickle.HIGHEST_PROTOCOL):
             assert pickle.dumps(analysed, protocol) == pickle.dumps(fresh, protocol)
 
-    def test_cache_never_enters_equality_or_copies(self):
+    def test_cache_never_enters_equality_and_copies_share_it(self):
         analysed = _legacy_circuit()
         analysed.depth()
         assert analysed == _legacy_circuit()
-        assert analysed.copy()._layers is None
-        assert "_layers" not in vars(pickle.loads(pickle.dumps(analysed)))
+        assert analysed.copy()._layering() is analysed._layering()
+        assert "_derived" not in vars(pickle.loads(pickle.dumps(analysed)))
 
     def test_circuit_from_legacy_pickle_lays_out(self):
         restored = pickle.loads(LEGACY_PICKLE)
-        assert "_layers" not in vars(restored)
+        assert "_derived" not in vars(restored)
         assert restored == _legacy_circuit()
         assert restored.moments() == [[0], [1], [2], [3], [4, 5], [6], [7]]
         assert restored.depth() == 7

@@ -6,8 +6,8 @@ from repro.arch import Device, heavy_hex_topology, linear_topology, ring_topolog
 from repro.circuits import QuantumCircuit
 from repro.compiler import QompressCompiler
 from repro.compression import FullQuquart, get_strategy
-from repro.evaluation import device_for
 from repro.metrics import evaluate_eps
+from repro.runner import make_device
 from repro.workloads import build_benchmark
 from tests.conftest import make_random_circuit
 
@@ -71,7 +71,7 @@ class TestDeviceFamilies:
 
     def test_low_connectivity_needs_more_communication(self):
         circuit = build_benchmark("qaoa_random", 16, seed=2)
-        grid = QompressCompiler(device_for("grid", 16), get_strategy("qubit_only")).compile(circuit)
+        grid = QompressCompiler(make_device("grid", 16), get_strategy("qubit_only")).compile(circuit)
         ring = QompressCompiler(
             Device(topology=ring_topology(16)), get_strategy("qubit_only")
         ).compile(circuit)

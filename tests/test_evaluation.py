@@ -5,7 +5,7 @@ import pytest
 from repro.evaluation import (
     DEFAULT_STRATEGIES,
     compile_benchmark,
-    device_for,
+    compile_circuit,
     figure3_state_evolution,
     figure4_exhaustive,
     figure8_gate_distribution,
@@ -17,25 +17,30 @@ from repro.evaluation import (
     table1_durations,
 )
 from repro.evaluation.reporting import SWEEP_HEADERS
+from repro.runner import CompileCache, make_device
+from repro.store import ArtifactStore
+from repro.workloads import build_benchmark
 
 
 class TestDeviceFor:
+    """Device kinds as :func:`repro.runner.make_device` builds them."""
+
     def test_grid_sized_to_circuit(self):
-        device = device_for("grid", 12)
+        device = make_device("grid", 12)
         assert device.num_units >= 12
 
     def test_heavy_hex_and_ring_are_65_units(self):
-        assert device_for("heavy_hex", 10).num_units == 65
-        assert device_for("ring", 10).num_units == 65
+        assert make_device("heavy_hex", 10).num_units == 65
+        assert make_device("ring", 10).num_units == 65
 
     def test_t1_adjustments(self):
-        device = device_for("grid", 9, t1_scale=10.0, ququart_t1_ratio=0.5)
+        device = make_device("grid", 9, t1_scale=10.0, ququart_t1_ratio=0.5)
         assert device.qubit_t1_us == pytest.approx(1635.0)
         assert device.ququart_t1_us == pytest.approx(817.5)
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
-            device_for("torus", 10)
+            make_device("torus", 10)
 
 
 class TestSweepPlumbing:
@@ -46,10 +51,24 @@ class TestSweepPlumbing:
         assert 0 < result.report.gate_eps <= 1
         assert result.compiled.num_logical_qubits == 8
 
-    def test_run_strategies_shares_device(self):
-        results = run_strategies("cnu", 9, strategies=("qubit_only", "eqm"))
-        assert set(results) == {"qubit_only", "eqm"}
-        assert results["qubit_only"].compiled.device is results["eqm"].compiled.device
+    @pytest.mark.parametrize("name,size", [("cnu", 9), ("cuccaro", 10)])
+    @pytest.mark.parametrize("mode", ["serial", "workers", "cached"])
+    def test_run_strategies_matches_compile_circuit(self, name, size, mode, tmp_path):
+        strategies = ("qubit_only", "eqm", "rb")
+        if mode == "cached":
+            cache = CompileCache.from_store(ArtifactStore(tmp_path))
+            run_strategies(name, size, strategies, cache=cache)
+            results = run_strategies(name, size, strategies, cache=cache)
+            assert cache.stats.hits == len(strategies)
+        else:
+            workers = 2 if mode == "workers" else 1
+            results = run_strategies(name, size, strategies, workers=workers)
+        assert list(results) == list(strategies)
+        for strategy, result in results.items():
+            inline = compile_circuit(
+                build_benchmark(name, size), strategy, make_device("grid", size)
+            )
+            assert result.report == inline.report
 
     def test_default_strategy_list(self):
         assert "qubit_only" in DEFAULT_STRATEGIES

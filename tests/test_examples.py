@@ -78,6 +78,17 @@ class TestExamples:
         output = capsys.readouterr().out
         assert "correctly" in output
 
+    def test_qaoa_topologies_runs(self, capsys, monkeypatch):
+        module = _load_example("qaoa_topologies")
+        monkeypatch.setattr(module, "SIZES", (12,))
+        module.main()
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("qaoa_")]
+        assert {(row[0], row[2]) for row in rows} == {
+            (benchmark, topology)
+            for benchmark in module.BENCHMARKS for topology in module.TOPOLOGIES
+        }
+
     @pytest.mark.parametrize("name,symbol", [
         ("qaoa_topologies", "main"),
         ("t1_crossover", "main"),

@@ -9,14 +9,15 @@ appear.  Absolute numbers are implementation-specific and are not asserted.
 import pytest
 
 from repro.evaluation import (
-    compile_benchmark,
-    device_for,
+    compile_circuit,
     figure9_qubit_error_sweep,
     figure11_t1_improvement,
     figure12_t1_ratio_sweep,
     figure13_topologies,
     run_strategies,
 )
+from repro.runner import make_device
+from repro.workloads import build_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +142,7 @@ class TestSensitivityClaims:
 class TestCapacityClaim:
     def test_circuit_twice_the_device_size_compiles(self):
         # "up to 2x increased qubit capacity": 18 logical qubits on a 9-unit grid.
-        device = device_for("grid", 9)
-        result = compile_benchmark("cuccaro", 18, "eqm", device=device)
+        result = compile_circuit(build_benchmark("cuccaro", 18), "eqm", make_device("grid", 9))
         assert result.compiled.num_logical_qubits == 18
         assert len(result.compiled.ququart_units) == 9
         assert result.report.gate_eps > 0.0
@@ -150,6 +150,5 @@ class TestCapacityClaim:
     def test_qubit_only_cannot_fit_oversized_circuit(self):
         from repro.compiler.mapping import MappingError
 
-        device = device_for("grid", 9)
         with pytest.raises(MappingError):
-            compile_benchmark("cuccaro", 18, "qubit_only", device=device)
+            compile_circuit(build_benchmark("cuccaro", 18), "qubit_only", make_device("grid", 9))

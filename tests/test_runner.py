@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.store import ArtifactStore
-from repro.evaluation import run_strategies, strategy_sweep
+from repro.evaluation import strategy_sweep
 from repro.evaluation.reporting import results_to_rows
 from repro.runner import (
     CompileCache,
@@ -65,6 +65,13 @@ class TestDeviceSpec:
         # the spec builds the circuit-sized grid directly.
         assert DeviceSpec(kind="grid").build(12).num_units == 12
         assert make_device("grid", 12).num_units == 12
+
+    @pytest.mark.parametrize("strategy", ["qubit_only", "eqm"])
+    def test_point_device_is_sized_for_the_circuit_it_builds(self, strategy):
+        # qaoa_bwt rounds 4 qubits up to a whole 6-qubit welded tree.
+        result = execute_plan(SweepPlan.single("qaoa_bwt", 4, strategy))[0]
+        assert result.compiled.num_logical_qubits == 6
+        assert result.compiled.device.name == "grid-3x2"
 
     def test_t1_knobs(self):
         device = DeviceSpec(kind="grid", t1_scale=10.0, ququart_t1_ratio=0.5).build(9)
@@ -278,16 +285,6 @@ class TestParallelExecutor:
 
 
 class TestEvaluationIntegration:
-    def test_run_strategies_engine_matches_legacy(self, tmp_path):
-        legacy = run_strategies("cnu", 9, strategies=("qubit_only", "eqm"))
-        engine = run_strategies(
-            "cnu", 9, strategies=("qubit_only", "eqm"),
-            cache=CompileCache.from_store(ArtifactStore(tmp_path)),
-        )
-        assert {name: r.report for name, r in legacy.items()} == {
-            name: r.report for name, r in engine.items()
-        }
-
     def test_strategy_sweep_parallel_rows_byte_identical(self):
         kwargs = {"benchmarks": ("bv",), "sizes": (6, 8),
                   "strategies": ("qubit_only", "eqm")}
