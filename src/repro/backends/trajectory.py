@@ -4,14 +4,15 @@ This is a straight port of the pre-registry execution path — the compile
 pipeline (:class:`~repro.compiler.pipeline.QompressCompiler`, scored by
 the contract's ``compile_point``) and the vectorised :class:`~repro.noise.trajectory.TrajectoryEngine` — so
 the golden bit-equality guarantees (``run`` vs ``run_reference``, serial vs
-parallel, cached vs fresh) are untouched.  Shot chunks build their engines
-from the backend's compile memo, which
-:func:`repro.noise.points.prime_compiled` writes into.
+parallel, cached vs fresh) are untouched.  ``execute`` keeps one engine
+per noise spec on the compiled circuit
+(:meth:`~repro.compiler.result.CompiledCircuit.cached_schedule`), so the
+shot chunks of one compile build it once.
 """
 
 from __future__ import annotations
 
-from repro.backends.contract import ExecutionBackend, LRUMemo, ensure_noisy_result
+from repro.backends.contract import ExecutionBackend
 from repro.compiler.pipeline import QompressCompiler
 from repro.compiler.result import CompiledCircuit
 from repro.noise.result import NoisyResult
@@ -24,33 +25,16 @@ class TrajectoryBackend(ExecutionBackend):
     name = "trajectory"
     supports_track_state = True
 
-    #: Trajectory engines kept per process; shot chunks arrive grouped by
-    #: cell, so a few suffice.
-    ENGINE_CAPACITY = 16
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: Engines by (compile memo key, noise spec, track_state).
-        self.engines = LRUMemo(self.ENGINE_CAPACITY)
-
     def compile(self, circuit, device, strategy, compiler_kwargs: dict | None = None,
                 ) -> CompiledCircuit:
         """Compile through the Qompress pipeline."""
         return QompressCompiler(device, strategy, **(compiler_kwargs or {})).compile(circuit)
 
-    def run_noise_point(self, point) -> NoisyResult:
-        """Shot-chunk worker body, via the per-process engine memo.
-
-        Stands in for the base implementation (this backend has no
-        ``execute``) so that a thousand chunks of one circuit build the
-        engine (op probabilities, idle channels) once per process, from
-        the compile memo.
-        """
-        key = (point.compile_point, point.noise, point.track_state)
-        engine = self.engines.get(key)
-        if engine is None:
-            compiled = self.compile_point(point.compile_point).compiled
-            engine = TrajectoryEngine(compiled, point.noise, track_state=point.track_state)
-            self.engines.put(key, engine)
-        result = engine.run(point.shots, point.seed, base_shot=point.base_shot)
-        return ensure_noisy_result(result, self.name)
+    def execute(self, compiled: CompiledCircuit, shots: int, seed: int, *,
+                noise, base_shot: int = 0, track_state: bool = False) -> NoisyResult:
+        """Run ``shots`` trajectories on the engine ``compiled`` keeps for ``noise``."""
+        engine = compiled.cached_schedule(
+            ("trajectory-engine", noise, track_state),
+            lambda: TrajectoryEngine(compiled, noise, track_state=track_state),
+        )
+        return engine.run(shots, seed, base_shot=base_shot)

@@ -44,7 +44,9 @@ from typing import TYPE_CHECKING
 from repro.compression.names import STRATEGY_CLASSES
 from repro.evaluation.defaults import (
     DEFAULT_CROSSCHECK_BACKENDS,
+    DEFAULT_VALIDATION_BENCHMARKS,
     DEFAULT_VALIDATION_SHOTS,
+    DEFAULT_VALIDATION_SIZES,
     DEFAULT_VALIDATION_STRATEGIES,
 )
 from repro.noise.presets import NOISE_PRESETS
@@ -172,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
              "against Monte Carlo simulation",
     )
     validate_parser.add_argument("--benchmarks", nargs="+", choices=benchmarks,
-                                 default=None, help="(default: bv ghz qft)")
+                                 default=None,
+                                 help=f"(default: {' '.join(DEFAULT_VALIDATION_BENCHMARKS)})")
     validate_parser.add_argument("--sizes", nargs="+", type=int, default=None,
-                                 help="(default: 4 6)")
+                                 help=f"(default: {' '.join(map(str, DEFAULT_VALIDATION_SIZES))})")
     validate_parser.add_argument("--strategies", nargs="+", choices=strategies,
                                  default=None,
                                  help=f"(default: {' '.join(DEFAULT_VALIDATION_STRATEGIES)})")
@@ -502,8 +505,7 @@ def _run_lint(args: argparse.Namespace) -> int:
 def _run_simulate(args: argparse.Namespace) -> int:
     from repro.evaluation.reporting import format_table
     from repro.noise.model import NoiseSpec
-    from repro.noise.points import prime_compiled, simulate_point
-    from repro.runner.executor import execute_plan
+    from repro.noise.points import simulate_plan
     from repro.runner.plan import SweepPlan
     from repro.simulation.verify import VerificationError
 
@@ -518,19 +520,17 @@ def _run_simulate(args: argparse.Namespace) -> int:
         return point
     cache = _cache_from_args(args)
     noise = NoiseSpec.from_preset(args.noise)
-    compiled_result = execute_plan(SweepPlan((point,)), cache=cache)[0]
-    prime_compiled(point, compiled_result)
-    model = noise.build(compiled_result.compiled.device)
-    analytic = model.analytic_total_eps(compiled_result.compiled)
     try:
-        noisy = simulate_point(
-            point, noise, args.shots, seed=args.seed,
+        compiled_result, noisy = simulate_plan(
+            SweepPlan((point,)), noise, args.shots, seed=args.seed,
             track_state=args.track_state, workers=args.workers, cache=cache,
-        )
+        )[0]
     except VerificationError as error:
         print(f"error: cannot track the state of this circuit: {error}",
               file=sys.stderr)
         return 2
+    model = noise.build(compiled_result.compiled.device)
+    analytic = model.analytic_total_eps(compiled_result.compiled)
     low, high = noisy.confidence_interval()
     rows = [
         ["circuit", compiled_result.compiled.circuit_name],
@@ -587,8 +587,8 @@ def _run_validate_eps(args: argparse.Namespace) -> int:
         strategies = _SMOKE_VALIDATION["strategies"]
         shots = _SMOKE_VALIDATION["shots"]
     else:
-        benchmarks = tuple(args.benchmarks or ("bv", "ghz", "qft"))
-        sizes = tuple(args.sizes or (4, 6))
+        benchmarks = tuple(args.benchmarks or DEFAULT_VALIDATION_BENCHMARKS)
+        sizes = tuple(args.sizes or DEFAULT_VALIDATION_SIZES)
         strategies = tuple(args.strategies or DEFAULT_VALIDATION_STRATEGIES)
         shots = args.shots if args.shots is not None else DEFAULT_VALIDATION_SHOTS
     rows = validate_eps(

@@ -11,7 +11,8 @@ A cell *validates* when the confidence interval brackets the analytic value
 or the simulated estimate lands within ``rel_tolerance`` (default 10%)
 relative of it.
 
-Everything — compiles and shot chunks alike — is dispatched as one
+The cells run through :func:`~repro.noise.points.simulate_plan`, which
+dispatches compiles and shot chunks alike as one
 :class:`~repro.runner.SweepPlan` per stage through the shared executor, so
 ``workers`` parallelises across every cell's shot batches at once and a
 ``cache`` reuses both compiled circuits and simulated chunks across runs.
@@ -29,10 +30,9 @@ from repro.evaluation.defaults import (
     DEFAULT_VALIDATION_STRATEGIES,
 )
 from repro.noise.model import NoiseSpec
-from repro.noise.points import DEFAULT_CHUNK_SIZE, prime_compiled, shot_plan
+from repro.noise.points import DEFAULT_CHUNK_SIZE, simulate_plan
 from repro.noise.result import NoisyResult
 from repro.runner.cache import CompileCache
-from repro.runner.executor import execute_plan
 from repro.runner.plan import SweepPlan
 from repro.runner.records import DeviceSpec
 
@@ -190,25 +190,12 @@ def validate_eps(
         benchmarks, sizes, strategies, device=DeviceSpec(kind=device_kind), seed=seed,
         compiler_kwargs=compiler_kwargs, backend=backend,
     )
-    compiled_results = execute_plan(compile_plan, workers=workers, cache=cache)
-    for point, result in zip(compile_plan, compiled_results):
-        prime_compiled(point, result)
-
-    # one combined shot plan across every cell: workers fan out over the
-    # whole product of (cell x chunk), not one cell at a time
-    cell_plans = [
-        shot_plan(point, noise, shots, seed=seed, chunk_size=chunk_size,
-                  track_state=track_state)
-        for point in compile_plan
-    ]
-    combined = SweepPlan(tuple(p for plan in cell_plans for p in plan))
-    chunks = execute_plan(combined, workers=workers, cache=cache)
-
+    simulated = simulate_plan(
+        compile_plan, noise, shots, seed=seed, chunk_size=chunk_size,
+        track_state=track_state, workers=workers, cache=cache,
+    )
     rows: list[ValidationRow] = []
-    offset = 0
-    for point, compiled_result, cell_plan in zip(compile_plan, compiled_results, cell_plans):
-        cell_chunks = chunks[offset:offset + len(cell_plan)]
-        offset += len(cell_plan)
+    for point, (compiled_result, result) in zip(compile_plan, simulated):
         model = noise.build(compiled_result.compiled.device)
         rows.append(
             ValidationRow(
@@ -216,7 +203,7 @@ def validate_eps(
                 num_qubits=point.num_qubits,
                 strategy=point.strategy,
                 analytic_eps=model.analytic_total_eps(compiled_result.compiled),
-                result=NoisyResult.from_chunks(cell_chunks, seed),
+                result=result,
                 rel_tolerance=rel_tolerance,
             )
         )

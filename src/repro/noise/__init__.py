@@ -50,6 +50,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
                     "simulate_noisy"),
     ".density": ("MAX_REFERENCE_UNITS", "exact_outcome_probability", "reference_density",
                  "trajectory_mean_density"),
-    ".points": ("DEFAULT_CHUNK_SIZE", "NoisePoint", "prime_compiled", "shot_plan",
-                "simulate_point"),
+    ".points": ("DEFAULT_CHUNK_SIZE", "NoisePoint", "shot_plan", "simulate_plan"),
 })

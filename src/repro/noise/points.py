@@ -12,6 +12,9 @@ The compile request itself is carried declaratively (a
 :class:`~repro.runner.SweepPoint`); workers rebuild the compiled circuit on
 first use and keep it in the backend's per-process compile memo, so a
 thousand chunks of the same circuit compile it once per worker.
+:func:`simulate_plan` is the one driver from compile points to merged
+shots: it compiles a plan, puts each result into its backend's compile
+memo, and runs every point's chunks as one combined plan.
 """
 
 from __future__ import annotations
@@ -34,21 +37,6 @@ from repro.runner.records import StrategyResult, SweepPoint
 #: while staying small enough that multi-cell plans load-balance a pool.
 #: Raised from 500 when the event-only path was vectorised (PR 4).
 DEFAULT_CHUNK_SIZE = 4096
-
-
-def prime_compiled(point: SweepPoint, result: StrategyResult) -> None:
-    """Seed the trajectory backend's compile memo with an existing compile.
-
-    Callers that already hold a trajectory point's compile result (fresh,
-    or served from the store) prime it so the point's shot chunks
-    executing in-process reuse it instead of compiling again.  A point the
-    memo already holds is left as it is.
-    """
-    if point.backend != "trajectory":
-        return  # other backends' chunks never read this memo
-    compiles = get_backend("trajectory").compiles
-    if compiles.get(point) is None:
-        compiles.put(point, result)
 
 
 @dataclass(frozen=True)
@@ -111,26 +99,15 @@ def shot_plan(
         raise ValueError("shots must be non-negative")
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    points = []
-    base = 0
-    while base < shots:
-        count = min(chunk_size, shots - base)
-        points.append(
-            NoisePoint(
-                compile_point=compile_point,
-                noise=noise,
-                shots=count,
-                base_shot=base,
-                seed=seed,
-                track_state=track_state,
-            )
-        )
-        base += count
-    return SweepPlan(tuple(points))
+    return SweepPlan(tuple(
+        NoisePoint(compile_point, noise, shots=min(chunk_size, shots - base),
+                   base_shot=base, seed=seed, track_state=track_state)
+        for base in range(0, shots, chunk_size)
+    ))
 
 
-def simulate_point(
-    compile_point: SweepPoint,
+def simulate_plan(
+    plan: SweepPlan,
     noise: NoiseSpec,
     shots: int,
     seed: int = 0,
@@ -138,22 +115,37 @@ def simulate_point(
     track_state: bool = False,
     workers: int = 1,
     cache: CompileCache | None = None,
-) -> NoisyResult:
-    """Simulate one declarative compile point under noise, with fan-out.
+) -> list[tuple[StrategyResult, NoisyResult]]:
+    """Compile every point of ``plan``, then merge its noisy shot chunks.
 
-    Chunks ride the :class:`~repro.runner.ParallelExecutor`; results merge
-    in plan order, so ``workers=1`` and ``workers=N`` (and cache-served
-    re-runs) return bit-identical :class:`NoisyResult` values.
+    Each compile result (fresh or store-served) goes into its backend's
+    compile memo, so in-process chunks never compile again; the chunks of
+    every point run as one plan and merge in plan order, bit-identically
+    at any worker count.  Returns ``(compile result, shots)`` per point.
     """
-    plan = shot_plan(
-        compile_point, noise, shots,
-        seed=seed, chunk_size=chunk_size, track_state=track_state,
+    results = execute_plan(plan, workers=workers, cache=cache)
+    for point, result in zip(plan, results):
+        compiles = get_backend(point.backend).compiles
+        if compiles.get(point) is None:
+            compiles.put(point, result)
+    shot_plans = [
+        shot_plan(point, noise, shots, seed=seed, chunk_size=chunk_size,
+                  track_state=track_state)
+        for point in plan
+    ]
+    chunks = execute_plan(
+        SweepPlan(tuple(chunk for cell in shot_plans for chunk in cell)),
+        workers=workers, cache=cache,
     )
-    chunks = execute_plan(plan, workers=workers, cache=cache)
-    result = NoisyResult.from_chunks(chunks, seed)
-    if not chunks and track_state:
-        # a zero-shot plan has no chunks to vote on trackedness; preserve
-        # the request so the zero-shot outcome estimators raise instead of
-        # answering None ("not a tracked run")
-        result = replace(result, tracked=True)
-    return result
+    pairs = []
+    offset = 0
+    for result, cell in zip(results, shot_plans):
+        merged = NoisyResult.from_chunks(chunks[offset:offset + len(cell)], seed)
+        offset += len(cell)
+        if not cell and track_state:
+            # a zero-shot plan has no chunks to vote on trackedness; preserve
+            # the request so the zero-shot outcome estimators raise instead of
+            # answering None ("not a tracked run")
+            merged = replace(merged, tracked=True)
+        pairs.append((result, merged))
+    return pairs

@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.runner.plan import SweepPlan
 from repro.runner.records import SweepPoint
 from repro.service.queue import JobStatus, SweepService
-from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import ArtifactStore, atomic_write_bytes
 
 #: Bump when the job / status document layout changes incompatibly.
 SPOOL_SCHEMA_VERSION = 1
@@ -55,9 +55,8 @@ def _spool_dirs(root: Path | str) -> tuple[Path, Path, Path]:
 
 
 def _atomic_write_json(path: Path, document: dict) -> None:
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def submit_job(spool: Path | str, plan: SweepPlan, kind: str = "sweep") -> str:

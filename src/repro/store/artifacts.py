@@ -63,7 +63,7 @@ def _is_digest(name: str) -> bool:
     return len(name) == 64 and set(name) <= _HEX64
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Publish ``data`` at ``path`` via same-directory temp file + rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (
@@ -175,7 +175,7 @@ class ArtifactStore:
         digest = hashlib.sha256(data).hexdigest()
         path = self.blob_path(digest)
         if not path.exists():
-            _atomic_write_bytes(path, data)
+            atomic_write_bytes(path, data)
         return digest
 
     def get_blob(self, digest: str) -> bytes | None:
@@ -221,7 +221,7 @@ class ArtifactStore:
             "blob": blob_digest,
             "payload": payload,
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             path, (json.dumps(document, sort_keys=True, indent=2, default=repr) + "\n").encode()
         )
         return path
@@ -295,7 +295,7 @@ class ArtifactStore:
         """Schema-validate and atomically publish one run manifest."""
         validate_manifest(manifest)
         path = self.manifest_path(manifest["manifest_id"])
-        _atomic_write_bytes(
+        atomic_write_bytes(
             path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
         )
         return path

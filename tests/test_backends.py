@@ -29,7 +29,7 @@ from repro.backends import (
 )
 from repro.evaluation import CrossCheckRow, cross_backend_check
 from repro.noise.model import NoiseSpec
-from repro.noise.points import shot_plan, simulate_point
+from repro.noise.points import shot_plan, simulate_plan
 from repro.noise.result import NoisyResult
 from repro.runner import (
     CACHE_DIR_ENV,
@@ -351,7 +351,7 @@ class TestReplayBackend:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         cache = CompileCache.from_store(ArtifactStore(tmp_path))
         execute_plan(SweepPlan((point,)), cache=cache)
-        reference = simulate_point(point, NOISE, 64, seed=3, cache=cache)
+        reference = simulate_plan(SweepPlan((point,)), NOISE, 64, seed=3, cache=cache)[0][1]
 
         replay_chunk = shot_plan(_point("replay"), NOISE, 64, seed=3)[0]
         assert replay_chunk.execute() == dataclasses.replace(reference, seed=3)
@@ -384,16 +384,17 @@ class TestExternalSimBackend:
 
     def test_estimate_agrees_with_trajectory(self):
         kwargs = {"compiler_kwargs": {"merge_single_qubit_gates": False}}
-        reference = simulate_point(_point(**kwargs), NOISE, 800)
-        external = simulate_point(_point("external-sim", **kwargs), NOISE, 800)
+        plan = SweepPlan((_point(**kwargs), _point("external-sim", **kwargs)))
+        (_, reference), (_, external) = simulate_plan(plan, NOISE, 800)
         assert external.shots == reference.shots == 800
         low_a, high_a = reference.confidence_interval()
         low_b, high_b = external.confidence_interval()
         assert low_a <= high_b and low_b <= high_a
 
     def test_chunk_split_is_invariant(self):
-        whole = simulate_point(_point("external-sim"), NOISE, 96)
-        split = simulate_point(_point("external-sim"), NOISE, 96, chunk_size=32)
+        plan = SweepPlan((_point("external-sim"),))
+        whole = simulate_plan(plan, NOISE, 96)[0][1]
+        split = simulate_plan(plan, NOISE, 96, chunk_size=32)[0][1]
         assert whole == split
 
     def test_track_state_refused(self):

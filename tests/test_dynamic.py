@@ -19,10 +19,10 @@ from repro.dynamic import (
     simulate_dynamic,
 )
 from repro.evaluation import cross_backend_check
-from repro.noise import simulate_point
+from repro.noise import simulate_plan
 from repro.noise.model import NoiseSpec
 from repro.noise.trajectory import TrajectoryEngine
-from repro.runner import SweepPoint, make_device
+from repro.runner import SweepPlan, SweepPoint, make_device
 from repro.workloads import build_benchmark, teleport_chain
 
 ZERO_NOISE = NoiseSpec(gate_error_scale=0.0, t1_scale=1e15)
@@ -353,10 +353,10 @@ class TestDynamicChunkInvariance:
                                      HealthCheck.too_slow])
     def test_any_split_matches_the_scalar_whole(self, reference_result, workers,
                                                 chunk_size):
-        split = simulate_point(
-            SweepPoint("teleport", 3, "eqm"), TABLE1, self.SHOTS,
+        split = simulate_plan(
+            SweepPlan((SweepPoint("teleport", 3, "eqm"),)), TABLE1, self.SHOTS,
             seed=self.SEED, chunk_size=chunk_size, workers=workers,
-        )
+        )[0][1]
         assert split == reference_result
 
     @given(boundary=st.integers(0, 60))

@@ -25,7 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_store
+from repro.backends import get_backend
 from repro.compiler.result import DERIVED_CACHES, PACKED_FIELDS, CompiledCircuit
+from repro.noise import NoiseSpec
 from repro.runner import DeviceSpec, SweepPoint
 from repro.store import ArtifactStore
 from repro.store.manifest import build_manifest
@@ -116,6 +118,10 @@ class TestRedeemedResults:
         for name in DERIVED_CACHES:
             assert name.encode() not in data
         assert not set(DERIVED_CACHES) & set(vars(pickle.loads(data)))
+        # a trajectory engine the artifact keeps is derived data too
+        get_backend("trajectory").execute(compiled, 16, 0, noise=NoiseSpec.from_preset("table1"))
+        assert any(key[0] == "trajectory-engine" for key in vars(compiled)["_schedule_memo"])
+        assert _dumps(compiled) == _dumps(fresh.compiled)
 
     def test_an_edit_after_decoding_survives_a_round_trip(self, stored):
         _fresh, blob, _store, _key = stored

@@ -1,5 +1,6 @@
 """Tests for the async sweep service: job queue, dedupe and the file spool."""
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -243,6 +244,17 @@ class TestSpool:
         job_id = submit_job(spool, PLAN)
         with pytest.raises(TimeoutError, match="unclaimed"):
             wait_for_job(spool, job_id, timeout=0.1, poll=0.02)
+
+    def test_a_failed_install_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        spool = tmp_path / "spool"
+
+        def refuse(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="simulated"):
+            submit_job(spool, PLAN)
+        assert list((spool / "jobs").iterdir()) == []
 
     def test_unreadable_job_fails_alone(self, tmp_path):
         spool, store = tmp_path / "spool", ArtifactStore(tmp_path / "store")

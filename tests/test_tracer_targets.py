@@ -42,19 +42,12 @@ def tracer():
 
 def test_backend_compiles_record_an_eps_span(tracer):
     from repro.backends import get_backend
-    from repro.noise.points import prime_compiled
     from repro.runner import SweepPoint
 
     point = SweepPoint("bv", 4, "eqm", seed=90210)
     # fresh instances: an entry in a shared compile memo would record no span
-    results = [type(get_backend(name))().compile_point(point)
-               for name in ("trajectory", "external-sim")]
-    assert _spans(tracer, "metrics.eps") == 2
-
-    # priming stores the scored result it is handed: no second evaluation
-    primed = SweepPoint("bv", 4, "eqm", seed=90211)
-    prime_compiled(primed, results[0])
-    assert get_backend("trajectory").compiles.get(primed) is results[0]
+    for name in ("trajectory", "external-sim"):
+        type(get_backend(name))().compile_point(point)
     assert _spans(tracer, "metrics.eps") == 2
 
 

@@ -13,10 +13,10 @@ from repro.noise import (
     TrajectoryEngine,
     shot_plan,
     simulate_noisy,
-    simulate_point,
+    simulate_plan,
     wilson_interval,
 )
-from repro.runner import CompileCache, ParallelExecutor, SweepPoint, execute_plan
+from repro.runner import CompileCache, ParallelExecutor, SweepPlan, SweepPoint, execute_plan
 from repro.simulation.verify import VerificationError
 
 TABLE1 = NoiseSpec.from_preset("table1")
@@ -80,9 +80,9 @@ class TestDeterminism:
         assert whole.idle_events == first.idle_events + second.idle_events
 
     def test_workers_and_chunk_size_bit_identical(self):
-        point = SweepPoint("bv", 6, "eqm")
-        serial = simulate_point(point, TABLE1, 600, seed=2, chunk_size=600, workers=1)
-        parallel = simulate_point(point, TABLE1, 600, seed=2, chunk_size=97, workers=2)
+        plan = SweepPlan((SweepPoint("bv", 6, "eqm"),))
+        serial = simulate_plan(plan, TABLE1, 600, seed=2, chunk_size=600, workers=1)[0][1]
+        parallel = simulate_plan(plan, TABLE1, 600, seed=2, chunk_size=97, workers=2)[0][1]
         assert serial == parallel
 
 
@@ -243,10 +243,10 @@ class TestRunnerIntegration:
     def test_cached_and_fresh_merges_agree(self, tmp_path):
         point = SweepPoint("bv", 4, "qubit_only")
         cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        fresh = simulate_point(point, TABLE1, 300, seed=1, chunk_size=100,
-                               cache=cache)
-        served = simulate_point(point, TABLE1, 300, seed=1, chunk_size=100,
-                                cache=cache)
+        fresh = simulate_plan(SweepPlan((point,)), TABLE1, 300, seed=1, chunk_size=100,
+                              cache=cache)[0][1]
+        served = simulate_plan(SweepPlan((point,)), TABLE1, 300, seed=1, chunk_size=100,
+                               cache=cache)[0][1]
         assert fresh == served
 
     def test_noise_and_compile_points_share_a_plan(self):
@@ -360,10 +360,10 @@ class TestChunkGeometryInvariance:
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
     def test_any_split_matches_the_scalar_whole(self, reference_result, workers, chunk_size):
-        split = simulate_point(
-            SweepPoint("bv", 6, "eqm"), TABLE1, self.SHOTS,
+        split = simulate_plan(
+            SweepPlan((SweepPoint("bv", 6, "eqm"),)), TABLE1, self.SHOTS,
             seed=self.SEED, chunk_size=chunk_size, workers=workers,
-        )
+        )[0][1]
         assert split == reference_result
 
     @given(boundary=st.integers(0, 180))
@@ -390,7 +390,8 @@ class TestDegenerateInputs:
             assert chunk.gate_events == chunk.idle_events == 0
 
     def test_zero_shot_simulate_point(self, compiled_bv6):
-        result = simulate_point(SweepPoint("bv", 6, "eqm"), TABLE1, 0, seed=1)
+        plan = SweepPlan((SweepPoint("bv", 6, "eqm"),))
+        result = simulate_plan(plan, TABLE1, 0, seed=1)[0][1]
         assert result == NoisyResult.from_chunks([], seed=1)
         with pytest.raises(ValueError):
             result.success_probability
@@ -557,7 +558,7 @@ class TestZeroShotGuards:
         point = SweepPoint(
             "ghz", 3, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
         )
-        result = simulate_point(point, TABLE1, 0, seed=1, track_state=True)
+        result = simulate_plan(SweepPlan((point,)), TABLE1, 0, seed=1, track_state=True)[0][1]
         assert result.shots == 0
         assert result.tracked
         with pytest.raises(ValueError, match="zero-shot"):
@@ -686,8 +687,8 @@ class TestTrackedChunkGeometry:
             chunks.append(reference_engine.run_reference(count, self.SEED, base_shot=base))
             base += count
         expected = NoisyResult.from_chunks(chunks, self.SEED)
-        split = simulate_point(
-            self.POINT, TABLE1, self.SHOTS, seed=self.SEED,
+        split = simulate_plan(
+            SweepPlan((self.POINT,)), TABLE1, self.SHOTS, seed=self.SEED,
             chunk_size=chunk_size, workers=workers, track_state=True,
-        )
+        )[0][1]
         assert split == expected

@@ -319,6 +319,25 @@ class TestCompileMemo:
         assert len(rows) == 36
         assert compiles == []
 
+    def test_warm_external_sim_compiles_with_cold_shots_compile_nothing(
+        self, tmp_path, compiles, monkeypatch
+    ):
+        """Store-served compiles reach every backend's chunks, not only trajectory's."""
+        from repro.backends import get_backend, registry
+
+        cells = {"benchmarks": ("bv",), "sizes": (4,),
+                 "strategies": ("qubit_only", "eqm"), "backend": "external-sim"}
+        cache = self._cache(tmp_path)
+        monkeypatch.delitem(registry._INSTANCES, "external-sim", raising=False)
+        validate_eps(shots=self.SHOTS, cache=cache, **cells)
+        assert len(compiles) == 2
+        monkeypatch.delitem(registry._INSTANCES, "external-sim")
+        get_backend("external-sim")
+        compiles.clear()
+        rows = validate_eps(shots=2 * self.SHOTS, cache=cache, **cells)
+        assert len(rows) == 2
+        assert compiles == []
+
     def test_store_served_compiles_are_not_scored_again(
         self, tmp_path, compiles, monkeypatch
     ):
