@@ -30,7 +30,9 @@ had to design around:
     ``run_noise_point`` implementations (the point-level execution entry
     every backend exposes) must return through
     :func:`repro.backends.contract.ensure_noisy_result` on every path, so
-    malformed results surface as typed contract errors.
+    malformed results surface as typed contract errors.  Their batch form,
+    ``run_noise_points``, must return a list comprehension whose every
+    element passes through ``ensure_noisy_result`` or ``run_noise_point``.
 
 All rules are purely syntactic — no imports of the linted code — so the
 lint runs on any tree, including broken ones.
@@ -60,6 +62,14 @@ _WALLCLOCK_CALLS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 })
+
+#: Backend entry points the ``backend-contract`` rule checks, with the
+#: calls that validate each returned result (for ``run_noise_points``,
+#: each element of the list comprehension it returns).
+_VALIDATED_RETURNS = {
+    "run_noise_point": ("ensure_noisy_result",),
+    "run_noise_points": ("ensure_noisy_result", "run_noise_point"),
+}
 
 #: Rule names, in reporting order.
 SOURCE_RULES = (
@@ -143,7 +153,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         """Track the function-name stack and dispatch per-function rules."""
         self._function_stack.append(node.name)
-        if node.name == "run_noise_point":
+        if node.name in _VALIDATED_RETURNS:
             self._check_backend_contract(node)
         self.generic_visit(node)
         self._function_stack.pop()
@@ -153,7 +163,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- rule: backend-contract ----------------------------------------
     def _check_backend_contract(self, node) -> None:
-        """Require every ``run_noise_point`` return to pass validation."""
+        """Require every result a ``run_noise_point(s)`` returns to pass validation."""
         returns = [
             child for child in ast.walk(node)
             if isinstance(child, ast.Return)
@@ -161,18 +171,22 @@ class _DeterminismVisitor(ast.NodeVisitor):
         if not returns:
             self._emit(
                 "backend-contract",
-                "run_noise_point never returns a result; the contract "
+                f"{node.name} never returns a result; the contract "
                 "requires returning through ensure_noisy_result(...)", node,
             )
             return
+        validators = _VALIDATED_RETURNS[node.name]
         for ret in returns:
             value = ret.value
+            if node.name == "run_noise_points":
+                value = value.elt if isinstance(value, ast.ListComp) else None
             name = _dotted_name(value.func) if isinstance(value, ast.Call) else None
-            if name is None or name.split(".")[-1] != "ensure_noisy_result":
+            if name is None or name.split(".")[-1] not in validators:
                 self._emit(
                     "backend-contract",
-                    "run_noise_point returns without ensure_noisy_result(); "
-                    "every backend result must pass contract validation", ret,
+                    f"{node.name} returns a result that does not pass "
+                    "ensure_noisy_result(); every backend result must pass "
+                    "contract validation", ret,
                 )
 
     # -- rules on calls ------------------------------------------------

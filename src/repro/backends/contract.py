@@ -6,14 +6,16 @@ The contract is deliberately small — two methods::
     compile(circuit, device, strategy)  -> CompiledCircuit
     execute(compiled, shots, seed)      -> NoisyResult
 
-plus two point-level entry points (``compile_point`` /
-``run_noise_point``) with default implementations in terms of the two
-methods above, which is what the runner actually calls.  ``compile_point``
-scores each compile with the analytic EPS model once and memoises the
-:class:`~repro.runner.records.StrategyResult` itself.  Ported executors
-(the trajectory engine), stored artifacts (the replay backend) and
-independent simulators (the external-sim backend) all fit behind it; see
-:mod:`repro.backends.registry` for how names map to instances.
+plus point-level entry points (``compile_point``, ``run_noise_point``
+and its batch form ``run_noise_points``) with default implementations in
+terms of the two methods above, which is what the runner actually calls.
+``compile_point`` scores each compile with the analytic EPS model once
+and memoises the :class:`~repro.runner.records.StrategyResult` itself.
+A backend may override ``run_noise_points`` to share work among chunks,
+as long as every result equals its one-at-a-time answer.  Ported
+executors (the trajectory engine), stored artifacts (the replay backend)
+and independent simulators (the external-sim backend) all fit behind it;
+see :mod:`repro.backends.registry` for how names map to instances.
 
 Content-key rules live here too: :attr:`ExecutionBackend.content_name` is
 the string folded into every point's cache key.  It defaults to the
@@ -245,3 +247,7 @@ class ExecutionBackend:
             track_state=point.track_state,
         )
         return ensure_noisy_result(result, self.name)
+
+    def run_noise_points(self, points: "list[NoisePoint]") -> list[NoisyResult]:
+        """Execute several chunks of noisy shots, each as :meth:`run_noise_point` would."""
+        return [self.run_noise_point(point) for point in points]

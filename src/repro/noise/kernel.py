@@ -47,7 +47,7 @@ loops execute without per-op Python dispatch:
   :class:`~repro.noise.rng.StreamPrefix` serves.  No draw matrix is built
   per block: the first columns come from a bounded, shared prefix that
   every kernel over the same stream reads, and deeper columns are drawn
-  one at a time.
+  one at a time, once for a whole stack of engines' kernels.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
 on the same values in the same order** as the scalar
@@ -733,37 +733,73 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EventKernel:
-    """The event-only engine's flat program: one fused threshold vector.
+    """The event-only program of one engine, or of a stack of engines.
 
-    Concatenates the per-op error probabilities and per-qubit idle decay
-    gammas so a whole block's events come from one pass over the stream,
-    one vectorised compare per draw.  The values and IEEE predicates are
-    exactly the scalar loop's, so the counts are bit-identical.
+    One engine's kernel concatenates its per-op error probabilities and
+    per-qubit idle decay gammas so a whole block's events come from one
+    pass over the stream, one vectorised compare per draw.  A stack
+    (:meth:`stack`) holds several engines' vectors as matrix rows, so the
+    engines over one stream share that pass.  The values and IEEE
+    predicates are exactly the scalar loop's, so the counts are
+    bit-identical.
     """
 
+    #: ``(depth,)`` for one engine; ``(engines, max depth)`` for a stack,
+    #: zero past a row's own depth (a uniform is never ``< 0.0``).
     thresholds: np.ndarray
-    num_ops: int
+    #: How many leading thresholds are gate errors: an int, or one per row.
+    num_ops: int | np.ndarray
+    #: Each row's own depth (a stack only).
+    depths: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, kernels) -> EventKernel:
+        """One kernel running the one-engine ``kernels`` as its rows, in order."""
+        depths = np.array([len(kernel.thresholds) for kernel in kernels], dtype=np.intp)
+        thresholds = np.zeros((len(kernels), depths.max(initial=0)))
+        for row, kernel in zip(thresholds, kernels):
+            row[: len(kernel.thresholds)] = kernel.thresholds
+        num_ops = np.array([kernel.num_ops for kernel in kernels], dtype=np.intp)
+        return cls(thresholds=thresholds, num_ops=num_ops, depths=depths)
 
     def count_block(self, stream) -> tuple[np.ndarray, np.ndarray]:
         """Per-lane gate and idle event counts over the block's served columns.
 
         ``stream`` is the block's :class:`~repro.noise.rng.StreamPrefix`.
-        It serves exactly ``len(thresholds)`` columns; column ``j`` is
-        compared with ``thresholds[j]`` and added into the lanes' counts.
-        The stored prefix is shared with every other kernel over the same
-        stream and is only read, so no ``(lanes, draws)`` matrix is built
-        and a stored column is drawn again only after the memo evicts it.
+        It serves as many columns as the deepest row has thresholds;
+        column ``j`` is compared with the ``thresholds[j]`` of every row
+        that deep (rows run deepest first, so those are a prefix of that
+        order) and added into their lane counts.  One engine's counts are
+        ``(lanes,)`` arrays, a stack's ``(engines, lanes)``.  The stored
+        prefix is shared with every other kernel over the same stream and
+        is only read, so no ``(lanes, draws)`` matrix is built and a
+        stored column is drawn again only after the memo evicts it.
         """
-        columns = stream.columns(len(self.thresholds))
-        fired = np.empty(stream.shots, dtype=bool)
-        counts = []
-        for thresholds in (self.thresholds[: self.num_ops], self.thresholds[self.num_ops:]):
-            total = np.zeros(stream.shots, dtype=np.int64)
-            for threshold in thresholds:
-                np.less(next(columns), threshold, out=fired)
-                np.add(total, fired, out=total)
-            counts.append(total)
-        return counts[0], counts[1]
+        depths = np.atleast_1d(len(self.thresholds) if self.depths is None else self.depths)
+        order = np.argsort(-depths, kind="stable")
+        by_column = np.ascontiguousarray(np.atleast_2d(self.thresholds)[order].T)
+        depths, num_ops = depths[order], np.atleast_1d(self.num_ops)[order]
+        ndraws = int(depths.max(initial=0))
+        # lane counts in depth order; gate counts, in row order, are the
+        # running counts just before a row's first idle column
+        counts = np.zeros((order.size, stream.shots), dtype=np.min_scalar_type(ndraws))
+        gate = np.empty_like(counts)
+        fired = np.empty(counts.shape, dtype=bool)
+        active = order.size
+        for index, column in enumerate(stream.columns(ndraws)):
+            while depths[active - 1] <= index:
+                active -= 1
+            starting = num_ops == index
+            gate[order[starting]] = counts[starting]
+            np.less(column, by_column[index, :active, None], out=fired[:active])
+            np.add(counts[:active], fired[:active], out=counts[:active])
+        gate[order[num_ops == ndraws]] = counts[num_ops == ndraws]
+        del fired
+        idle = counts[np.argsort(order)]
+        idle -= gate
+        if self.depths is None:
+            return gate[0], idle[0]
+        return gate, idle
 
 
 def build_event_kernel(op_probs: np.ndarray, idle_gammas: np.ndarray) -> EventKernel:

@@ -6,7 +6,9 @@ batches fan out through the existing :class:`~repro.runner.ParallelExecutor`
 and land in the same on-disk cache as compile results.  Because every shot's
 RNG stream depends only on ``(seed, absolute shot index)``, the chunked
 results merge into a :class:`~repro.noise.result.NoisyResult` that is
-bit-identical whatever the worker count or chunk size.
+bit-identical whatever the worker count or chunk size.  The executor runs
+its noise points through :meth:`NoisePoint.execute_batch`, so chunks over
+one shot span can share one pass over its streams.
 
 The compile request itself is carried declaratively (a
 :class:`~repro.runner.SweepPoint`); workers rebuild the compiled circuit on
@@ -28,7 +30,7 @@ from repro.runner import cache as runner_cache
 from repro.runner.cache import CompileCache
 from repro.runner.executor import execute_plan
 from repro.runner.plan import SweepPlan
-from repro.runner.records import StrategyResult, SweepPoint
+from repro.runner.records import StrategyResult, SweepPoint, run_grouped
 
 #: Default shots per plan point.  Sized for the chunk-batched vectorised
 #: engine: thousands of shots per chunk amortise the per-chunk overhead
@@ -80,6 +82,19 @@ class NoisePoint:
         split.
         """
         return get_backend(self.backend).run_noise_point(self)
+
+    @staticmethod
+    def execute_batch(points: list[NoisePoint]) -> list[NoisyResult]:
+        """Run several chunks; each result equals its own :meth:`execute`.
+
+        Each backend's chunks go to its
+        :meth:`~repro.backends.contract.ExecutionBackend.run_noise_points`
+        in one call.
+        """
+        return run_grouped(
+            points, lambda point: point.backend,
+            lambda group: get_backend(group[0].backend).run_noise_points(group),
+        )
 
 
 def shot_plan(

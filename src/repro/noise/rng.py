@@ -48,7 +48,10 @@ words.  A request reads the stored columns, draws any the prefix still
 lacks below the budget (columns it needs anyway), and streams whatever
 lies past the budget from a copy of the checkpoint, one column at a
 time.  So a miss or an eviction never costs a PCG step that an unshared
-pass would not take.  The event-only engine reads columns only; the
+pass would not take.  The event-only path reads columns only, once per
+block for all the cells over one span
+(:func:`repro.noise.trajectory.run_event_engines`), so a column past the
+stored prefix is drawn once per pass, not once per cell.  The
 state-tracked engine reads its up-front columns the same way, then takes
 live lanes for its later draws from :meth:`StreamPrefix.lanes_at`, a
 jump from the seeded words, so no cell's draws move a shared lane.
@@ -584,9 +587,10 @@ class StreamPrefix:
     ``j``-th ``default_rng((seed, base_shot + i)).random()``.  At most
     ``depth = PREFIX_BUDGET // shots`` columns are stored; the lanes stand
     where the stored prefix ends, so a deeper request continues from a copy
-    of them.  Storing a column and copying the lanes happen under one lock,
-    and a stored column is never written, so any number of threads can
-    read one prefix at once.
+    of them; the event-only pass asks once per block, as deep as its
+    deepest cell.  Storing a column and copying the lanes happen under one
+    lock, and a stored column is never written, so any number of threads
+    can read one prefix at once.
     """
 
     def __init__(self, seed: int, base_shot: int, shots: int) -> None:

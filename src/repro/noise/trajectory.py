@@ -26,11 +26,12 @@ into one flat threshold array per engine, and a whole block of shots draws its
 uniforms as vectorised columns through :mod:`repro.noise.rng` — an order
 of magnitude faster than one Python ``Generator`` per shot, yet
 bit-identical to it.  Every engine of one seed reads the same streams, so
-the columns come from :func:`~repro.noise.rng.stream_prefix`, a process
-memo that draws each stored column of a chunk once for all the cells
-that read it.  The scalar loop is the ``_reference`` implementation
-(:meth:`run_reference`), and the golden-equivalence tests compare the
-two draw for draw.
+:func:`run_event_engines` runs the engines over one shot span as one
+pass: each block reads its columns once from
+:func:`~repro.noise.rng.stream_prefix`, as deep as the deepest engine;
+:meth:`TrajectoryEngine.run` is the one-engine pass.  The scalar loop is
+the ``_reference`` implementation (:meth:`run_reference`), and the
+golden-equivalence tests compare the two draw for draw.
 
 Shots where *no* event fired estimate the analytic EPS; with
 ``track_state=True`` the engine additionally evolves the state vector and
@@ -79,6 +80,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
 from repro.noise.kernel import (
     _PAULI_NAMES,
+    EventKernel,
     KernelSchedule,
     RowTable,
     SiteStrings,
@@ -133,6 +135,18 @@ FINAL_VECTORS_MAX_SHOTS = 4096
 def _damping_survival(gamma: float) -> np.ndarray:
     """The no-jump damping operator K0 = diag(1, sqrt(1-gamma))."""
     return np.array([[1.0, 0.0], [0.0, np.sqrt(max(0.0, 1.0 - gamma))]], dtype=complex)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of 1-D ``values``, as ``np.unique`` returns them.
+
+    NumPy 2's ``np.unique`` takes a hash path whose first call imports
+    ``numpy.ma``; a sort and an adjacent-difference mask do not.
+    """
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
 
 
 @dataclass(frozen=True)
@@ -445,39 +459,6 @@ class TrajectoryEngine:
         )
 
     # ------------------------------------------------------------------
-    # chunk-batched sampling (the production event-only path)
-    # ------------------------------------------------------------------
-    def _run_event_batch(self, shots: int, seed: int, base_shot: int) -> NoisyResult:
-        """Vectorised event-only sampling over blocks of shots.
-
-        Every shot's private ``default_rng((seed, shot))`` stream comes
-        from the block's shared :class:`~repro.noise.rng.StreamPrefix`,
-        whose columns the pre-built
-        :class:`~repro.noise.kernel.EventKernel` compares one at a time
-        against their thresholds.  The thresholds and the draws are the
-        same floats the scalar loop uses, compared with the same IEEE
-        predicates, so the event counts are bit-identical at any block or
-        chunk split, and whichever cells ran before in the process.
-        """
-        no_error = 0
-        gate_events = 0
-        idle_events = 0
-        for start in range(0, shots, EVENT_BLOCK_SHOTS):
-            count = min(EVENT_BLOCK_SHOTS, shots - start)
-            stream = stream_prefix(seed, base_shot + start, count)
-            per_shot_gate, per_shot_idle = self._event_kernel.count_block(stream)
-            no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
-            gate_events += int(per_shot_gate.sum())
-            idle_events += int(per_shot_idle.sum())
-        return NoisyResult(
-            shots=shots,
-            seed=seed,
-            no_error_shots=no_error,
-            gate_events=gate_events,
-            idle_events=idle_events,
-        )
-
-    # ------------------------------------------------------------------
     # chunk-batched sampling (the production state-tracking path)
     # ------------------------------------------------------------------
     def _tracked_block_shots(self) -> int:
@@ -511,9 +492,9 @@ class TrajectoryEngine:
             keys = np.zeros((jumps.shape[0], 8 * words), dtype=np.uint8)
             keys[:, : jumps.shape[1]] = jumps
             # one scalar key per lane: a uint64 up to 64 idle qubits, raw
-            # bytes past that; a 1-D unique sorts them without a row compare
+            # bytes past that; a 1-D sort orders them without a row compare
             scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
-            capacity += np.unique(keys.view(scalar)[:, 0]).size - 1
+            capacity += _distinct(keys.view(scalar)[:, 0]).size - 1
         return capacity
 
     def _apply_idle_decay(self, state: RowTable, draws: np.ndarray) -> np.ndarray:
@@ -537,7 +518,7 @@ class TrajectoryEngine:
                 jumped = np.flatnonzero(column < gamma)
                 idle_counts[jumped] += 1
                 if jumped.size:
-                    state.apply_kraus(*jump, np.unique(state.split(jumped)))
+                    state.apply_kraus(*jump, _distinct(state.split(jumped)))
                 continue
             # kraus: jump probability scales with the excited population
             populations = self._excited_populations(state, unit, slot)
@@ -545,10 +526,10 @@ class TrajectoryEngine:
             idle_counts += fired
             rows = state.split(every_lane, fired)
             if fired.any():
-                state.apply_kraus(*jump, np.unique(rows[fired]))
+                state.apply_kraus(*jump, _distinct(rows[fired]))
             if not fired.all():
                 survival = self._embedded_planned(_damping_survival(gamma), unit, slot)
-                state.apply_kraus(*survival, np.unique(rows[~fired]))
+                state.apply_kraus(*survival, _distinct(rows[~fired]))
         return idle_counts
 
     def _apply_dynamic_op(
@@ -594,8 +575,9 @@ class TrajectoryEngine:
                     if not chosen.any():
                         continue
                     projector = self._embedded_planned(_PROJECTORS[outcome], unit, slot)
-                    state.apply_kraus(*projector, np.unique(rows[chosen]))
-                    targets, inverse = np.unique(ideal_rows[chosen], return_inverse=True)
+                    state.apply_kraus(*projector, _distinct(rows[chosen]))
+                    targets = _distinct(ideal_rows[chosen])
+                    inverse = np.searchsorted(targets, ideal_rows[chosen])
                     weights = ideal.apply_kraus(*projector, targets)
                     alive[exec_idx[chosen][weights[inverse] == 0.0]] = False
                 if op.gate == "measure_mid":
@@ -604,11 +586,11 @@ class TrajectoryEngine:
                         outcomes.astype(np.int64) << bit
                     )
                 elif outcomes.any():  # reset: flip the sampled |1> rows back to |0>
-                    state.apply_to_rows(parts.flip, np.unique(rows[outcomes]))
-                    ideal.apply_to_rows(parts.flip, np.unique(ideal_rows[outcomes]))
+                    state.apply_to_rows(parts.flip, _distinct(rows[outcomes]))
+                    ideal.apply_to_rows(parts.flip, _distinct(ideal_rows[outcomes]))
         elif parts.step is not None and exec_idx.size:
-            state.apply_to_rows(parts.step, np.unique(state.split(exec_idx)))
-            ideal.apply_to_rows(parts.step, np.unique(ideal.split(exec_idx)))
+            state.apply_to_rows(parts.step, _distinct(state.split(exec_idx)))
+            ideal.apply_to_rows(parts.step, _distinct(ideal.split(exec_idx)))
         if parts.site is not None:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:
@@ -625,15 +607,16 @@ class TrajectoryEngine:
         """
         noisy = state.canonical()
         if ideal is None:
-            rows, inverse = np.unique(state.lane_rows, return_inverse=True)
+            rows = _distinct(state.lane_rows)
+            inverse = np.searchsorted(rows, state.lane_rows)
             per_row = [float(abs(np.vdot(self._ideal_vector, noisy[row])) ** 2) for row in rows]
             return np.array(per_row, dtype=np.float64)[inverse]
         clean = ideal.canonical()
         fidelities = np.zeros(alive.size, dtype=np.float64)
         live = np.flatnonzero(alive)
-        pairs, inverse = np.unique(
-            ideal.lane_rows[live] * state.count + state.lane_rows[live], return_inverse=True
-        )
+        keys = ideal.lane_rows[live] * state.count + state.lane_rows[live]
+        pairs = _distinct(keys)
+        inverse = np.searchsorted(pairs, keys)
         per_pair = [
             float(abs(np.vdot(clean[pair // state.count], noisy[pair % state.count])) ** 2)
             for pair in pairs
@@ -752,7 +735,7 @@ class TrajectoryEngine:
         check_shot_span(base_shot, shots)
         if self.track_state:
             return self._run_tracked_batch(shots, seed, base_shot)
-        return self._run_event_batch(shots, seed, base_shot)
+        return run_event_engines((self,), shots, seed, base_shot)[0]
 
     def iter_final_vectors(self, shots: int, seed: int, base_shot: int = 0):
         """Yield each trajectory's final state vector, in shot order.
@@ -792,6 +775,35 @@ class TrajectoryEngine:
                 "iter_final_vectors() instead"
             )
         return list(self.iter_final_vectors(shots, seed, base_shot=base_shot))
+
+
+def run_event_engines(
+    engines, shots: int, seed: int, base_shot: int = 0
+) -> list[NoisyResult]:
+    """Event-only results of several engines over one shot span, from one pass.
+
+    Each :data:`EVENT_BLOCK_SHOTS` block reads its shared
+    :class:`~repro.noise.rng.StreamPrefix` once, as deep as the deepest
+    engine, through an :meth:`~repro.noise.kernel.EventKernel.stack` of
+    the engines' kernels.  The draws, thresholds and IEEE predicates are
+    the scalar loop's and the totals are integer sums, so each result is
+    bit-identical to the engine's :meth:`TrajectoryEngine.run_reference`,
+    whichever engines share the pass.
+    """
+    check_shot_span(base_shot, shots)
+    kernel = EventKernel.stack([engine._event_kernel for engine in engines])
+    totals = np.zeros((3, len(engines)), dtype=np.int64)
+    for start in range(0, shots, EVENT_BLOCK_SHOTS):
+        count = min(EVENT_BLOCK_SHOTS, shots - start)
+        gate, idle = kernel.count_block(stream_prefix(seed, base_shot + start, count))
+        totals[0] += count - np.count_nonzero(np.logical_or(gate, idle), axis=1)
+        totals[1] += gate.sum(axis=1, dtype=np.int64)
+        totals[2] += idle.sum(axis=1, dtype=np.int64)
+    return [
+        NoisyResult(shots=shots, seed=seed, no_error_shots=int(no_error),
+                    gate_events=int(gate_events), idle_events=int(idle_events))
+        for no_error, gate_events, idle_events in totals.T
+    ]
 
 
 def simulate_noisy(

@@ -43,5 +43,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".plan": ("SweepPlan",),
     ".records": ("DEFAULT_BACKEND", "DeviceSpec", "ExecutionPoint", "StrategyResult",
                  "SweepPoint", "ensure_execution_point", "freeze_kwargs", "make_device"),
-    ".points": ("execute_point",),
+    ".points": ("execute_point", "execute_points"),
 })

@@ -2,10 +2,13 @@
 
 Determinism contract: results always come back in plan order and are
 **byte-identical** at every worker count and chunk size.  This holds
-because each worker rebuilds its point from the pickled spec and executes
-it with no shared mutable state — ``workers=1`` is the reference path and
-``workers>1`` is purely a wall-clock optimisation, which
-``tests/test_runner.py`` pins by comparing serial and parallel reports.
+because each worker rebuilds its points from the pickled specs and
+executes them with no shared mutable state — ``workers=1`` is the
+reference path and ``workers>1`` is purely a wall-clock optimisation,
+which ``tests/test_runner.py`` pins by comparing serial and parallel
+reports.  Both run the pending points through
+:func:`~repro.runner.points.execute_points`: inline as one run, or as
+contiguous slices, one pool task each.
 When a :class:`~repro.runner.cache.CompileCache` is attached, cache hits
 are redeemed from the artifact store and only the misses are dispatched;
 the merged result list is indistinguishable from an uncached run.  A
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.runner.cache import CompileCache, refuse_store_miss
 from repro.runner.plan import SweepPlan
-from repro.runner.points import execute_point
+from repro.runner.points import execute_points
 from repro.runner.records import SweepPoint
 
 
@@ -38,12 +41,12 @@ class ExecutionStats:
 class ParallelExecutor:
     """Run sweep plans across processes with optional result caching.
 
-    ``workers=1`` executes points inline in plan order — the reproducibility
-    reference path.  ``workers>1`` fans misses out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` in chunks; because every
-    point is rebuilt deterministically from its spec, the parallel results are
-    identical to the serial ones, and ``run`` always returns them in plan
-    order regardless of completion order.
+    ``workers=1`` executes the misses inline as one run — the
+    reproducibility reference path.  ``workers>1`` fans them out over a
+    :class:`~concurrent.futures.ProcessPoolExecutor` in contiguous slices;
+    because every point is rebuilt deterministically from its spec, the
+    parallel results are identical to the serial ones, and ``run`` always
+    returns them in plan order regardless of completion order.
     """
 
     workers: int = 1
@@ -88,7 +91,7 @@ class ParallelExecutor:
         )
         return results
 
-    #: Cap on the dispatch chunk, which gives every worker ~4 chunks for
+    #: Cap on the dispatch slice, which gives every worker ~4 slices for
     #: load balancing: huge plans (tens of thousands of shot chunks) would
     #: otherwise serialise into a handful of giant worker tasks, losing
     #: load balancing and delaying cache writes until the end of the run.
@@ -97,11 +100,12 @@ class ParallelExecutor:
     def _execute(self, points: Sequence[SweepPoint]) -> list:
         workers = min(self.workers, len(points))
         if workers <= 1:
-            return [execute_point(point) for point in points]
-        chunksize = min(self.MAX_AUTO_CHUNKSIZE, max(1, len(points) // (workers * 4)))
+            return execute_points(points)
+        size = min(self.MAX_AUTO_CHUNKSIZE, max(1, len(points) // (workers * 4)))
+        slices = [points[start:start + size] for start in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves input order, so plan order survives the fan-out.
-            return list(pool.map(execute_point, points, chunksize=chunksize))
+            return [result for part in pool.map(execute_points, slices) for result in part]
 
 
 def execute_plan(

@@ -79,6 +79,22 @@ def ensure_execution_point(point) -> None:
         )
 
 
+def run_grouped(items: list, key, run) -> list:
+    """``run(group)`` on each group of ``items`` that share ``key(item)``.
+
+    ``run`` returns one result per item of its group, in order; the
+    results come back in ``items`` order.
+    """
+    groups: dict = {}
+    for index, item in enumerate(items):
+        groups.setdefault(key(item), []).append(index)
+    results: list = [None] * len(items)
+    for indices in groups.values():
+        for index, result in zip(indices, run([items[index] for index in indices])):
+            results[index] = result
+    return results
+
+
 def make_device(
     kind: str,
     num_qubits: int,

@@ -304,6 +304,35 @@ class TestSourceLint:
         )
         assert lint_source_text(snippet, "mod.py") == []
 
+    @pytest.mark.parametrize("body", [
+        "return [self._run(point) for point in points]",
+        "return list(map(ensure_noisy_result, points))",
+        "results = [ensure_noisy_result(p) for p in points]\n        return results",
+        "pass",
+    ], ids=["unvalidated-element", "not-a-comprehension", "named-list", "no-return"])
+    def test_batch_backend_contract_flagged(self, body):
+        snippet = (
+            "from repro.backends.contract import ensure_noisy_result\n"
+            "class B:\n"
+            "    def run_noise_points(self, points):\n"
+            f"        {body}\n"
+        )
+        findings = lint_source_text(snippet, "mod.py")
+        assert [f.pass_name for f in findings] == ["backend-contract"]
+
+    @pytest.mark.parametrize("element", [
+        "ensure_noisy_result(self._run(point), 'b')",
+        "self.run_noise_point(point)",
+    ], ids=["validated", "point-entry"])
+    def test_batch_backend_contract_satisfied(self, element):
+        snippet = (
+            "from repro.backends.contract import ensure_noisy_result\n"
+            "class B:\n"
+            "    def run_noise_points(self, points):\n"
+            f"        return [{element} for point in points]\n"
+        )
+        assert lint_source_text(snippet, "mod.py") == []
+
     def test_syntax_error_reported_not_raised(self):
         findings = lint_source_text("def f(:\n", "mod.py")
         assert any(f.pass_name == "parse" for f in findings)

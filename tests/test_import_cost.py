@@ -94,6 +94,21 @@ def test_compile_and_simulate_leave_scipy_unloaded(tmp_path):
     assert "simulated success" in result.stdout
 
 
+def test_a_tracked_validation_leaves_numpy_ma_unloaded(tmp_path):
+    """Row bookkeeping finds distinct rows by sorting, never through
+    ``np.unique``'s hash path, whose first call imports ``numpy.ma``."""
+    code = """
+        from repro.evaluation.validate import validate_eps
+        [row] = validate_eps(benchmarks=("bv",), sizes=(4,), strategies=("eqm",),
+                             shots=200, track_state=True)
+        assert row.result.tracked
+        import sys
+        assert not any(m == "numpy.ma" or m.startswith("numpy.ma.") for m in sys.modules)
+    """
+    result = _run(textwrap.dedent(code), tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
 def test_pulse_names_resolve_and_scipy_loads_on_first_propagate(tmp_path):
     code = """
         import sys

@@ -692,3 +692,121 @@ class TestTrackedChunkGeometry:
             chunk_size=chunk_size, workers=workers, track_state=True,
         )[0][1]
         assert split == expected
+
+
+class TestSharedEventPass:
+    """Event-only chunks over one shot span run as one pass over its streams,
+    and every chunk's result is the one it gives alone."""
+
+    #: Cells of different depths, each under its own noise spec.
+    CELLS = (
+        (SweepPoint("bv", 6, "eqm"), TABLE1),
+        (SweepPoint("ghz", 4, "qubit_only"), NoiseSpec.from_preset("pessimistic")),
+        (SweepPoint("qft", 5, "rb"), NoiseSpec.from_preset("heterogeneous")),
+        (SweepPoint("bv", 6, "eqm"), NoiseSpec.from_preset("pessimistic")),
+    )
+
+    @staticmethod
+    def _depth(cell: SweepPoint, noise: NoiseSpec) -> int:
+        from repro.backends import get_backend
+
+        compiled = get_backend("trajectory").compile_point(cell).compiled
+        return TrajectoryEngine(compiled, noise)._draws
+
+    def _span_major(self, spans, seed):
+        """Every cell's chunk of each span, span after span."""
+        return [
+            NoisePoint(cell, noise, shots=shots, base_shot=base, seed=seed)
+            for base, shots in spans for cell, noise in self.CELLS
+        ]
+
+    def test_cells_differ_in_depth(self):
+        assert len({self._depth(cell, noise) for cell, noise in self.CELLS[:3]}) == 3
+
+    def test_a_batch_pickles_like_one_chunk_at_a_time(self):
+        from repro.backends import get_backend
+
+        backend = get_backend("trajectory")
+        # the last span takes two EVENT_BLOCK_SHOTS blocks
+        points = self._span_major(((0, 700), (700, 333), (9000, 700), (20000, 9000)), seed=13)
+        batch = backend.run_noise_points(points)
+        alone = [backend.run_noise_point(point) for point in points]
+        assert [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in batch] == [
+            pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in alone
+        ]
+
+    def test_batch_and_single_chunks_match_the_reference(self):
+        from repro.backends import get_backend
+
+        backend = get_backend("trajectory")
+        points = self._span_major(((0, 40), (40, 25)), seed=4)
+        for point, result in zip(points, backend.run_noise_points(points)):
+            compiled = backend.compile_point(point.compile_point).compiled
+            reference = TrajectoryEngine(compiled, point.noise).run_reference(
+                point.shots, point.seed, base_shot=point.base_shot
+            )
+            assert result == reference == backend.run_noise_point(point)
+
+    def test_mixed_points_come_back_in_plan_order(self):
+        from repro.runner import StrategyResult, execute_point, execute_points
+
+        tracked = SweepPoint("bv", 4, "eqm",
+                             compiler_kwargs=(("merge_single_qubit_gates", False),))
+        external = SweepPoint("bv", 4, "qubit_only", backend="external-sim")
+        plan = [
+            NoisePoint(SweepPoint("bv", 6, "eqm"), TABLE1, shots=80, seed=2),
+            NoisePoint(tracked, TABLE1, shots=30, seed=2, track_state=True),
+            NoisePoint(external, TABLE1, shots=40, seed=2),
+            SweepPoint("ghz", 4, "eqm"),
+            NoisePoint(SweepPoint("ghz", 4, "qubit_only"), TABLE1, shots=80, seed=2),
+            NoisePoint(tracked, TABLE1, shots=30, base_shot=30, seed=2, track_state=True),
+            NoisePoint(SweepPoint("bv", 6, "eqm"), IDEAL, shots=80, seed=2),
+        ]
+        together = execute_points(plan)
+        assert [type(result) for result in together] == [
+            NoisyResult, NoisyResult, NoisyResult, StrategyResult,
+            NoisyResult, NoisyResult, NoisyResult,
+        ]
+        assert [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in together] == [
+            pickle.dumps(execute_point(point), pickle.HIGHEST_PROTOCOL) for point in plan
+        ]
+        assert [r.tracked for r in together[:3]] == [False, True, False]
+
+    def test_one_span_draws_its_deepest_cell_once(self, monkeypatch):
+        import repro.noise.rng as rng_module
+        from repro.backends import get_backend
+
+        backend = get_backend("trajectory")
+        cells = self.CELLS[:2]
+        depths = [self._depth(cell, noise) for cell, noise in cells]
+        points = [NoisePoint(cell, noise, shots=512, seed=77) for cell, noise in cells]
+        drawn = []
+        real = GeneratorLanes.random
+
+        def spy(lanes, *args):
+            drawn.append(lanes.shots)
+            return real(lanes, *args)
+
+        # with no stored prefix, an unshared pass would draw every column again
+        monkeypatch.setattr(rng_module, "PREFIX_BUDGET", 0)
+        monkeypatch.setattr(GeneratorLanes, "random", spy)
+        rng_module.stream_prefix.cache_clear()
+        try:
+            shared = backend.run_noise_points(points)
+            assert len(drawn) == max(depths)
+            del drawn[:]
+            alone = [backend.run_noise_point(point) for point in points]
+            assert len(drawn) == sum(depths)
+        finally:
+            rng_module.stream_prefix.cache_clear()
+        assert shared == alone
+
+    def test_parallel_slices_of_a_span_major_plan_are_bit_identical(self):
+        # 16 chunks at two workers: slices of two chunks over one span
+        spans = ((0, 300), (300, 300), (600, 150), (750, 90))
+        plan = SweepPlan(tuple(self._span_major(spans, seed=8)))
+        serial = execute_plan(plan, workers=1)
+        parallel = execute_plan(plan, workers=2)
+        assert [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in serial] == [
+            pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in parallel
+        ]

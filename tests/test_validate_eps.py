@@ -83,6 +83,17 @@ class TestDeterminism:
             row.analytic_eps for row in parallel
         ]
 
+    def test_rows_are_equal_when_worker_slices_share_spans(self):
+        # 12 cells x 2 chunks at two workers: slices of three chunks, so a
+        # worker's pass over one span serves two cells
+        config = {"benchmarks": ("bv", "ghz", "qft"), "sizes": (4,),
+                  "strategies": ("qubit_only", "eqm", "rb", "awe"),
+                  "shots": 600, "chunk_size": 300, "seed": 5}
+        serial = validate_eps(workers=1, **config)
+        parallel = validate_eps(workers=2, **config)
+        assert len(serial) == 12
+        assert [row.as_dict() for row in serial] == [row.as_dict() for row in parallel]
+
     def test_cache_round_trip_is_identical(self, tmp_path):
         from repro.runner import CompileCache
 
